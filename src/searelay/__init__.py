@@ -18,8 +18,8 @@ from .evaluate import (PERTURB_CSV_HEADER, PerturbStats, PlacementLimit,
                        TrafficModel, constant_placement, perturb_csv_row,
                        perturb_eval, qsup_of_placement, tradeoff,
                        vertical_qsup)
-from .scalar import (MaxItersError, MonotoneFn, NoBracketError, Tolerance,
-                     bisect_monotone, bracket_monotone, bracket_then_bisect)
+from .scalar import (MaxItersError, NoBracketError, bisect_monotone,
+                     bracket_monotone)
 from .simqueue import (InconclusiveProbeError, ProbePoint, ProbeResult,
                        QueueStats, SimConfig, is_stable, simulate,
                        stability_probe)
@@ -38,8 +38,7 @@ __all__ = [
     "ValidationReport", "snr", "shannon_rate", "fec_rate",
     "shannon_rate_function", "fec_rate_function", "validate_rate_assumption",
     "preset", "preset_names", "load_channel_config",
-    "Tolerance", "MonotoneFn", "NoBracketError", "MaxItersError",
-    "bracket_monotone", "bisect_monotone", "bracket_then_bisect",
+    "NoBracketError", "MaxItersError", "bracket_monotone", "bisect_monotone",
     "Placement", "SubproblemResult", "SolveResult", "OutOfRangeError",
     "WrongBranchError", "NumericalInfeasibleError", "surplus",
     "surplus_inverse", "surplus_slope", "critical_load", "critical_length",

@@ -387,7 +387,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate-model", choices=("shannon", "fec"), default="shannon")
     p.add_argument("--fec-config", help="JSON file with FEC rate parameters")
     p.add_argument("--tol-q", type=float, default=None,
-                   help="absolute load tolerance for the bisection")
+                   help="absolute load tolerance [bit/s per m] for the load "
+                        "root-find (default: 2e-10 relative)")
     p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

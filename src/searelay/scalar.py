@@ -1,148 +1,134 @@
 """Root finding for strictly monotone scalar functions.
 
-Everything downstream (surplus inversion, critical-load search, the load
-bisection itself) reduces to "solve f(x) = target for monotone f".  Pure
-bisection after a geometric bracket walk: slower than secant-type methods but
-immune to the near-flat tails these rate models produce.
+Everything downstream (surplus inversion, the critical load, the load that
+exactly covers a segment) reduces to "find the sign change of a monotone
+f".  Two pieces do it: `bracket_monotone`, a doubling walk that finds a
+bracket when no closed one is known, and `bisect_monotone`, Brent's method
+(Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4):
+inverse quadratic interpolation and secant steps, safeguarded by bisection,
+so it converges superlinearly on the smooth rate models yet never needs
+more steps than about the square of plain bisection's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import sys
 from typing import Callable
 
 __all__ = [
-    "Tolerance",
-    "MonotoneFn",
     "NoBracketError",
     "MaxItersError",
     "bracket_monotone",
     "bisect_monotone",
-    "bracket_then_bisect",
 ]
 
-_MAX_GEOMETRIC_STEPS = 60  # walk limit: 2**60 * seed
+_MAX_WALK_STEPS = 60  # walk limit: 2**60 * step
 
 
 class NoBracketError(RuntimeError):
-    """Geometric walk ran out of range without straddling the target."""
+    """No sign change of f between the given points, or along the walk."""
 
 
 class MaxItersError(RuntimeError):
-    """Bisection hit the iteration cap before reaching tolerance."""
+    """Brent's method hit the iteration cap before reaching tolerance."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    abs_x: float          # stop when bracket width <= abs_x
-    abs_f: float          # or when |f(mid) - target| <= abs_f
-    max_iters: int = 200
+def bracket_monotone(f: Callable[[float], float], lo: float, f_lo: float,
+                     step: float, limit: float = math.inf
+                     ) -> tuple[float, float, float, float]:
+    """Walk b = lo + step, lo + 2 step, lo + 4 step, ... until f(b) leaves the sign of f_lo.
 
-    def __post_init__(self) -> None:
-        if self.abs_x <= 0 or self.abs_f <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-
-@dataclass(frozen=True)
-class MonotoneFn:
-    """A strictly monotone callable on [lower_bound, inf) (open at the bound if flagged)."""
-
-    fn: Callable[[float], float]
-    direction: str = "increasing"   # or "decreasing"
-    lower_bound: float = 0.0
-    open_lower: bool = False
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("increasing", "decreasing"):
-            raise ValueError("direction must be 'increasing' or 'decreasing'")
-
-
-def _oriented(f: MonotoneFn, target: float) -> Callable[[float], float]:
-    """Shifted copy of f that is increasing with a root at the solution."""
-    fn = f.fn
-    if f.direction == "increasing":
-        return lambda x: fn(x) - target
-    return lambda x: target - fn(x)
-
-
-def bracket_monotone(f: MonotoneFn, target: float, seed: float) -> tuple[float, float]:
-    """Geometric walk from seed until [lo, hi] straddles the target value.
-
-    Doubles away from the lower bound, halves toward it.  A closed lower
-    bound is probed directly, which settles targets attained only there.
+    Returns (a, f(a), b, f(b)) with a the last point still of f_lo's sign
+    (lo itself if the first probe already crossed; f(lo) is taken as f_lo,
+    not evaluated).  The walk never passes `limit`: the caller states that
+    the root lies at or below it, so the walk stops there whatever the sign
+    of f(limit), and a sign left there by roundoff means the root is the
+    limit.  Raises NoBracketError when 60 doublings find no crossing.
     """
-    if seed <= f.lower_bound:
-        raise ValueError("seed must exceed the domain lower bound")
-    s = _oriented(f, target)
-    s_seed = s(seed)
-    if s_seed == 0.0:
-        return seed, seed
-    lb = f.lower_bound
-    if s_seed > 0.0:
-        # root below the seed
-        hi = seed
-        if not f.open_lower:
-            if s(lb) <= 0.0:
-                return lb, hi
-            raise NoBracketError("no sign change down to the domain lower bound")
-        gap = seed - lb
-        for _ in range(_MAX_GEOMETRIC_STEPS):
-            gap *= 0.5
-            lo = lb + gap
-            if s(lo) <= 0.0:
-                return lo, hi
-            hi = lo
-        raise NoBracketError("no sign change after halving toward the lower bound")
-    # root above the seed
-    lo = seed
-    gap = seed - lb
-    for _ in range(_MAX_GEOMETRIC_STEPS):
-        gap *= 2.0
-        hi = lb + gap
-        if s(hi) >= 0.0:
-            return lo, hi
-        lo = hi
-    raise NoBracketError("no sign change after doubling away from the seed")
+    if step <= 0.0:
+        raise ValueError("step must be > 0")
+    if not limit > lo:
+        raise ValueError("limit must exceed lo")
+    if f_lo == 0.0:
+        raise ValueError("f_lo must be nonzero: lo is already the root")
+    positive = f_lo > 0.0
+    a, fa = lo, f_lo
+    for _ in range(_MAX_WALK_STEPS):
+        b = min(lo + step, limit)
+        fb = f(b)
+        if fb == 0.0 or (fb > 0.0) != positive or b == limit:
+            return a, fa, b, fb
+        a, fa = b, fb
+        step *= 2.0
+    raise NoBracketError(f"no sign change within {_MAX_WALK_STEPS} doublings of the step")
 
 
-def bisect_monotone(f: MonotoneFn, target: float, lo: float, hi: float,
-                    tol: Tolerance) -> float:
-    """Bisect a bracketing interval down to tolerance.
+def bisect_monotone(f: Callable[[float], float], a: float, b: float,
+                    fa: float | None = None, fb: float | None = None, *,
+                    xtol: float, rtol: float = 0.0, max_iters: int = 100
+                    ) -> tuple[float, float]:
+    """Brent's method on a bracket [a, b] whose ends give f opposite signs.
 
-    The returned point always lies inside the final bracket, whose endpoints
-    straddle the target.
+    fa and fb, when given, are f(a) and f(b) already known to the caller.
+    Stops when the bracket is narrower than about xtol + rtol * |root| (rtol
+    is raised to 4 machine epsilons) or f is exactly 0.  Returns
+    (root, width): the end of the final bracket with the smaller |f|, and
+    that bracket's width (0 when a or b is already an exact root).
     """
-    if lo > hi:
-        raise ValueError("lo must not exceed hi")
-    s = _oriented(f, target)
-    if lo == hi:
-        return lo
-    s_lo = s(lo)
-    if abs(s_lo) <= tol.abs_f:
-        return lo
-    s_hi = s(hi)
-    if abs(s_hi) <= tol.abs_f:
-        return hi
-    if s_lo > 0.0 or s_hi < 0.0:
-        raise ValueError("interval does not bracket the target")
-    for _ in range(tol.max_iters):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol.abs_x:
-            return mid
-        s_mid = s(mid)
-        if abs(s_mid) <= tol.abs_f:
-            return mid
-        if s_mid < 0.0:
-            lo = mid
+    if a > b:
+        raise ValueError("a must not exceed b")
+    if xtol <= 0.0 or rtol < 0.0:
+        raise ValueError("xtol must be > 0 and rtol >= 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    rtol = max(rtol, 4.0 * sys.float_info.epsilon)
+    if fa is None:
+        fa = f(a)
+    if fa == 0.0:
+        return a, 0.0
+    if fb is None:
+        fb = f(b)
+    if fb == 0.0:
+        return b, 0.0
+    if (fa > 0.0) == (fb > 0.0):
+        raise NoBracketError(f"f has the same sign at {a!r} and {b!r}")
+    # cur: best estimate; pre: previous iterate; blk: the end opposite cur
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk, fblk = xpre, fpre
+    spre = scur = xcur - xpre
+    for _ in range(max_iters):
+        if (fpre > 0.0) != (fcur > 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, fpre = xcur, fcur
+            xcur, fcur = xblk, fblk
+            xblk, fblk = xpre, fpre
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, abs(xblk - xcur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # secant through the bracket ends
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic through pre, cur and blk
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # a slope underflowed to 0: bisect
+                stry = math.inf
+            # an overflowed (inf or nan) step fails this test too
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
         else:
-            hi = mid
-    raise MaxItersError(f"bisection did not converge in {tol.max_iters} iterations")
-
-
-def bracket_then_bisect(f: MonotoneFn, target: float, seed: float,
-                        tol: Tolerance) -> float:
-    """Solve f(x) = target for strictly monotone f, starting the search at seed."""
-    lo, hi = bracket_monotone(f, target, seed)
-    return bisect_monotone(f, target, lo, hi, tol)
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise MaxItersError(f"Brent's method did not converge in {max_iters} iterations")

@@ -14,19 +14,24 @@ half-cell.  Maximizing total covered length at fixed q has a closed-form
 solution: either a single active hop (heavy load), or a backward recursion
 that makes every hop's constraint tight, producing spacings that grow with
 distance from the sink.  The optimal supportable load q_sup for a given L is
-then found by bisecting q until the maximal covered length equals L.
+then the root, in log q, of log(maximal covered length / L).
+
+Both root-finds, the surplus inverse inside the recursion and the load
+outside it, use Brent's method (`scalar.bisect_monotone`) with tolerances
+relative to the root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .channel import RateFunction
-from .scalar import (MonotoneFn, NoBracketError, Tolerance, bisect_monotone,
-                     bracket_monotone)
+from . import scalar
+from .scalar import bisect_monotone, bracket_monotone
 
 __all__ = [
     "CASE_I",
@@ -52,6 +57,9 @@ CASE_II = "case-ii"  # all hop constraints tight, spacings strictly increasing
 
 _SUM_TOL = 1e-6      # relative slack allowed on sum(distances) == length
 _CLAMP_REL = 1e-9    # numeric overshoot tolerated on the recursion argument
+_X_TOL = 1e-9        # hop-length roots: absolute [m] ...
+_X_RTOL = 5e-10      # ... plus relative tolerance
+_LOG_Q_TOL = 2e-10   # default load tolerance, in log q (i.e. relative)
 
 
 class OutOfRangeError(ValueError):
@@ -116,7 +124,12 @@ class SubproblemResult:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal placement for N hops over [0, L] and the load it supports."""
+    """Optimal placement for N hops over [0, L] and the load it supports.
+
+    q_sup is the better end of the final load bracket, whose width is
+    bracket_width; `iterations` counts the coverage evaluations (one
+    backward recursion each) the load root-find spent.
+    """
 
     q_sup: float                 # largest supportable per-meter load [bit/s per m]
     placement: Placement
@@ -124,7 +137,7 @@ class SolveResult:
     L0: float                    # coverage at that threshold; L <= L0 means branch case-i
     branch: str
     gamma: Optional[float]       # spacing decay factor, only on the chain branch
-    iterations: int              # bisection steps on q
+    iterations: int              # coverage evaluations of the load root-find
     bracket_width: float         # final q bracket width [bit/s per m]
     coverage_residual: float = field(default=0.0)  # |coverage - L| before rescaling
 
@@ -144,45 +157,60 @@ def surplus(rate: RateFunction, q: float, x):
 
 
 def surplus_inverse(rate: RateFunction, q: float, t: float, *,
-                    seed: float | None = None) -> float:
-    """Hop length x >= 0 with surplus(x) = t; t may not exceed R(0)/q."""
+                    upper: float | None = None) -> float:
+    """Hop length x >= 0 with surplus(x) = t; t may not exceed R(0)/q.
+
+    `upper`, if given, must be a hop length at or beyond the root (the
+    recursion passes the next spacing out, which case-ii spacings never
+    undercut).  Without it the root is bracketed by a doubling walk from
+    1 m, capped at 2 (R(0)/q - t), where the surplus is already below t.
+    """
     if q <= 0:
         raise ValueError("load q must be > 0")
     g0 = rate.r0 / q
     t = float(t)
-    if t > g0:
+    if t >= g0:
         if t - g0 <= _CLAMP_REL * max(1.0, abs(g0)):
             return 0.0
         raise OutOfRangeError(f"surplus target {t:.9g} exceeds maximum {g0:.9g}")
-    if t == g0:
-        return 0.0
     r = rate.scalar
-    qinv = 1.0 / q
 
+    # q * (surplus(x) - t): the same root, and finite even where R(0)/q
+    # overflows at tiny loads
     def f(x: float) -> float:
-        return r(x) * qinv - 0.5 * x
+        return r(x) - q * (0.5 * x + t)
 
-    mono = MonotoneFn(f, "decreasing", lower_bound=0.0, open_lower=False)
-    lo, hi = bracket_monotone(mono, t, seed if seed and seed > 0 else 1.0)
-    tol = Tolerance(abs_x=1e-9 * max(1.0, hi), abs_f=1e-9 * max(1.0, abs(t)))
-    return bisect_monotone(mono, t, lo, hi, tol)
+    f_lo = rate.r0 - q * t
+    if f_lo <= 0.0:
+        # t is R(0)/q up to roundoff
+        return 0.0
+    if upper is not None:
+        lo, hi = 0.0, float(upper)
+        f_hi = f(hi)
+    else:
+        lo, f_lo, hi, f_hi = bracket_monotone(f, 0.0, f_lo, 1.0,
+                                              limit=2.0 * (g0 - t))
+    if f_hi >= 0.0:
+        # the upper bound is the root up to roundoff
+        return hi
+    return bisect_monotone(f, lo, hi, f_lo, f_hi, xtol=_X_TOL, rtol=_X_RTOL)[0]
 
 
 def critical_load(rate: RateFunction) -> float:
     """Load q0 above which a single active hop outperforms any chain.
 
-    Unique root of the strictly increasing map q -> R(R(0)/q) - R(0)/2.
+    Root of the strictly increasing map q -> R(R(0)/q) - R(0)/2, i.e.
+    R(0)/d_half with d_half the hop length at which R falls to R(0)/2.
     """
     r0 = rate.r0
     r = rate.scalar
 
-    def f(q: float) -> float:
-        return r(r0 / q) - 0.5 * r0
+    def f(d: float) -> float:
+        return r(d) - 0.5 * r0
 
-    mono = MonotoneFn(f, "increasing", lower_bound=0.0, open_lower=True)
-    lo, hi = bracket_monotone(mono, 0.0, r0)
-    tol = Tolerance(abs_x=1e-9 * max(1.0, hi), abs_f=1e-9 * r0)
-    return bisect_monotone(mono, 0.0, lo, hi, tol)
+    lo, f_lo, hi, f_hi = bracket_monotone(f, 0.0, 0.5 * r0, 1.0)
+    d_half = bisect_monotone(f, lo, hi, f_lo, f_hi, xtol=_X_TOL, rtol=_X_RTOL)[0]
+    return r0 / d_half
 
 
 def critical_length(rate: RateFunction) -> float:
@@ -244,7 +272,7 @@ def solve_subproblem(rate: RateFunction, q: float, n: int) -> SubproblemResult:
             else:
                 raise NumericalInfeasibleError(
                     f"relayed-tail total {t:.9g} exceeds surplus maximum {g0:.9g}")
-        d[i] = surplus_inverse(rate, q, t, seed=d[i + 1])
+        d[i] = surplus_inverse(rate, q, t, upper=d[i + 1])
         total += d[i]
     return SubproblemResult(distances=d, coverage=total, branch=CASE_II)
 
@@ -255,56 +283,48 @@ def solve_subproblem(rate: RateFunction, q: float, n: int) -> SubproblemResult:
 
 def solve(rate: RateFunction, n: int, length: float,
           tol_q: float | None = None) -> SolveResult:
-    """Bisect the load until n hops exactly cover [0, length].
+    """Find the load at which n hops exactly cover [0, length].
 
     Coverage is continuous and strictly decreasing in q, so the supportable
-    load is the unique q with coverage(q) = length.  Default tolerance:
-    1e-6 of the seed load R(length/n) * n / length.
+    load is the unique q with coverage(q) = length; Brent's method finds it
+    on log q inside a closed bracket built from R(length/n).  The default
+    tolerance is relative, 2e-10 of q_sup; a given tol_q is an absolute
+    bound [bit/s per m] on the final bracket width.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if length <= 0:
-        raise ValueError("length must be > 0")
-    q_guess = rate.scalar(length / n) * n / length
-    if tol_q is None:
-        tol_q = 1e-6 * q_guess
-    if tol_q <= 0:
-        raise ValueError("tol_q must be > 0")
-
-    def coverage(q: float) -> float:
-        return solve_subproblem(rate, q, n).coverage
-
-    # geometric bracket: q_lo still covers the segment, q_up no longer does
-    if coverage(q_guess) >= length:
-        q_lo = q_guess
-        q_up = q_guess
-        for _ in range(60):
-            q_up *= 2.0
-            if coverage(q_up) < length:
-                break
-            q_lo = q_up
-        else:
-            raise NoBracketError("coverage never fell below the segment length")
-    else:
-        q_up = q_guess
-        q_lo = q_guess
-        for _ in range(60):
-            q_lo *= 0.5
-            if coverage(q_lo) >= length:
-                break
-            q_up = q_lo
-        else:
-            raise NoBracketError("coverage never reached the segment length")
-
+    length = float(length)
+    if not (math.isfinite(length) and length > 0):
+        raise ValueError(f"length must be finite and > 0, got {length!r}")
+    if tol_q is not None and not (math.isfinite(tol_q) and tol_q > 0):
+        raise ValueError(f"tol_q must be finite and > 0, got {tol_q!r}")
+    r_eq = rate.scalar(length / n)
+    # equal spacing supports 2 q_lo, and a hop of length >= length/n caps q
+    # at q_up / 2; the factor-2 pads absorb roundoff at n = 1, where the
+    # lower bound is exact
+    q_lo = 0.5 * r_eq / (length * (1.0 - 0.5 / n))
+    q_up = 4.0 * r_eq * n / length
+    if not q_lo > 0:
+        raise ValueError(
+            f"R(length/n) = R({length / n:.9g} m) = {r_eq!r}: the supportable "
+            f"load underflows; use a shorter length or more hops")
+    if not math.isfinite(q_up):
+        raise ValueError(f"length {length!r} is so short that the load "
+                         f"R(length/n) * n / length overflows")
     iterations = 0
-    while q_up - q_lo > tol_q and iterations < 200:
-        mid = 0.5 * (q_lo + q_up)
-        if coverage(mid) >= length:
-            q_lo = mid
-        else:
-            q_up = mid
+
+    def log_excess(log_q: float) -> float:
+        nonlocal iterations
         iterations += 1
-    q_sup = 0.5 * (q_lo + q_up)
+        return math.log(solve_subproblem(rate, math.exp(log_q), n).coverage / length)
+
+    # called through `scalar`, not this module's name: perfbench's tracer
+    # wraps solver1d.bisect_monotone to time the per-hop root-finds, and
+    # an outer span there would nest every one of them inside it
+    log_q, width = scalar.bisect_monotone(
+        log_excess, math.log(q_lo), math.log(q_up),
+        xtol=_LOG_Q_TOL if tol_q is None else tol_q / q_up)
+    q_sup = math.exp(log_q)
 
     sub = solve_subproblem(rate, q_sup, n)
     residual = abs(sub.coverage - length)
@@ -322,6 +342,6 @@ def solve(rate: RateFunction, n: int, length: float,
         branch=sub.branch,
         gamma=gamma,
         iterations=iterations,
-        bracket_width=q_up - q_lo,
+        bracket_width=q_sup * math.expm1(width),
         coverage_residual=residual,
     )

@@ -128,22 +128,15 @@ def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,
     if n_l_max < 1:
         raise ValueError("n_l_max must be >= 1")
 
-    def tight_tol(r: RateFunction, n: int, seg: float) -> float:
-        # stricter than the 1-D default so the grid's constraint residuals
-        # stay well under 1e-6 relative after rescaling
-        return 1e-8 * r.scalar(seg / n) * n / seg
-
     y_rate = rate.scaled(1.0 / length)
-    sol_y = solve(y_rate, n_h, height,
-                  tol_q=tol_q if tol_q is not None else tight_tol(y_rate, n_h, height))
+    sol_y = solve(y_rate, n_h, height, tol_q=tol_q)
     h_spacings = sol_y.placement.distances
     q_y = sol_y.q_sup
     c_max = float(strip_heights(h_spacings).max())
 
     x_rate = rate.scaled(1.0 / c_max)
     for n_l in range(1, n_l_max + 1):
-        sol_x = solve(x_rate, n_l, length,
-                      tol_q=tol_q if tol_q is not None else tight_tol(x_rate, n_l, length))
+        sol_x = solve(x_rate, n_l, length, tol_q=tol_q)
         if q_y < sol_x.q_sup:
             grid = Grid2D(l_spacings=sol_x.placement.distances,
                           h_spacings=h_spacings, length=length, height=height)

@@ -121,6 +121,19 @@ def test_bad_value_exits_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--preset", "blue", "--n", "3", "--l", "nan"),
+    ("--preset", "blue", "--n", "3", "--l", "inf"),
+    ("--preset", "blue", "--n", "3", "--l", "100", "--tol-q", "nan"),
+    ("--preset", "red", "--n", "1", "--l", "1e4"),  # R(L/n) underflows to 0
+])
+def test_non_finite_or_underflowing_input_exits_2(capsys, flags):
+    code, out, err = run(capsys, "solve", *flags)
+    assert code == 2
+    assert not out
+    assert "invalid configuration" in err
+
+
 def test_numeric_failure_exits_3(capsys):
     code, _, err = run(capsys, "solve2d", "--preset", "blue", "--n-h", "5",
                        "--l", "500", "--h", "500", "--n-l-max", "2")

@@ -1,4 +1,4 @@
-"""Monotone bracketing and bisection."""
+"""Doubling walk and Brent's method."""
 
 import math
 
@@ -7,22 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import searelay as sr
-from searelay.scalar import (MaxItersError, MonotoneFn, NoBracketError,
-                             Tolerance, bisect_monotone, bracket_monotone,
-                             bracket_then_bisect)
+from searelay.scalar import (MaxItersError, NoBracketError, bisect_monotone,
+                             bracket_monotone)
 
-TOL = Tolerance(abs_x=1e-12, abs_f=1e-12)
+XTOL = 1e-12
+
+
+def root_beyond(f, lo, f_lo, step, xtol=XTOL, **kw):
+    """Root of monotone f at or beyond lo: walk out from lo, then Brent."""
+    if f_lo == 0.0:
+        return lo
+    a, fa, b, fb = bracket_monotone(f, lo, f_lo, step)
+    return bisect_monotone(f, a, b, fa, fb, xtol=xtol, **kw)[0]
 
 
 def test_linear_decreasing():
-    f = MonotoneFn(lambda x: -x, "decreasing")
-    assert bracket_then_bisect(f, -5.0, 1.0, TOL) == pytest.approx(5.0, abs=1e-10)
+    f = lambda x: 5.0 - x
+    assert root_beyond(f, 0.0, f(0.0), 1.0) == pytest.approx(5.0, abs=1e-10)
 
 
 def test_exponential_decreasing():
-    f = MonotoneFn(lambda x: math.exp(-x), "decreasing")
-    x = bracket_then_bisect(f, 0.5, 1.0, TOL)
+    f = lambda x: math.exp(-x) - 0.5
+    x = root_beyond(f, 0.0, f(0.0), 1.0)
     assert x == pytest.approx(math.log(2.0), abs=1e-10)
 
 
@@ -35,72 +41,82 @@ def test_surplus_root_matches_grid_scan(blue_rate):
     flip = int(np.argmax(vals < 0.0))  # first negative sample
     assert vals[flip - 1] >= 0.0 > vals[flip]
     step = grid[1] - grid[0]
-    mono = MonotoneFn(g, "decreasing")
-    root = bracket_then_bisect(mono, 0.0, 1.0, Tolerance(abs_x=1e-9, abs_f=1e-3))
+    root = root_beyond(g, 0.0, g(0.0), 1.0, xtol=1e-9)
     assert abs(root - grid[flip]) <= 2 * step
 
 
 def test_bracket_straddles_and_result_inside():
-    f = MonotoneFn(lambda x: x * x, "increasing")
-    lo, hi = bracket_monotone(f, 49.0, 1.0)
-    assert lo <= 7.0 <= hi
-    x = bisect_monotone(f, 49.0, lo, hi, TOL)
-    assert lo <= x <= hi
-    assert abs(f.fn(x) - 49.0) <= 1e-6
+    f = lambda x: x * x - 49.0
+    a, fa, b, fb = bracket_monotone(f, 0.0, -49.0, 1.0)
+    assert a <= 7.0 <= b
+    assert fa == f(a) < 0.0 <= fb == f(b)
+    x, width = bisect_monotone(f, a, b, fa, fb, xtol=XTOL)
+    assert a <= x <= b
+    assert 0.0 <= width <= b - a
+    assert abs(f(x)) <= 1e-6
+
+
+def test_walk_stops_at_limit():
+    # root at 3, limit at 2.5: the walk ends on the limit, sign unchanged
+    f = lambda x: 3.0 - x
+    a, fa, b, fb = bracket_monotone(f, 0.0, 3.0, 1.0, limit=2.5)
+    assert (a, b) == (2.0, 2.5)
+    assert fa == 1.0 and fb == 0.5
 
 
 def test_closed_lower_bound_target():
-    # decreasing from f(0)=10; target attained only at the bound itself
-    f = MonotoneFn(lambda x: 10.0 - 3.0 * x, "decreasing")
-    assert bracket_then_bisect(f, 10.0, 5.0, TOL) == pytest.approx(0.0, abs=1e-9)
+    # decreasing from f(0)=10; target 10 attained only at the bound itself
+    f = lambda x: (10.0 - 3.0 * x) - 10.0
+    assert bisect_monotone(f, 0.0, 5.0, xtol=XTOL) == (0.0, 0.0)
 
 
 def test_unreachable_target_raises():
-    f = MonotoneFn(lambda x: 10.0 * math.exp(-x), "decreasing")
+    f = lambda x: 10.0 * math.exp(-x) - 11.0  # target above the max at the bound
     with pytest.raises(NoBracketError):
-        bracket_then_bisect(f, 11.0, 1.0, TOL)  # above the max at the bound
+        bisect_monotone(f, 0.0, 5.0, xtol=XTOL)
 
 
 def test_open_lower_bound():
-    f = MonotoneFn(lambda x: 1.0 / x, "decreasing", lower_bound=0.0, open_lower=True)
-    assert bracket_then_bisect(f, 1.0 / 7.0, 1.0, TOL) == pytest.approx(7.0, abs=1e-8)
+    # 1/x on x > 0: the walk never evaluates the open bound itself
+    f = lambda x: 1.0 / x - 1.0 / 7.0
+    assert root_beyond(f, 0.0, math.inf, 1.0) == pytest.approx(7.0, abs=1e-8)
 
 
 def test_open_bound_unreachable_raises():
-    # exp(-x) stays below 2 however close to the open bound we walk
-    f = MonotoneFn(lambda x: math.exp(-x), "decreasing", lower_bound=0.0,
-                   open_lower=True)
+    # exp(-x) stays below 2 however far the walk goes
+    f = lambda x: math.exp(-x) - 2.0
     with pytest.raises(NoBracketError):
-        bracket_monotone(f, 2.0, 1.0)
+        bracket_monotone(f, 0.0, -1.0, 1.0)
 
 
 def test_max_iters_raises():
-    f = MonotoneFn(lambda x: x, "increasing")
-    tight = Tolerance(abs_x=1e-300, abs_f=1e-300, max_iters=3)
+    f = lambda x: x ** 3 - math.pi
     with pytest.raises(MaxItersError):
-        bisect_monotone(f, math.pi, 0.0, 10.0, tight)
+        bisect_monotone(f, 0.0, 10.0, xtol=1e-300, max_iters=3)
 
 
 def test_validation_errors():
+    f = lambda x: x - 5.0
     with pytest.raises(ValueError):
-        MonotoneFn(lambda x: x, "sideways")
+        bracket_monotone(f, 0.0, -5.0, 0.0)  # step must be > 0
     with pytest.raises(ValueError):
-        Tolerance(abs_x=0.0, abs_f=1.0)
+        bracket_monotone(f, 2.0, -3.0, 1.0, limit=1.0)  # limit below lo
     with pytest.raises(ValueError):
-        Tolerance(abs_x=1.0, abs_f=1.0, max_iters=0)
-    f = MonotoneFn(lambda x: x, "increasing", lower_bound=2.0)
+        bracket_monotone(f, 5.0, 0.0, 1.0)  # lo is already the root
     with pytest.raises(ValueError):
-        bracket_monotone(f, 5.0, 1.0)  # seed below the domain
+        bisect_monotone(f, 9.0, 3.0, xtol=XTOL)  # a > b
     with pytest.raises(ValueError):
-        bisect_monotone(f, 5.0, 9.0, 3.0, TOL)  # lo > hi
+        bisect_monotone(f, 3.0, 9.0, xtol=0.0)
     with pytest.raises(ValueError):
-        bisect_monotone(f, 100.0, 3.0, 9.0, TOL)  # does not bracket
+        bisect_monotone(f, 3.0, 9.0, xtol=XTOL, rtol=-1.0)
+    with pytest.raises(ValueError):
+        bisect_monotone(f, 3.0, 9.0, xtol=XTOL, max_iters=0)
 
 
 def test_deterministic():
-    f = MonotoneFn(lambda x: x ** 3 + x, "increasing")
-    a = bracket_then_bisect(f, 123.456, 2.0, TOL)
-    b = bracket_then_bisect(f, 123.456, 2.0, TOL)
+    f = lambda x: x ** 3 + x - 123.456
+    a = root_beyond(f, 0.0, f(0.0), 2.0)
+    b = root_beyond(f, 0.0, f(0.0), 2.0)
     assert a == b
 
 
@@ -108,16 +124,18 @@ def test_deterministic():
        x_star=st.floats(0.0, 100.0), seed=st.floats(0.01, 50.0))
 @settings(max_examples=200, deadline=None)
 def test_recovers_root_increasing(a, b, x_star, seed):
-    f = MonotoneFn(lambda x: a * x ** 3 + b * x, "increasing")
-    target = f.fn(x_star)
-    x = bracket_then_bisect(f, target, seed, Tolerance(abs_x=1e-10, abs_f=1e-12))
-    assert abs(f.fn(x) - target) <= 1e-6 * max(1.0, abs(target)) or abs(x - x_star) <= 1e-6
+    fn = lambda x: a * x ** 3 + b * x
+    target = fn(x_star)
+    f = lambda x: fn(x) - target
+    x = root_beyond(f, 0.0, f(0.0), seed, xtol=1e-10)
+    assert abs(fn(x) - target) <= 1e-6 * max(1.0, abs(target)) or abs(x - x_star) <= 1e-6
 
 
 @given(m=st.floats(1.0, 1e6), x_star=st.floats(0.0, 60.0), seed=st.floats(0.01, 40.0))
 @settings(max_examples=200, deadline=None)
 def test_recovers_root_decreasing(m, x_star, seed):
-    f = MonotoneFn(lambda x: m * math.exp(-x) - x, "decreasing")
-    target = f.fn(x_star)
-    x = bracket_then_bisect(f, target, seed, Tolerance(abs_x=1e-10, abs_f=1e-12))
+    fn = lambda x: m * math.exp(-x) - x
+    target = fn(x_star)
+    f = lambda x: fn(x) - target
+    x = root_beyond(f, 0.0, f(0.0), seed, xtol=1e-10)
     assert abs(x - x_star) <= 1e-7 * max(1.0, x_star) + 1e-9

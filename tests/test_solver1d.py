@@ -1,8 +1,10 @@
-"""Spacing optimizer: surplus inversion, thresholds, subproblem, bisection.
+"""Spacing optimizer: surplus inversion, thresholds, subproblem, load root-find.
 
 Grid-scan oracles recompute the thresholds by brute force; the frozen
 constants were produced with mpmath at 40 digits (independent code path).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -207,7 +209,7 @@ def test_subproblem_validation(blue_rate):
 
 
 # ---------------------------------------------------------------------------
-# the load bisection
+# the load root-find
 # ---------------------------------------------------------------------------
 
 def test_solve_single_hop_closed_form(blue_rate):
@@ -284,6 +286,40 @@ def test_solve_validation(blue_rate):
         sr.solve(blue_rate, 3, -5.0)
     with pytest.raises(ValueError):
         sr.solve(blue_rate, 3, 100.0, tol_q=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_non_finite_input(blue_rate, bad):
+    with pytest.raises(ValueError, match="length"):
+        sr.solve(blue_rate, 3, bad)
+    with pytest.raises(ValueError, match="tol_q"):
+        sr.solve(blue_rate, 3, 100.0, tol_q=bad)
+
+
+def test_solve_rejects_underflowing_rate(red_rate):
+    assert red_rate.scalar(1e4) == 0.0
+    with pytest.raises(ValueError, match=r"R\(length/n\)"):
+        sr.solve(red_rate, 1, 1e4)
+
+
+ROUNDTRIP_RATES = {
+    **{name: sr.shannon_rate_function(sr.preset(name)) for name in sorted(FROZEN)},
+    "fec": sr.fec_rate_function(sr.FecRateParams(
+        modulation_bits_per_symbol=2, code_rate=0.5, snr_threshold=10.0,
+        scaled_gain=1e9, attenuation_per_m=2e-2, epsilon_m=1.0,
+        geometric_exponent=2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+def test_solve_roundtrip_relative(name):
+    # re-evaluating the returned placement gives back q_sup, at every N and L
+    rate = ROUNDTRIP_RATES[name]
+    for n in (1, 10, 100, 1000):
+        for length in (50.0, 500.0, 2000.0):
+            res = sr.solve(rate, n, length)
+            back = sr.qsup_of_placement(res.placement, rate).q_sup
+            assert rel(back, res.q_sup) < 1e-6, (n, length, back, res.q_sup)
 
 
 # ---------------------------------------------------------------------------
