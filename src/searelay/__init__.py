@@ -5,8 +5,8 @@ model and a line (or rectangle) of seafloor to cover, where should relay
 nodes sit so the harvested traffic the chain can carry is largest, and how
 large is that load?  `solve` returns the optimal spacings and the supportable
 load; `evaluate` scores arbitrary placements; `solver2d` extends the design
-to a planar grid; `simqueue` checks the analytic boundary with an
-event-driven tandem-queue simulation.
+to a planar grid; `simqueue` checks the analytic boundary with a
+tandem-queue simulation solved node by node as Lindley recursions.
 """
 
 from .channel import (ChannelParams, FecRateParams, RateFunction,

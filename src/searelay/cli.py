@@ -302,6 +302,8 @@ def _cmd_simulate(args, rate, meta) -> int:
         placement = res.placement
         q_ref = res.q_sup
     B = args.data_size
+    if not 0.0 < B < float("inf"):
+        raise ConfigError(f"--data-size must be finite and > 0, got {B!r}")
     if args.probe_factors:
         factors = sorted(float(v) for v in args.probe_factors.split(","))
         grid = [f * q_ref for f in factors]
@@ -323,12 +325,12 @@ def _cmd_simulate(args, rate, meta) -> int:
         _emit(args, header, rows, obj)
         return 0
     q = args.q_factor * q_ref
-    lam = q * placement.length / B
+    traffic = ev.TrafficModel(packet_rate=q * placement.length / B,
+                              mean_data_size=B, area_length=placement.length)
+    lam = traffic.packet_rate
     horizon = args.horizon_packets / lam
     cfg = sq.SimConfig(
-        placement=placement,
-        traffic=ev.TrafficModel(packet_rate=lam, mean_data_size=B,
-                                area_length=placement.length),
+        placement=placement, traffic=traffic,
         arrival_process=args.arrival, packet_size=args.size_dist,
         horizon_s=horizon, warmup_s=0.1 * horizon, seed=args.seed)
     stats = sq.simulate(cfg, rate)

@@ -14,6 +14,7 @@ comparisons below are built on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,10 @@ class TrafficModel:
     area_length: float      # L, meters
 
     def __post_init__(self) -> None:
-        if self.packet_rate <= 0:
-            raise ValueError("packet_rate must be > 0")
-        if self.mean_data_size <= 0:
-            raise ValueError("mean_data_size must be > 0")
-        if self.area_length <= 0:
-            raise ValueError("area_length must be > 0")
+        for name in ("packet_rate", "mean_data_size", "area_length"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def q(self) -> float:

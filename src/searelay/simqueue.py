@@ -1,10 +1,21 @@
-"""Event-driven simulation of the relay chain's tandem queues.
+"""Simulation of the relay chain's tandem queues, one recursion per node.
 
 Packets are generated on [0, L] by a stationary arrival process, collected
 by the nearest node, and forwarded hop by hop toward the sink.  Every hop is
 a FIFO single-server queue whose service time is packet size over the hop's
 rate; store-and-forward, no propagation delay.  Packets landing in the
 sink's own catchment are delivered on arrival and never enter a queue.
+
+Traffic only flows toward the sink, so the chain is feed-forward and the
+nodes are solved one at a time from node N inward, vectorised over packets.
+Node i's arrival times ``A`` are its own packets stably merged with node
+i+1's departures up to the horizon, external arrivals first on ties.  With
+service times ``S`` and ``C = cumsum(S)``, its departures follow Lindley's
+recursion ``D_k = max(A_k, D_{k-1}) + S_k = C_k + max_{j<=k}(A_j - C_{j-1})``
+(Lindley 1952; Glasserman & Yao 1994 for tandem queues).  Backlog samples,
+time averages and the trace all come from ``A`` and ``D``; trace ids are
+indices among the relay packets (those outside the sink's catchment) in
+generation order.
 
 The simulator exists to probe stability empirically: below the placement's
 supportable load all queues settle, above it the total backlog grows at the
@@ -14,9 +25,7 @@ least-squares drift test and reports where the empirical boundary sits.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,18 +36,9 @@ from .evaluate import TrafficModel
 from .solver1d import Placement
 
 __all__ = [
-    "ARRIVAL_POISSON",
-    "ARRIVAL_DETERMINISTIC",
-    "SIZE_FIXED",
-    "SIZE_EXPONENTIAL",
-    "SimConfig",
-    "QueueStats",
-    "ProbePoint",
-    "ProbeResult",
-    "InconclusiveProbeError",
-    "simulate",
-    "is_stable",
-    "stability_probe",
+    "ARRIVAL_POISSON", "ARRIVAL_DETERMINISTIC", "SIZE_FIXED", "SIZE_EXPONENTIAL",
+    "SimConfig", "QueueStats", "ProbePoint", "ProbeResult",
+    "InconclusiveProbeError", "simulate", "is_stable", "stability_probe",
 ]
 
 ARRIVAL_POISSON = "poisson"
@@ -84,6 +84,9 @@ class SimConfig:
         if horizon is None:
             horizon = 1e6 / self.traffic.packet_rate
         warmup = 0.1 * horizon if self.warmup_s is None else self.warmup_s
+        for name, value in (("horizon_s", horizon), ("warmup_s", warmup)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not horizon > warmup >= 0.0:
             raise ValueError("need horizon_s > warmup_s >= 0")
         return float(horizon), float(warmup)
@@ -111,7 +114,7 @@ def _lsq_slope(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     tc = t - t.mean()
     denom = float(tc @ tc)
     if denom == 0.0:
-        return np.zeros(y.shape[1] if y.ndim > 1 else 1)
+        return np.zeros(y.shape[1])
     return (tc @ y) / denom
 
 
@@ -123,14 +126,12 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
         raise ValueError("traffic.area_length must match placement.length")
     n = placement.n
     lam = traffic.packet_rate
-    mean_size = traffic.mean_data_size
     horizon, warmup = cfg.resolved_window()
 
-    d = placement.distances
-    link_rate = np.asarray(rate(d), dtype=float)
+    link_rate = np.asarray(rate(placement.distances), dtype=float)
     if np.any(link_rate <= 0.0) or not np.all(np.isfinite(link_rate)):
         raise ValueError("every hop needs a positive, finite rate")
-    inv_rate = (1.0 / link_rate).tolist()
+    inv_rate = 1.0 / link_rate
 
     rng = np.random.default_rng(cfg.seed)
 
@@ -150,141 +151,52 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
     m = times.size
     positions = rng.uniform(0.0, placement.length, m)
     if cfg.packet_size == SIZE_FIXED:
-        sizes = np.full(m, mean_size)
+        sizes = np.full(m, traffic.mean_data_size)
     else:
-        sizes = rng.exponential(mean_size, m)
+        sizes = rng.exponential(traffic.mean_data_size, m)
 
     x = placement.positions
     boundaries = 0.5 * (x[:-1] + x[1:])
     owner = np.searchsorted(boundaries, positions, side="right")  # 0 = sink
-
     relay = owner > 0
-    sink_delivered = int(m - relay.sum())
-    ext_times = times[relay]
-    ext_nodes = owner[relay].tolist()
-    ext_sizes = sizes[relay].tolist()
-    ext_t = ext_times.tolist()
-    n_ext = len(ext_t)
+    ext_t, ext_node, ext_size = times[relay], owner[relay], sizes[relay]
+    ext_id = np.arange(ext_t.size)     # trace id: index among relay packets
 
-    # --- state
-    counts = [0] * (n + 1)          # packets at each node (waiting + in service)
-    busy = [False] * (n + 1)
-    queues = [deque() for _ in range(n + 1)]   # waiting packet sizes
-    acc = [0.0] * (n + 1)           # time integral of counts
-    last_t = [0.0] * (n + 1)
-    warm_acc = None
-    delivered_relay = 0
-    in_system = 0
-    processed = 0
-    heap: list = []
-    seq = 0
-    trace_arr = [[] for _ in range(n + 1)] if cfg.record_trace else None
-    trace_dep = [[] for _ in range(n + 1)] if cfg.record_trace else None
-    ids_enabled = cfg.record_trace
-
+    # --- one Lindley recursion per node, from the far end inward
     sample_t = np.linspace(0.0, horizon, cfg.n_samples)
     samples = np.zeros((cfg.n_samples, n), dtype=float)
-    sp = 0
-    stimes = sample_t.tolist()
-
-    hpush = heapq.heappush
-    hpop = heapq.heappop
-    inf = math.inf
-
-    def snapshot_warm(at: float) -> list:
-        return [acc[i] + counts[i] * (at - last_t[i]) for i in range(n + 1)]
-
-    ei = 0
-    while True:
-        t_ext = ext_t[ei] if ei < n_ext else inf
-        t_dep = heap[0][0] if heap else inf
-        t = t_ext if t_ext <= t_dep else t_dep
-        if t is inf or t > horizon:
-            break
-        while sp < cfg.n_samples and stimes[sp] <= t:
-            samples[sp] = counts[1:]
-            sp += 1
-        if warm_acc is None and t > warmup:
-            warm_acc = snapshot_warm(warmup)
-        if t_ext <= t_dep:
-            # external arrival of packet ei at node nd
-            nd = ext_nodes[ei]
-            size = ext_sizes[ei]
-            pk = ei
-            ei += 1
-            processed += 1
-            in_system += 1
-            acc[nd] += counts[nd] * (t - last_t[nd])
-            last_t[nd] = t
-            counts[nd] += 1
-            if ids_enabled:
-                trace_arr[nd].append(pk)
-            if busy[nd]:
-                queues[nd].append((size, pk))
-            else:
-                busy[nd] = True
-                seq += 1
-                hpush(heap, (t + size * inv_rate[nd - 1], seq, nd, size, pk))
-        else:
-            _, _, nd, size, pk = hpop(heap)
-            acc[nd] += counts[nd] * (t - last_t[nd])
-            last_t[nd] = t
-            counts[nd] -= 1
-            if ids_enabled:
-                trace_dep[nd].append(pk)
-            if nd == 1:
-                delivered_relay += 1
-                in_system -= 1
-            else:
-                nx = nd - 1
-                acc[nx] += counts[nx] * (t - last_t[nx])
-                last_t[nx] = t
-                counts[nx] += 1
-                if ids_enabled:
-                    trace_arr[nx].append(pk)
-                if busy[nx]:
-                    queues[nx].append((size, pk))
-                else:
-                    busy[nx] = True
-                    seq += 1
-                    hpush(heap, (t + size * inv_rate[nx - 1], seq, nx, size, pk))
-            q = queues[nd]
-            if q:
-                nsize, npk = q.popleft()
-                seq += 1
-                hpush(heap, (t + nsize * inv_rate[nd - 1], seq, nd, nsize, npk))
-            else:
-                busy[nd] = False
-        if processed != delivered_relay + in_system:
-            raise AssertionError("packet conservation violated")  # pragma: no cover
-
-    # --- flush to the horizon
-    while sp < cfg.n_samples:
-        samples[sp] = counts[1:]
-        sp += 1
-    if warm_acc is None:
-        warm_acc = snapshot_warm(warmup)
-    final_acc = [acc[i] + counts[i] * (horizon - last_t[i]) for i in range(n + 1)]
-    span = horizon - warmup
-    time_avg = np.array([(final_acc[i] - warm_acc[i]) / span for i in range(1, n + 1)])
-    end_queue = np.array(counts[1:], dtype=float)
+    time_avg = np.zeros(n)
+    end_queue = np.zeros(n)
+    trace = {"arrivals": [None] * n, "departures": [None] * n} if cfg.record_trace else None
+    up_t, up_id = ext_t[:0], ext_id[:0]   # next node out: departures by the horizon
+    for i in range(n - 1, -1, -1):     # hop i serves node i + 1
+        own = ext_node == i + 1
+        t = np.concatenate((ext_t[own], up_t))
+        order = np.argsort(t, kind="stable")   # external arrivals first on ties
+        a = t[order]
+        ids = np.concatenate((ext_id[own], up_id))[order]
+        s = ext_size[ids] * inv_rate[i]
+        c = np.cumsum(s)
+        d = c + np.maximum.accumulate(a - (c - s))
+        done = int(np.searchsorted(d, horizon, side="right"))
+        samples[:, i] = (np.searchsorted(a, sample_t, side="left")
+                         - np.searchsorted(d, sample_t, side="left"))
+        in_window = np.minimum(d, horizon) - np.maximum(a, warmup)
+        time_avg[i] = np.clip(in_window, 0.0, None).sum() / (horizon - warmup)
+        end_queue[i] = a.size - done
+        if trace is not None:
+            trace["arrivals"][i], trace["departures"][i] = ids.tolist(), ids[:done].tolist()
+        up_t, up_id = d[:done], ids[:done]
 
     post = sample_t >= warmup
-    drift = np.asarray(_lsq_slope(sample_t[post], samples[post]), dtype=float)
-    total_drift = float(drift.sum())  # slope is linear, so totals add
+    drift = _lsq_slope(sample_t[post], samples[post])
 
-    trace = None
-    if cfg.record_trace:
-        trace = {
-            "arrivals": [list(a) for a in trace_arr[1:]],
-            "departures": [list(dp) for dp in trace_dep[1:]],
-        }
     return QueueStats(
         time_avg_queue=time_avg,
         end_queue=end_queue,
         drift_slope=drift,
-        total_drift_slope=total_drift,
-        delivered=sink_delivered + delivered_relay,
+        total_drift_slope=float(drift.sum()),  # slope is linear, so totals add
+        delivered=int(m - ext_t.size + up_t.size),  # sink's own + node 1's
         generated=int(m),
         duration_s=horizon,
         warmup_s=warmup,
@@ -331,10 +243,16 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
     q_grid = [float(q) for q in q_grid]
     if not q_grid:
         raise ValueError("q_grid must not be empty")
+    if not all(0.0 < q < math.inf for q in q_grid):
+        raise ValueError(f"q_grid loads must be finite and > 0, got {q_grid}")
     if any(b <= a for a, b in zip(q_grid, q_grid[1:])):
         raise ValueError("q_grid must be strictly increasing")
-    if any(q <= 0 for q in q_grid):
-        raise ValueError("loads must be > 0")
+    for name, value in (("horizon_packets", horizon_packets),
+                        ("mean_data_size", mean_data_size)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not 0.0 <= warmup_frac < 1.0:
+        raise ValueError(f"warmup_frac must be in [0, 1), got {warmup_frac!r}")
     points = []
     for i, q in enumerate(q_grid):
         lam = q * placement.length / mean_data_size
@@ -359,10 +277,7 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
         raise InconclusiveProbeError(
             "stability classification is not monotone across the load grid; "
             "lengthen the horizon", points)
-    stable_qs = [p.q for p in points if p.stable]
-    unstable_qs = [p.q for p in points if not p.stable]
-    return ProbeResult(
-        q_stable=max(stable_qs) if stable_qs else None,
-        q_unstable=min(unstable_qs) if unstable_qs else None,
-        points=tuple(points),
-    )
+    k = flags.count(True)   # the grid ascends, so its first k loads are stable
+    return ProbeResult(q_stable=q_grid[k - 1] if k else None,
+                       q_unstable=q_grid[k] if k < len(q_grid) else None,
+                       points=tuple(points))

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 CASE_I = "case-i"    # single active hop: load too heavy for a chain to help
-CASE_II = "case-ii"  # all hop constraints tight, spacings strictly increasing
+CASE_II = "case-ii"  # all hop constraints tight, spacings non-decreasing
 
 _SUM_TOL = 1e-6      # relative slack allowed on sum(distances) == length
 _CLAMP_REL = 1e-9    # numeric overshoot tolerated on the recursion argument
@@ -249,7 +249,9 @@ def solve_subproblem(rate: RateFunction, q: float, n: int) -> SubproblemResult:
     Heavy load (surplus_inverse(0) >= R(0)/q): one active hop next to the
     sink, the remaining nodes collapse onto it.  Otherwise every constraint
     is made tight by a backward recursion from the farthest hop inward,
-    yielding strictly increasing spacings.
+    yielding spacings non-decreasing away from the sink.  Near the ceiling
+    q ~ R(0)/L the relayed tail reaches R(0)/q, and inner hops shorter than
+    the inner root's ~1e-9 m resolution collapse to 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

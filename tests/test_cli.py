@@ -134,6 +134,22 @@ def test_non_finite_or_underflowing_input_exits_2(capsys, flags):
     assert "invalid configuration" in err
 
 
+@pytest.mark.parametrize("flags,field", [
+    (("--q-factor", "nan"), "packet_rate"),
+    (("--probe-factors", "0.9,nan"), "q_grid"),
+    (("--probe-factors", "0.9,1.1", "--data-size", "nan"), "--data-size"),
+    (("--data-size", "0"), "--data-size"),
+    (("--data-size", "inf"), "--data-size"),
+    (("--q-factor", "0"), "packet_rate"),
+])
+def test_simulate_non_finite_input_exits_2(capsys, flags, field):
+    code, out, err = run(capsys, "simulate", "--preset", "blue", "--n", "1",
+                         "--l", "100", "--horizon-packets", "500", *flags)
+    assert code == 2
+    assert not out
+    assert field in err
+
+
 def test_numeric_failure_exits_3(capsys):
     code, _, err = run(capsys, "solve2d", "--preset", "blue", "--n-h", "5",
                        "--l", "500", "--h", "500", "--n-l-max", "2")

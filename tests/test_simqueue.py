@@ -1,4 +1,9 @@
-"""Tandem-queue simulator: conservation, FIFO order, drift classification."""
+"""Tandem-queue simulator: conservation, FIFO order, drift classification,
+and agreement with the event-by-event reference simulator."""
+
+import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import pytest
 import searelay as sr
 from searelay.simqueue import (ARRIVAL_DETERMINISTIC, ARRIVAL_POISSON,
                                SIZE_EXPONENTIAL, SIZE_FIXED)
+from simqueue_oracle import simulate_events
 
 LENGTH = 200.0
 SIZE = 1e5
@@ -162,3 +168,95 @@ def test_poisson_exponential_smoke(blue_rate, blue_10_500):
     assert stats.queue_samples.shape == (2048, 10)
     assert stats.sample_times[0] == 0.0
     assert stats.sample_times[-1] == pytest.approx(stats.duration_s)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the event-loop oracle
+# ---------------------------------------------------------------------------
+
+MODES = [(ARRIVAL_POISSON, SIZE_FIXED), (ARRIVAL_POISSON, SIZE_EXPONENTIAL),
+         (ARRIVAL_DETERMINISTIC, SIZE_FIXED),
+         (ARRIVAL_DETERMINISTIC, SIZE_EXPONENTIAL)]
+
+
+@functools.lru_cache(maxsize=None)
+def solved(preset, n):
+    rate = sr.shannon_rate_function(sr.preset(preset))
+    return rate, sr.solve(rate, n, LENGTH)
+
+
+@pytest.mark.parametrize("mode", range(len(MODES)))
+@pytest.mark.parametrize("factor", [0.8, 0.9, 1.1, 1.2, 1.5])
+@pytest.mark.parametrize("n", [1, 3, 10, 12])
+@pytest.mark.parametrize("preset", ["blue", "green", "red"])
+def test_recursion_matches_event_loop(preset, n, factor, mode):
+    rate, res = solved(preset, n)
+    arrival, size_model = MODES[mode]
+    cfg = cfg_for(res.placement, factor * res.q_sup, horizon_packets=2_000,
+                  arrival=arrival, size_model=size_model, seed=(n, mode),
+                  record_trace=True)
+    got = sr.simulate(cfg, rate)
+    ref = simulate_events(cfg, rate)
+    assert got.generated == ref.generated
+    assert got.delivered == ref.delivered
+    assert np.array_equal(got.end_queue, ref.end_queue)
+    assert np.array_equal(got.queue_samples, ref.queue_samples)
+    assert np.array_equal(got.drift_slope, ref.drift_slope)
+    assert got.trace == ref.trace
+    np.testing.assert_allclose(got.time_avg_queue, ref.time_avg_queue,
+                               rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("arrival,size_model", MODES)
+def test_trace_is_a_by_product(blue_rate, arrival, size_model):
+    # recording the trace changes no other field
+    res = sr.solve(blue_rate, 3, LENGTH)
+    with_trace, without = (sr.simulate(
+        cfg_for(res.placement, 1.2 * res.q_sup, horizon_packets=5_000,
+                arrival=arrival, size_model=size_model, seed=4,
+                record_trace=record), blue_rate) for record in (True, False))
+    assert with_trace.trace is not None and without.trace is None
+    for f in dataclasses.fields(sr.QueueStats):
+        if f.name != "trace":
+            a, b = getattr(with_trace, f.name), getattr(without, f.name)
+            assert np.array_equal(a, b), f.name
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", ["packet_rate", "mean_data_size", "area_length"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_traffic_model_rejects_non_finite(field, value):
+    kw = dict(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)
+    kw[field] = value
+    with pytest.raises(ValueError, match=field):
+        sr.TrafficModel(**kw)
+
+
+@pytest.mark.parametrize("window,field", [
+    (dict(horizon_s=math.inf, warmup_s=0.0), "horizon_s"),
+    (dict(horizon_s=math.nan), "horizon_s"),
+    (dict(horizon_s=10.0, warmup_s=math.nan), "warmup_s"),
+])
+def test_sim_config_rejects_non_finite_window(blue_rate, window, field):
+    tm = sr.TrafficModel(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)
+    cfg = sr.SimConfig(placement=single_hop(), traffic=tm, **window)
+    with pytest.raises(ValueError, match=field):
+        cfg.resolved_window()
+    with pytest.raises(ValueError, match=field):
+        sr.simulate(cfg, blue_rate)
+
+
+@pytest.mark.parametrize("kw,field", [
+    (dict(q_grid=[1e6, math.nan]), "q_grid"),
+    (dict(q_grid=[math.nan]), "q_grid"),
+    (dict(q_grid=[1e6, math.inf]), "q_grid"),
+    (dict(q_grid=[1e6], horizon_packets=math.inf), "horizon_packets"),
+    (dict(q_grid=[1e6], warmup_frac=math.nan), "warmup_frac"),
+    (dict(q_grid=[1e6], mean_data_size=math.nan), "mean_data_size"),
+])
+def test_probe_rejects_non_finite(blue_rate, kw, field):
+    with pytest.raises(ValueError, match=field):
+        sr.stability_probe(single_hop(), blue_rate, **kw)

@@ -322,6 +322,18 @@ def test_solve_roundtrip_relative(name):
             assert rel(back, res.q_sup) < 1e-6, (n, length, back, res.q_sup)
 
 
+def test_case_ii_spacings_near_capacity_ceiling(blue_rate):
+    # at q ~ R(0)/L the inner hops fall below the inner root's resolution
+    # and collapse to 0; spacings stay non-decreasing and q_sup round-trips
+    res = sr.solve(blue_rate, 2000, 200.0)
+    d = res.placement.distances
+    assert res.branch == CASE_II
+    assert (d >= 0.0).all()
+    assert (np.diff(d) >= 0.0).all()
+    back = sr.qsup_of_placement(res.placement, blue_rate).q_sup
+    assert rel(back, res.q_sup) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # decay factor
 # ---------------------------------------------------------------------------
