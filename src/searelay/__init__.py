@@ -15,9 +15,9 @@ from .channel import (ChannelParams, FecRateParams, RateFunction,
                       preset_names, shannon_rate, shannon_rate_function, snr,
                       validate_rate_assumption)
 from .evaluate import (PERTURB_CSV_HEADER, PerturbStats, PlacementLimit,
-                       TrafficModel, constant_placement, perturb_csv_row,
-                       perturb_eval, qsup_of_placement, tradeoff,
-                       vertical_qsup)
+                       TrafficModel, constant_placement, hop_limits,
+                       perturb_csv_row, perturb_eval, qsup_of_placement,
+                       tradeoff, vertical_qsup)
 from .scalar import (MaxItersError, NoBracketError, bisect_monotone,
                      bracket_monotone)
 from .simqueue import (InconclusiveProbeError, ProbePoint, ProbeResult,
@@ -43,7 +43,8 @@ __all__ = [
     "WrongBranchError", "NumericalInfeasibleError", "surplus",
     "surplus_inverse", "surplus_slope", "critical_load", "critical_length",
     "decay_factor", "solve_subproblem", "solve",
-    "TrafficModel", "PlacementLimit", "PerturbStats", "qsup_of_placement",
+    "TrafficModel", "PlacementLimit", "PerturbStats", "hop_limits",
+    "qsup_of_placement",
     "constant_placement", "tradeoff", "vertical_qsup", "perturb_eval",
     "PERTURB_CSV_HEADER", "perturb_csv_row",
     "Grid2D", "Grid2DResult", "NoFeasibleGridError", "strip_heights",

@@ -9,7 +9,13 @@ the supportable load at
     q <= R(d_i) / (L - (x_{i-1} + x_i) / 2)        for every hop i.
 
 The minimum over hops is the placement's supportable load, the quantity all
-comparisons below are built on.
+comparisons below are built on.  ``hop_limits`` is that bound, evaluated for
+a whole (rows, N) array of placements at once; ``qsup_of_placement``,
+``perturb_eval`` and ``solver2d.grid_qsup`` all go through it.
+
+``perturb_eval`` draws each Monte-Carlo trial from its own substream seeded
+``(seed, trial)``, then repairs and evaluates the trials in blocks of rows
+through ``hop_limits``; the blocks change neither the draws nor the result.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import RateFunction
-from .solver1d import Placement
+from .solver1d import _SUM_TOL, Placement
 
 __all__ = [
     "TrafficModel",
     "PlacementLimit",
     "PerturbStats",
+    "hop_limits",
     "qsup_of_placement",
     "constant_placement",
     "tradeoff",
@@ -36,6 +43,7 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"  # default_rng seeded with (seed, trial)
+_BLOCK_VALUES = 1 << 13        # spacings per perturb_eval block: bounds memory
 
 
 @dataclass(frozen=True)
@@ -64,25 +72,30 @@ class PlacementLimit:
     bottleneck: int     # 0-based index into distances of the binding hop
 
 
-def qsup_of_placement(placement: Placement, rate: RateFunction) -> PlacementLimit:
-    """Supportable load of an arbitrary placement and its binding hop.
+def hop_limits(rate: RateFunction, D: np.ndarray, length: float) -> np.ndarray:
+    """Per-hop load limits R(d_i) / (L - (x_{i-1} + x_i) / 2) of placements.
 
-    Hops whose catchment midpoint already sits at L carry no traffic and are
-    skipped (stacked nodes at the far end).
+    ``D`` is a (rows, N) array of spacings, each row a placement over
+    [0, length]; the result has the same shape.  Hops whose catchment
+    midpoint already sits at L carry no traffic and get ``inf`` (stacked
+    nodes at the far end).
     """
-    d = placement.distances
-    x = placement.positions
-    length = placement.length
-    mid = 0.5 * (x[:-1] + x[1:])          # upstream cell boundary of each hop
-    carried = length - mid                # meters of traffic each hop relays
-    rates = np.asarray(rate(d), dtype=float)
-    if np.any(rates < 0.0):
+    D = np.asarray(D, dtype=float)
+    X = np.zeros((D.shape[0], D.shape[1] + 1))
+    np.cumsum(D, axis=1, out=X[:, 1:])    # node positions, x_0 = 0
+    carried = length - 0.5 * (X[:, :-1] + X[:, 1:])   # meters each hop relays
+    R = np.asarray(rate(D.ravel()), dtype=float).reshape(D.shape)
+    if np.any(R < 0.0):
         raise ValueError("rate model returned a negative rate")
-    limits = np.full(d.size, np.inf)
     loaded = carried > 0.0
-    if not loaded.any():
+    if not loaded.any(axis=1).all():
         raise ValueError("no hop carries traffic; degenerate placement")
-    limits[loaded] = rates[loaded] / carried[loaded]
+    return np.divide(R, carried, out=np.full(D.shape, np.inf), where=loaded)
+
+
+def qsup_of_placement(placement: Placement, rate: RateFunction) -> PlacementLimit:
+    """Supportable load of an arbitrary placement and its binding hop."""
+    limits = hop_limits(rate, placement.distances[None], placement.length)[0]
     idx = int(np.argmin(limits))
     return PlacementLimit(q_sup=float(limits[idx]), bottleneck=idx)
 
@@ -142,10 +155,11 @@ def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
     Only positions x_2 .. x_{N-1} are perturbed (the node next to the sink
     and the end node are assumed surveyed exactly).  Each trial uses the
     substream seeded (seed, trial), so results are reproducible and
-    independent of trial order.
+    independent of trial order.  Trials are evaluated in blocks of rows
+    through ``hop_limits``, so memory stays bounded for any trial count.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = placement.n
@@ -156,17 +170,23 @@ def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
                             mean_q_sup=exact, std_q_sup=0.0,
                             mean_delta=exact / n)
     base = placement.positions
-    interior = slice(2, n)  # position indices 2..N-1
-    n_interior = n - 2
+    block = max(1, _BLOCK_VALUES // n)
     samples = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        x = base.copy()
-        x[interior] += rng.normal(0.0, sigma, n_interior)
-        np.clip(x[1:], 0.0, length, out=x[1:])
-        x.sort()
-        d = np.diff(x)
-        samples[t] = qsup_of_placement(Placement(d, length), rate).q_sup
+    for start in range(0, trials, block):
+        rows = range(start, min(start + block, trials))
+        noise = [np.random.default_rng([seed, t]).normal(0.0, sigma, n - 2)
+                 for t in rows]
+        X = np.tile(base, (len(rows), 1))
+        X[:, 2:n] += np.array(noise)            # interior positions x_2..x_{N-1}
+        np.clip(X[:, 1:], 0.0, length, out=X[:, 1:])
+        X.sort(axis=1)
+        D = np.diff(X, axis=1)
+        # the checks Placement makes, once per block
+        if not (np.isfinite(D).all() and D.min() >= 0.0
+                and (np.abs(D.sum(axis=1) - length) <= _SUM_TOL * length).all()):
+            raise ValueError("perturbed spacings must be finite, >= 0 and sum "
+                             f"to {length:.9g}")
+        samples[rows.start:rows.stop] = hop_limits(rate, D, length).min(axis=1)
     mean = float(samples.mean())
     return PerturbStats(sigma=sigma, trials=trials, seed=seed,
                         mean_q_sup=mean, std_q_sup=float(samples.std()),

@@ -110,12 +110,19 @@ class QueueStats:
 
 
 def _lsq_slope(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares slope of y (columns) against t."""
-    tc = t - t.mean()
+    """Least-squares slope of y (columns) against t.
+
+    The times are scaled by the power of two nearest their largest
+    magnitude first, so sums of squares stay finite on any finite horizon;
+    the scaling is exact, which leaves the slope's bits unchanged.
+    """
+    e = math.frexp(float(np.abs(t).max()))[1]
+    ts = np.ldexp(t, -e)
+    tc = ts - ts.mean()
     denom = float(tc @ tc)
     if denom == 0.0:
         return np.zeros(y.shape[1])
-    return (tc @ y) / denom
+    return np.ldexp((tc @ y) / denom, -e)
 
 
 def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
@@ -256,7 +263,11 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
     points = []
     for i, q in enumerate(q_grid):
         lam = q * placement.length / mean_data_size
-        horizon = horizon_packets / lam
+        # the grid ascends, so a load too small for a horizon fails first
+        horizon = horizon_packets / lam if lam > 0.0 else math.inf
+        if not math.isfinite(horizon):
+            raise ValueError(f"load {q!r} is too small: packet rate {lam!r} "
+                             "leaves no finite horizon")
         cfg = SimConfig(
             placement=placement,
             traffic=TrafficModel(packet_rate=lam, mean_data_size=mean_data_size,

@@ -90,8 +90,10 @@ class Placement:
         object.__setattr__(self, "distances", d)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("distances must be a 1-D array with at least one hop")
-        if self.length <= 0:
-            raise ValueError("length must be > 0")
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"length must be finite and > 0, got {self.length!r}")
         if float(d.min()) < 0.0:
             raise ValueError("distances must be >= 0")
         total = float(d.sum())

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import RateFunction
+from .evaluate import hop_limits
 from .solver1d import solve
 
 __all__ = [
@@ -86,29 +87,16 @@ def strip_heights(h_spacings: np.ndarray) -> np.ndarray:
 
 
 def grid_qsup(grid: Grid2D, rate: RateFunction) -> float:
-    """Supportable load of an arbitrary grid (min over both hop families)."""
-    l = grid.l_spacings
-    h = grid.h_spacings
-    c = float(strip_heights(h).max())
-    # tail_plus_half[i] = d_i/2 + sum of spacings beyond i
-    def tail_plus_half(d: np.ndarray) -> np.ndarray:
-        tail = np.concatenate((np.cumsum(d[::-1])[::-1][1:], [0.0]))
-        return 0.5 * d + tail
+    """Supportable load of an arbitrary grid (min over both hop families).
 
-    limits = []
-    lx = tail_plus_half(l) * c
-    rx = np.asarray(rate(l), dtype=float)
-    mask = lx > 0
-    if mask.any():
-        limits.append((rx[mask] / lx[mask]).min())
-    ly = tail_plus_half(h) * grid.length
-    ry = np.asarray(rate(h), dtype=float)
-    mask = ly > 0
-    if mask.any():
-        limits.append((ry[mask] / ly[mask]).min())
-    if not limits:
-        raise ValueError("degenerate grid: no hop carries traffic")
-    return float(min(limits))
+    Each family is the 1-D hop bound over its own extent, divided by the
+    strip each of its hops drains: the tallest strip for the x-hops, the
+    row length L for the y-hops.
+    """
+    c = float(strip_heights(grid.h_spacings).max())
+    q_x = hop_limits(rate, grid.l_spacings[None], grid.length).min() / c
+    q_y = hop_limits(rate, grid.h_spacings[None], grid.height).min() / grid.length
+    return float(min(q_x, q_y))
 
 
 def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,

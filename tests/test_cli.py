@@ -150,6 +150,25 @@ def test_simulate_non_finite_input_exits_2(capsys, flags, field):
     assert field in err
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_perturb_non_finite_sigma_exits_2(capsys, sigma):
+    code, out, err = run(capsys, "perturb", "--preset", "blue", "--n", "10",
+                         "--l", "500", "--sigma", "1", sigma, "--trials", "20")
+    assert code == 2
+    assert not out
+    assert "sigma" in err
+
+
+def test_eval_nan_placement_row_exits_2(capsys, tmp_path):
+    path = tmp_path / "placement.csv"
+    path.write_text("index,distance_m\n1,250\n2,nan\n")
+    code, out, err = run(capsys, "eval", "--preset", "blue",
+                         "--placement", str(path))
+    assert code == 2
+    assert not out
+    assert "distances" in err
+
+
 def test_numeric_failure_exits_3(capsys):
     code, _, err = run(capsys, "solve2d", "--preset", "blue", "--n-h", "5",
                        "--l", "500", "--h", "500", "--n-l-max", "2")

@@ -1,10 +1,27 @@
 """Placement evaluation, node-count tradeoff, vertical chains, jitter."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import qsup_of_rows
+from perturb_oracle import perturb_trials
 
 import searelay as sr
+from searelay import evaluate
+
+# the FEC model of the CLI tests
+FEC_PARAMS = sr.FecRateParams(modulation_bits_per_symbol=2, code_rate=0.5,
+                              snr_threshold=10.0, scaled_gain=1e9,
+                              attenuation_per_m=2e-2, epsilon_m=1.0,
+                              geometric_exponent=2.0)
+MODELS = ("blue", "green", "red", "fec")
+
+
+def model_rate(name):
+    if name == "fec":
+        return sr.fec_rate_function(FEC_PARAMS)
+    return sr.shannon_rate_function(sr.preset(name))
 
 
 def rel(a, b):
@@ -62,6 +79,31 @@ def test_stacked_far_nodes_skipped(blue_rate):
     lim = per_hop_limits(blue_rate, placement)
     assert np.isinf(lim[-1])
     assert got.q_sup == lim[:2].min()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_hop_limits_match_row_oracle(model):
+    rate = model_rate(model)
+    rng = np.random.default_rng(17)
+    length = 300.0
+    D = rng.dirichlet(np.ones(9), size=400) * length
+    D[rng.random(D.shape) < 0.15] = 0.0       # coincident nodes anywhere
+    D[::5, -3:] = 0.0                         # end nodes stacked at the far end
+    D[1::7, :] = 0.0
+    D[1::7, 0] = length                       # everything stacked at L
+    lim = sr.hop_limits(rate, D, length)
+    assert lim.shape == D.shape
+    assert np.isinf(lim[::5, -3:]).any()
+    assert lim.min(axis=1).tobytes() == qsup_of_rows(rate, D, length).tobytes()
+
+
+def test_hop_limits_reject_degenerate_rows(blue_rate):
+    D = np.array([[100.0, 0.0], [300.0, 0.0]])   # row 2 ends beyond L
+    with pytest.raises(ValueError, match="no hop carries traffic"):
+        sr.hop_limits(blue_rate, D, 100.0)
+    negative = sr.RateFunction(lambda d: 1.0 - d, lambda d: 1.0 - d)
+    with pytest.raises(ValueError, match="negative rate"):
+        sr.hop_limits(negative, np.array([[2.0, 1.0]]), 3.0)
 
 
 def test_no_random_placement_beats_solver(blue_rate, blue_10_500):
@@ -200,6 +242,36 @@ def test_perturb_csv_row_shape(blue_rate, blue_10_500):
     assert named["sigma"] == "2"
     assert named["trials"] == "64"
     assert float(named["mean_q_sup"]) == pytest.approx(out.mean_q_sup, rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("sigma_frac", [0.02, 0.3, 2.0])
+@pytest.mark.parametrize("n", [3, 8, 12, 60])
+@pytest.mark.parametrize("model", MODELS)
+def test_perturb_matches_per_trial_loop(model, n, sigma_frac, seed):
+    rate = model_rate(model)
+    length = 500.0
+    placement = sr.solve(rate, n, length).placement
+    sigma = sigma_frac * length / n        # 2 L/N clips nodes at 0 and L
+    got = sr.perturb_eval(placement, rate, sigma, trials=60, seed=seed)
+    assert got == perturb_trials(placement, rate, sigma, trials=60, seed=seed)
+
+
+def test_perturb_blocks_match_per_trial_loop(blue_rate):
+    n, length = 60, 500.0
+    placement = sr.solve(blue_rate, n, length).placement
+    trials = 2 * (evaluate._BLOCK_VALUES // n) + 3    # two full blocks and a tail
+    got = sr.perturb_eval(placement, blue_rate, 0.3 * length / n,
+                          trials=trials, seed=4)
+    assert got == perturb_trials(placement, blue_rate, 0.3 * length / n,
+                                 trials=trials, seed=4)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_perturb_rejects_non_finite_sigma(blue_rate, blue_10_500, sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        sr.perturb_eval(blue_10_500.placement, blue_rate, sigma=sigma,
+                        trials=10, seed=0)
 
 
 def test_perturb_validation(blue_rate, blue_10_500):

@@ -10,7 +10,7 @@ import pytest
 
 import searelay as sr
 from searelay.simqueue import (ARRIVAL_DETERMINISTIC, ARRIVAL_POISSON,
-                               SIZE_EXPONENTIAL, SIZE_FIXED)
+                               SIZE_EXPONENTIAL, SIZE_FIXED, _lsq_slope)
 from simqueue_oracle import simulate_events
 
 LENGTH = 200.0
@@ -260,3 +260,29 @@ def test_sim_config_rejects_non_finite_window(blue_rate, window, field):
 def test_probe_rejects_non_finite(blue_rate, kw, field):
     with pytest.raises(ValueError, match=field):
         sr.stability_probe(single_hop(), blue_rate, **kw)
+
+
+def test_probe_rejects_load_too_small_for_a_horizon(blue_rate):
+    # q * L / B underflows to 0; then a rate whose horizon overflows
+    for q in (5e-324, 1e-305):
+        with pytest.raises(ValueError, match=f"load {q!r}"):
+            sr.stability_probe(single_hop(), blue_rate, [q], horizon_packets=100)
+
+
+@pytest.mark.filterwarnings("error")
+def test_probe_tiny_load_runs_without_overflow(blue_rate):
+    res = sr.stability_probe(single_hop(), blue_rate, [1e-300], horizon_packets=100)
+    assert res.q_stable == 1e-300
+    assert math.isfinite(res.points[0].total_drift_slope)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lsq_slope_exact_under_power_of_two_scaling():
+    rng = np.random.default_rng(2)
+    t = np.sort(rng.uniform(0.0, 3.0e3, 500))
+    y = rng.poisson(5.0, (500, 3)) + 0.01 * t[:, None]
+    base = _lsq_slope(t, y)
+    assert np.allclose(base, 0.01, rtol=0.2)
+    for k in (-900, 900, 1010):     # 1010: sums of squares overflow unscaled
+        scaled = _lsq_slope(np.ldexp(t, k), y)
+        assert np.ldexp(scaled, k).tobytes() == base.tobytes()

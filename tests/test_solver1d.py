@@ -375,6 +375,17 @@ def test_decay_certificate_subproblem(blue_rate):
 # placement container
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("distances,length,field", [
+    ([math.nan, 500.0], 500.0, "distances"),
+    ([math.inf, 500.0], 500.0, "distances"),
+    ([250.0, 250.0], math.nan, "length"),
+    ([250.0, 250.0], math.inf, "length"),
+])
+def test_placement_rejects_non_finite(distances, length, field):
+    with pytest.raises(ValueError, match=field):
+        sr.Placement(distances=np.array(distances), length=length)
+
+
 def test_placement_validation():
     with pytest.raises(ValueError):
         sr.Placement(distances=np.array([1.0, -1.0]), length=1.0)
