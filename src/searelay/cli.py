@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def _build_rate(args):
         if not args.fec_config:
             raise ConfigError("--rate-model fec requires --fec-config FILE")
         try:
-            raw = json.loads(open(args.fec_config).read())
+            raw = json.loads(Path(args.fec_config).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.fec_config}") from None
         except json.JSONDecodeError as exc:
@@ -136,7 +137,7 @@ def _build_rate(args):
 def _read_placement(path: str) -> Placement:
     """Placement from a CSV (index,distance_m) or a solve JSON output."""
     try:
-        text = open(path).read()
+        text = Path(path).read_text()
     except FileNotFoundError:
         raise ConfigError(f"placement file not found: {path}") from None
     stripped = text.lstrip()

@@ -1,9 +1,10 @@
 """Root finding for strictly monotone scalar functions.
 
-Everything downstream (surplus inversion, the critical load, the load that
-exactly covers a segment) reduces to "find the sign change of a monotone
-f".  Two pieces do it: `bracket_monotone`, a doubling walk that finds a
-bracket when no closed one is known, and `bisect_monotone`, Brent's method
+The critical load and the load that exactly covers a segment reduce to
+"find the sign change of a monotone f" with no good start point.  Two
+pieces do it: `bracket_monotone`, a doubling walk that finds a bracket
+when no closed one is known (it also brackets a surplus inverse that has
+no bound), and `bisect_monotone`, Brent's method
 (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4):
 inverse quadratic interpolation and secant steps, safeguarded by bisection,
 so it converges superlinearly on the smooth rate models yet never needs
@@ -31,7 +32,7 @@ class NoBracketError(RuntimeError):
 
 
 class MaxItersError(RuntimeError):
-    """Brent's method hit the iteration cap before reaching tolerance."""
+    """A root-finder hit its iteration cap before reaching tolerance."""
 
 
 def bracket_monotone(f: Callable[[float], float], lo: float, f_lo: float,

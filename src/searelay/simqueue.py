@@ -148,7 +148,10 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
         t_last = 0.0
         chunk = max(1024, int(lam * horizon * 1.1) + 64)
         while t_last <= horizon:
-            cs = t_last + np.cumsum(rng.exponential(1.0 / lam, chunk))
+            # at tiny rates the chunk's sum can pass the float range; times
+            # past the horizon, inf included, are dropped below
+            with np.errstate(over="ignore"):
+                cs = t_last + np.cumsum(rng.exponential(1.0 / lam, chunk))
             chunks.append(cs)
             t_last = float(cs[-1])
         times = np.concatenate(chunks)

@@ -16,9 +16,12 @@ that makes every hop's constraint tight, producing spacings that grow with
 distance from the sink.  The optimal supportable load q_sup for a given L is
 then the root, in log q, of log(maximal covered length / L).
 
-Both root-finds, the surplus inverse inside the recursion and the load
-outside it, use Brent's method (`scalar.bisect_monotone`) with tolerances
-relative to the root.
+Each hop of the recursion solves its surplus equation with `_hop_root`, a
+safeguarded secant inside [0, next spacing out], warm-started from the two
+hops already solved and reusing R at the next spacing; `surplus_inverse`
+wraps the same routine.  Brent's method (`scalar.bisect_monotone`) serves
+where no warm start exists: the load root on log q, to a tolerance
+relative to q_sup, and `critical_load`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .channel import RateFunction
 from . import scalar
-from .scalar import bisect_monotone, bracket_monotone
+from .scalar import MaxItersError, bisect_monotone, bracket_monotone
 
 __all__ = [
     "CASE_I",
@@ -60,6 +63,7 @@ _CLAMP_REL = 1e-9    # numeric overshoot tolerated on the recursion argument
 _X_TOL = 1e-9        # hop-length roots: absolute [m] ...
 _X_RTOL = 5e-10      # ... plus relative tolerance
 _LOG_Q_TOL = 2e-10   # default load tolerance, in log q (i.e. relative)
+_MAX_HOP_ITERS = 200  # hop-root cap; bisection takes a 1e6 m bracket to 1e-9 m in 50
 
 
 class OutOfRangeError(ValueError):
@@ -162,10 +166,10 @@ def surplus_inverse(rate: RateFunction, q: float, t: float, *,
                     upper: float | None = None) -> float:
     """Hop length x >= 0 with surplus(x) = t; t may not exceed R(0)/q.
 
-    `upper`, if given, must be a hop length at or beyond the root (the
-    recursion passes the next spacing out, which case-ii spacings never
-    undercut).  Without it the root is bracketed by a doubling walk from
-    1 m, capped at 2 (R(0)/q - t), where the surplus is already below t.
+    `upper`, if given, must be a hop length at or beyond the root (case-ii
+    spacings never undercut the next one out).  Without it the root is
+    bracketed by a doubling walk from 1 m, capped at 2 (R(0)/q - t), where
+    the surplus is already below t.  Either way `_hop_root` finds it.
     """
     if q <= 0:
         raise ValueError("load q must be > 0")
@@ -176,26 +180,75 @@ def surplus_inverse(rate: RateFunction, q: float, t: float, *,
             return 0.0
         raise OutOfRangeError(f"surplus target {t:.9g} exceeds maximum {g0:.9g}")
     r = rate.scalar
-
-    # q * (surplus(x) - t): the same root, and finite even where R(0)/q
-    # overflows at tiny loads
-    def f(x: float) -> float:
-        return r(x) - q * (0.5 * x + t)
-
-    f_lo = rate.r0 - q * t
-    if f_lo <= 0.0:
-        # t is R(0)/q up to roundoff
-        return 0.0
     if upper is not None:
-        lo, hi = 0.0, float(upper)
-        f_hi = f(hi)
+        hi = float(upper)
+        x = 0.5 * hi
     else:
+        f_lo = rate.r0 - q * t
+        if f_lo <= 0.0:
+            # t is R(0)/q up to roundoff
+            return 0.0
+
+        def f(x: float) -> float:
+            return r(x) - q * (0.5 * x + t)
+
         lo, f_lo, hi, f_hi = bracket_monotone(f, 0.0, f_lo, 1.0,
                                               limit=2.0 * (g0 - t))
+        # start from the secant through the walk's last two points
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi < 0.0 else hi
+    return _hop_root(r, rate.r0, q, t, hi, r(hi), x)[0]
+
+
+def _hop_root(r, r0: float, q: float, t: float, hi: float, r_hi: float,
+              x: float) -> tuple[float, float]:
+    """Root in [0, hi] of f(x) = R(x) - q (x/2 + t), and R at that root.
+
+    r is R's float path and r_hi = R(hi), so f(hi) costs no evaluation.
+    f is q (surplus(x) - t): the same root, and finite even where R(0)/q
+    overflows at tiny loads; it is convex and decreasing.  A safeguarded
+    secant runs from the start point x: a step that leaves the bracket,
+    or is longer than half the step before last, bisects instead, and a
+    step shorter than half the tolerance is lengthened to it, so that the
+    bracket closes.  Once the bracket is narrower than the tolerance,
+    1e-9 m + 5e-10 x, its end where f >= 0 is returned: that end never
+    lies beyond the root, so a relayed tail summed from these lengths
+    cannot creep past R(0)/q.
+    """
+    lo, r_lo = 0.0, r0
+    if r0 - q * t <= 0.0:
+        # t is R(0)/q up to roundoff
+        return lo, r_lo
+    f_hi = r_hi - q * (0.5 * hi + t)
     if f_hi >= 0.0:
         # the upper bound is the root up to roundoff
-        return hi
-    return bisect_monotone(f, lo, hi, f_lo, f_hi, xtol=_X_TOL, rtol=_X_RTOL)[0]
+        return hi, r_hi
+    # the secant's second point, and the last two steps taken
+    xp, fp = hi, f_hi
+    step = step_old = hi
+    for _ in range(_MAX_HOP_ITERS):
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        r_x = r(x)
+        fx = r_x - q * (0.5 * x + t)
+        if fx >= 0.0:
+            lo, r_lo = x, r_x
+        else:
+            hi = x
+        tol = _X_TOL + _X_RTOL * x
+        if fx == 0.0 or hi - lo < tol:
+            return lo, r_lo
+        try:
+            s = fx * (xp - x) / (fx - fp)
+        except ZeroDivisionError:  # flat secant: bisect
+            s = math.inf
+        xp, fp = x, fx
+        if not (lo < x + s < hi and abs(s) <= 0.5 * abs(step_old)):
+            s = 0.5 * (lo + hi) - x
+        elif abs(s) < 0.5 * tol:
+            s = math.copysign(0.5 * tol, s)
+        step_old, step = step, s
+        x += s
+    raise MaxItersError(f"hop root did not converge in {_MAX_HOP_ITERS} iterations")
 
 
 def critical_load(rate: RateFunction) -> float:
@@ -252,8 +305,8 @@ def solve_subproblem(rate: RateFunction, q: float, n: int) -> SubproblemResult:
     sink, the remaining nodes collapse onto it.  Otherwise every constraint
     is made tight by a backward recursion from the farthest hop inward,
     yielding spacings non-decreasing away from the sink.  Near the ceiling
-    q ~ R(0)/L the relayed tail reaches R(0)/q, and inner hops shorter than
-    the inner root's ~1e-9 m resolution collapse to 0.
+    q ~ R(0)/L the relayed tail approaches R(0)/q, and inner hops fall
+    below the per-hop root's ~1e-9 m resolution, down to 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -268,6 +321,10 @@ def solve_subproblem(rate: RateFunction, q: float, n: int) -> SubproblemResult:
         return SubproblemResult(distances=d, coverage=d_far, branch=CASE_I)
     d[n - 1] = d_far
     total = d_far
+    r, r0 = rate.scalar, rate.r0
+    # each hop's root lies in [0, next spacing out]; spacings shrink about
+    # geometrically toward the sink, so d_{i+1}^2 / d_{i+2} starts it
+    far, hi, r_hi = 0.0, d_far, r(d_far)
     for i in range(n - 2, -1, -1):
         t = total
         if t > g0:
@@ -276,8 +333,11 @@ def solve_subproblem(rate: RateFunction, q: float, n: int) -> SubproblemResult:
             else:
                 raise NumericalInfeasibleError(
                     f"relayed-tail total {t:.9g} exceeds surplus maximum {g0:.9g}")
-        d[i] = surplus_inverse(rate, q, t, upper=d[i + 1])
-        total += d[i]
+        x = hi * hi / far if far > 0.0 else 0.5 * hi
+        far = hi
+        hi, r_hi = _hop_root(r, r0, q, t, hi, r_hi, x)
+        d[i] = hi
+        total += hi
     return SubproblemResult(distances=d, coverage=total, branch=CASE_II)
 
 
@@ -315,22 +375,26 @@ def solve(rate: RateFunction, n: int, length: float,
     if not math.isfinite(q_up):
         raise ValueError(f"length {length!r} is so short that the load "
                          f"R(length/n) * n / length overflows")
+    # every recursion by its log q: Brent returns a point it evaluated, so
+    # the placement at q_sup is already among them
+    subs: dict[float, SubproblemResult] = {}
     iterations = 0
 
     def log_excess(log_q: float) -> float:
         nonlocal iterations
         iterations += 1
-        return math.log(solve_subproblem(rate, math.exp(log_q), n).coverage / length)
+        sub = subs[log_q] = solve_subproblem(rate, math.exp(log_q), n)
+        return math.log(sub.coverage / length)
 
     # called through `scalar`, not this module's name: perfbench's tracer
-    # wraps solver1d.bisect_monotone to time the per-hop root-finds, and
-    # an outer span there would nest every one of them inside it
+    # wraps solver1d.bisect_monotone to time the inner root-finds, and an
+    # outer span there would nest them inside it
     log_q, width = scalar.bisect_monotone(
         log_excess, math.log(q_lo), math.log(q_up),
         xtol=_LOG_Q_TOL if tol_q is None else tol_q / q_up)
     q_sup = math.exp(log_q)
 
-    sub = solve_subproblem(rate, q_sup, n)
+    sub = subs[log_q]
     residual = abs(sub.coverage - length)
     distances = sub.distances * (length / sub.coverage)
     q0 = critical_load(rate)

@@ -299,7 +299,8 @@ def test_simulate_single_run_and_timeseries(capsys, tmp_path):
                       "generated"]
     assert len(rows) == 1
     assert rows[0][7] == "1"  # stable at 80% load
-    ts_rows = list(csv.reader(ts.open()))
+    with ts.open() as fh:
+        ts_rows = list(csv.reader(fh))
     assert ts_rows[0] == ["time_s", "node_1"]
     assert len(ts_rows) == 1 + 2048
 

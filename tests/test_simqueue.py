@@ -277,6 +277,14 @@ def test_probe_tiny_load_runs_without_overflow(blue_rate):
 
 
 @pytest.mark.filterwarnings("error")
+def test_probe_poisson_draw_at_tiny_load_runs_without_overflow(blue_rate):
+    # 1024 interarrival times of ~5e305 s each sum past the float range
+    res = sr.stability_probe(single_hop(), blue_rate, [1e-303], horizon_packets=100)
+    assert res.q_stable == 1e-303
+    assert math.isfinite(res.points[0].total_drift_slope)
+
+
+@pytest.mark.filterwarnings("error")
 def test_lsq_slope_exact_under_power_of_two_scaling():
     rng = np.random.default_rng(2)
     t = np.sort(rng.uniform(0.0, 3.0e3, 500))

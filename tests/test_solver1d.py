@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import searelay as sr
+import searelay.solver1d as solver1d
 from searelay.solver1d import (CASE_I, CASE_II, NumericalInfeasibleError,
-                               OutOfRangeError, WrongBranchError)
+                               OutOfRangeError, WrongBranchError, _hop_root)
 
 BLUE_R100 = 359057261.424
 FROZEN = {
@@ -332,6 +333,80 @@ def test_case_ii_spacings_near_capacity_ceiling(blue_rate):
     assert (np.diff(d) >= 0.0).all()
     back = sr.qsup_of_placement(res.placement, blue_rate).q_sup
     assert rel(back, res.q_sup) < 1e-6
+
+
+def test_case_ii_fec_at_capacity_ceiling():
+    # 2000 hops over 5 m: q_sup is R(0)/L up to roundoff, and no hop may
+    # overshoot its root, or the relayed tail sums past R(0)/q
+    rate = ROUNDTRIP_RATES["fec"]
+    res = sr.solve(rate, 2000, 5.0)
+    d = res.placement.distances
+    assert res.branch == CASE_II
+    assert (np.diff(d) >= 0.0).all()
+    back = sr.qsup_of_placement(res.placement, rate).q_sup
+    assert rel(back, res.q_sup) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_solve_runs_one_recursion_per_iteration(blue_rate, monkeypatch, n):
+    # the placement at q_sup comes from the recursion the load root-find
+    # already ran there, not from one more
+    inner = solver1d.solve_subproblem
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver1d, "solve_subproblem", counting)
+    res = sr.solve(blue_rate, n, 500.0)
+    assert calls == res.iterations
+
+
+# ---------------------------------------------------------------------------
+# the per-hop root of the recursion
+# ---------------------------------------------------------------------------
+
+def hop_tol(x: float) -> float:
+    """Tolerance of a hop-length root at x: 1e-9 m + 5e-10 x."""
+    return 1e-9 + 5e-10 * x
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+@pytest.mark.parametrize("n", [2, 10, 300])
+def test_recursion_hops_match_surplus_inverse(name, n):
+    # each warm-started hop agrees with the public inverse of its own tail
+    rate = ROUNDTRIP_RATES[name]
+    q0 = sr.critical_load(rate)
+    for qf in (0.01, 0.2, 0.9):
+        q = qf * q0
+        sub = sr.solve_subproblem(rate, q, n)
+        assert sub.branch == CASE_II
+        d = sub.distances
+        for i in range(n):
+            x = sr.surplus_inverse(rate, q, float(d[i + 1:].sum()))
+            assert abs(d[i] - x) <= 2.0 * hop_tol(x), (qf, i, d[i], x)
+
+
+@given(name=st.sampled_from(sorted(ROUNDTRIP_RATES)),
+       qf=st.floats(0.001, 0.95), tf=st.floats(0.0, 0.99),
+       hf=st.floats(1.0, 4.0),
+       start=st.one_of(st.floats(-2.0, 3.0), st.sampled_from([0.0, 1.0])))
+@settings(max_examples=200, deadline=None)
+def test_hop_root_independent_of_start(name, qf, tf, hf, start):
+    # start points inside [0, hi], at either end and outside it all give
+    # the same root, and the R returned with it is R there
+    rate = ROUNDTRIP_RATES[name]
+    q = qf * sr.critical_load(rate)
+    t = tf * rate.r0 / q
+    root = sr.surplus_inverse(rate, q, t)
+    hi = hf * root
+    x, r_x = _hop_root(rate.scalar, rate.r0, q, t, hi, rate.scalar(hi), start * hi)
+    assert abs(x - root) <= 2.0 * hop_tol(root)
+    assert r_x == rate.scalar(x)
+    # the returned end never lies beyond the root
+    assert r_x >= q * (0.5 * x + t)
 
 
 # ---------------------------------------------------------------------------
