@@ -13,14 +13,24 @@ comparisons below are built on.  ``hop_limits`` is that bound, evaluated for
 a whole (rows, N) array of placements at once; ``qsup_of_placement``,
 ``perturb_eval`` and ``solver2d.grid_qsup`` all go through it.
 
-``perturb_eval`` draws each Monte-Carlo trial from its own substream seeded
-``(seed, trial)``, then repairs and evaluates the trials in blocks of rows
-through ``hop_limits``; the blocks change neither the draws nor the result.
+``perturb_eval`` draws Monte-Carlo trial t from its own substream, the
+stream of ``Generator(PCG64(SeedSequence([seed, t])))``, then repairs and
+evaluates the trials in blocks of rows through ``hop_limits``; the blocks
+change neither the draws nor the result.  Rather than building one
+``SeedSequence`` per trial, ``_substream_states`` runs SeedSequence's fixed
+hash-mix (NEP 19) for a whole block of trials in ``uint32`` array arithmetic
+and applies PCG64's 128-bit seeding step (O'Neill 2014), giving each trial's
+PCG64 ``(state, inc)``; one reused ``PCG64`` and ``Generator`` then draw every
+trial.  ``test_substream_states_match_numpy`` and
+``test_trial_noise_matches_default_rng`` (``tests/test_evaluate.py``) pin
+those states and draws to NumPy's own, so a change of NumPy's stream fails
+loudly instead of drifting the results.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +52,20 @@ __all__ = [
     "perturb_csv_row",
 ]
 
-RNG_ALGORITHM = "numpy-pcg64"  # default_rng seeded with (seed, trial)
+# trial t draws from Generator(PCG64(SeedSequence([seed, t]))), its PCG64
+# state built by _substream_states
+RNG_ALGORITHM = "numpy-pcg64"
 _BLOCK_VALUES = 1 << 13        # spacings per perturb_eval block: bounds memory
+
+# SeedSequence's hash-mix constants (NEP 19) and PCG64's 128-bit multiplier
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -148,16 +170,107 @@ class PerturbStats:
     rng_algorithm: str = RNG_ALGORITHM
 
 
+def _hash_consts(init: int, mult: int):
+    """SeedSequence's running hash constant, stepped once per hashed word."""
+    while True:
+        nxt = (init * mult) & _MASK32
+        yield np.uint32(init), np.uint32(nxt)
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence([seed, t]))`` for each
+    t in range(start, stop), 0 <= t < 2**64.
+
+    SeedSequence's entropy is the little-endian ``uint32`` words of seed,
+    then of t; its pool mix and ``generate_state(4, uint64)`` run here for
+    all trials at once on ``uint32`` columns, which wrap as its C code does.
+    PCG64 then seeds from those four words: ``state = 0``,
+    ``inc = (initseq << 1) | 1``, step, ``state += initstate``, step.
+    """
+    t = np.arange(start, stop, dtype=np.uint64)
+    words = []
+    while True:     # seed's words, low first; 0 is one word
+        words.append(np.full(t.size, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    hi = (t >> np.uint64(32)).astype(np.uint32)
+    words += [(t & np.uint64(_MASK32)).astype(np.uint32), hi]
+    # t < 2**32 has no high word; inside the pool a missing word hashes as
+    # a zero one, past the pool it must mix nothing
+    long_t = hi > 0
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    zero = np.zeros(t.size, dtype=np.uint32)
+    pool = [_hashmix(words[i] if i < len(words) else zero, consts)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for i in range(_POOL_SIZE, len(words)):
+        for dst in range(_POOL_SIZE):
+            mixed = _mix(pool[dst], _hashmix(words[i], consts))
+            pool[dst] = (mixed if i < len(words) - 1
+                         else np.where(long_t, mixed, pool[dst]))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[i % _POOL_SIZE], consts).astype(np.uint64)
+           for i in range(2 * _POOL_SIZE)]
+    seeds = [(out[2 * k] | (out[2 * k + 1] << np.uint64(32))).tolist()
+             for k in range(_POOL_SIZE)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*seeds):
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _trial_noise(seed: int, start: int, stop: int, sigma: float,
+                 k: int) -> np.ndarray:
+    """Row t - start holds the first k ``normal(0, sigma)`` draws of trial
+    t's substream, for t in range(start, stop)."""
+    bit_generator = np.random.PCG64()
+    gen = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg,
+            "has_uint32": 0, "uinteger": 0}
+    noise = np.empty((stop - start, k))
+    for row, (state, inc) in zip(noise, _substream_states(seed, start, stop)):
+        pcg["state"], pcg["inc"] = state, inc
+        bit_generator.state = full
+        gen.standard_normal(out=row)
+    noise *= sigma      # normal(0, sigma) is 0 + sigma * z, to the bit
+    return noise
+
+
 def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
                  trials: int = 10_000, seed: int = 0) -> PerturbStats:
     """Gaussian position noise on the interior nodes, repaired by sort + clamp.
 
     Only positions x_2 .. x_{N-1} are perturbed (the node next to the sink
-    and the end node are assumed surveyed exactly).  Each trial uses the
-    substream seeded (seed, trial), so results are reproducible and
-    independent of trial order.  Trials are evaluated in blocks of rows
+    and the end node are assumed surveyed exactly).  Trial t draws from the
+    stream of ``Generator(PCG64(SeedSequence([seed, t])))``, so results are
+    reproducible and independent of trial order and count; the PCG64 states
+    of a block of trials are built at once by ``_substream_states``, and one
+    reused ``Generator`` draws them.  Trials are evaluated in blocks of rows
     through ``hop_limits``, so memory stays bounded for any trial count.
+    ``seed`` must be a non-negative integer.
     """
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if trials < 1:
@@ -174,10 +287,9 @@ def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
     samples = np.empty(trials)
     for start in range(0, trials, block):
         rows = range(start, min(start + block, trials))
-        noise = [np.random.default_rng([seed, t]).normal(0.0, sigma, n - 2)
-                 for t in rows]
         X = np.tile(base, (len(rows), 1))
-        X[:, 2:n] += np.array(noise)            # interior positions x_2..x_{N-1}
+        # interior positions x_2..x_{N-1}
+        X[:, 2:n] += _trial_noise(seed, rows.start, rows.stop, sigma, n - 2)
         np.clip(X[:, 1:], 0.0, length, out=X[:, 1:])
         X.sort(axis=1)
         D = np.diff(X, axis=1)

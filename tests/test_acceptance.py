@@ -211,6 +211,31 @@ def test_criterion_09_simulated_stability_bracket(blue_rate, blue_10_500):
         f"{elapsed:.1f}s")
 
 
+def test_criterion_09_bracket_within_one_percent(blue_rate, blue_10_500):
+    """Criterion 9 at 0.99 / 1.01, read from the backlog drift.
+
+    Every hop of the optimal placement is tight, so at f * q_sup (f > 1) the
+    backlog grows at the overload drift lam * (1 - x_1 / 2L) * (1 - 1/f):
+    hop 1 relays all traffic past x_1 / 2 at 1/f of its arrival rate.  At
+    f = 1.01 that is about 0.97% of lam, just under ``is_stable``'s 1% slope
+    test, so the stability flag cannot separate 1.01; the drift itself can.
+    """
+    t0 = time.perf_counter()
+    q, placement = blue_10_500.q_sup, blue_10_500.placement
+    grid = [0.99 * q, 1.01 * q]
+    probe = sr.stability_probe(placement, blue_rate, grid,
+                               horizon_packets=400_000)
+    elapsed = time.perf_counter() - t0
+    lam = grid[1] * placement.length / 1e5      # stability_probe's default B
+    overload = lam * (1 - placement.positions[1] / (2 * placement.length)) \
+        * (1 - 1 / 1.01)
+    below, above = (p.total_drift_slope / overload for p in probe.points)
+    assert probe.points[0].stable, "0.99 x q_sup classified unstable"
+    assert abs(below) < 0.3 and above > 0.3 and elapsed < 10.0, (
+        f"drift / predicted overload drift: {below:.3f} at 0.99x, "
+        f"{above:.3f} at 1.01x, {elapsed:.1f}s")
+
+
 def test_criterion_10_grid_design_consistency(blue_rate):
     res = sr.solve_2d(blue_rate, 5, 500.0, 500.0)
     l, h = res.grid.l_spacings, res.grid.h_spacings

@@ -159,6 +159,15 @@ def test_perturb_non_finite_sigma_exits_2(capsys, sigma):
     assert "sigma" in err
 
 
+def test_perturb_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, "perturb", "--preset", "blue", "--n", "10",
+                         "--l", "500", "--sigma", "1", "--trials", "20",
+                         "--seed", "-1")
+    assert code == 2
+    assert not out
+    assert "seed" in err
+
+
 def test_eval_nan_placement_row_exits_2(capsys, tmp_path):
     path = tmp_path / "placement.csv"
     path.write_text("index,distance_m\n1,250\n2,nan\n")

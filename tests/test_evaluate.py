@@ -267,6 +267,59 @@ def test_perturb_blocks_match_per_trial_loop(blue_rate):
                                  trials=trials, seed=4)
 
 
+# seeds of 1, 2 and 3 entropy words; trials at perturb_eval's block edge
+# (N = 10) and where t grows a second word
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**70]
+STREAM_BLOCK = evaluate._BLOCK_VALUES // 10
+STREAM_TRIALS = [0, 1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1,
+                 2**32 - 1, 2**32, 2**32 + 1]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_substream_states_match_numpy(seed):
+    # perturb_eval's contract: trial t draws from default_rng([seed, t]).
+    # A failure here means NumPy's SeedSequence or PCG64 seeding changed.
+    # the second block mixes 1- and 2-word t
+    blocks = [(0, STREAM_BLOCK + 2), (2**32 - 1, 2**32 + 2)]
+    got = {}
+    for start, stop in blocks:
+        got.update(zip(range(start, stop),
+                       evaluate._substream_states(seed, start, stop)))
+    for t in STREAM_TRIALS:
+        want = np.random.PCG64([seed, t]).state["state"]
+        assert got[t] == (want["state"], want["inc"]), \
+            f"PCG64([{seed}, {t}]) state differs from NumPy's"
+
+
+@pytest.mark.parametrize("k", [1, 8, 1998])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_noise_matches_default_rng(seed, k):
+    sigma = 3.7
+    for start, stop in [(0, 3), (STREAM_BLOCK - 1, STREAM_BLOCK + 2),
+                        (2**32 - 1, 2**32 + 2)]:
+        got = evaluate._trial_noise(seed, start, stop, sigma, k)
+        want = [np.random.default_rng([seed, t]).normal(0.0, sigma, k)
+                for t in range(start, stop)]
+        assert np.array_equal(got, want), \
+            f"draws of trials {start}..{stop - 1}, seed {seed}, differ from NumPy's"
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_perturb_rejects_bad_seed(blue_rate, blue_10_500, seed):
+    with pytest.raises(ValueError, match="seed"):
+        sr.perturb_eval(blue_10_500.placement, blue_rate, sigma=1.0,
+                        trials=10, seed=seed)
+    with pytest.raises(ValueError, match="seed"):     # before any shortcut
+        sr.perturb_eval(blue_10_500.placement, blue_rate, sigma=0.0,
+                        trials=10, seed=seed)
+
+
+def test_perturb_accepts_numpy_integer_seed(blue_rate, blue_10_500):
+    args = (blue_10_500.placement, blue_rate, 2.0)
+    assert (sr.perturb_eval(*args, trials=40, seed=np.uint64(2**63))
+            == sr.perturb_eval(*args, trials=40, seed=2**63))
+
+
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
 def test_perturb_rejects_non_finite_sigma(blue_rate, blue_10_500, sigma):
     with pytest.raises(ValueError, match="sigma"):
