@@ -26,6 +26,7 @@ least-squares drift test and reports where the empirical boundary sits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -77,6 +78,11 @@ class SimConfig:
             raise ValueError(f"unknown packet size model {self.packet_size!r}")
         if self.n_samples < 4:
             raise ValueError("n_samples must be >= 4")
+        words = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
+                   and w >= 0 for w in words):
+            raise ValueError("seed must be a non-negative integer or a tuple "
+                             f"of them, got {self.seed!r}")
 
     def resolved_window(self) -> tuple[float, float]:
         """Concrete (horizon_s, warmup_s) after defaults."""

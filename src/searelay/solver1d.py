@@ -17,23 +17,32 @@ distance from the sink.  The optimal supportable load q_sup for a given L is
 then the root, in log q, of log(maximal covered length / L).
 
 Each hop of the recursion solves its surplus equation with `_hop_root`, a
-safeguarded secant inside [0, next spacing out], warm-started from the two
-hops already solved and reusing R at the next spacing; `surplus_inverse`
-wraps the same routine.  Brent's method (`scalar.bisect_monotone`) serves
-where no warm start exists: the load root on log q, to a tolerance
-relative to q_sup, and `critical_load`.
+safeguarded secant inside [0, next spacing out] that reuses R at the next
+spacing; `surplus_inverse` wraps the same routine.  The recursion also
+returns the derivative of its coverage in log q, q dC/dq, by
+differentiating every tight hop implicitly with the slope its root-find
+ended on, so no analytic R' and no extra R evaluation is needed.
+
+`solve` finds the load by a safeguarded Newton iteration on log q (as
+`rtsafe`, Press et al., *Numerical Recipes*, section 9.4): it starts at the
+load equal spacing supports and stays inside a proven bracket, and it
+ends on two recursions that straddle the segment length within the
+tolerance.  A recursion within 1e-4 of the load before it warm-starts each
+inner hop from that recursion's, moved along dd_i/d(log q).  Brent's method
+(`scalar.bisect_monotone`) serves only `critical_load`, which has no
+start point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .channel import RateFunction
-from . import scalar
 from .scalar import MaxItersError, bisect_monotone, bracket_monotone
 
 __all__ = [
@@ -64,6 +73,11 @@ _X_TOL = 1e-9        # hop-length roots: absolute [m] ...
 _X_RTOL = 5e-10      # ... plus relative tolerance
 _LOG_Q_TOL = 2e-10   # default load tolerance, in log q (i.e. relative)
 _MAX_HOP_ITERS = 200  # hop-root cap; bisection takes a 1e6 m bracket to 1e-9 m in 50
+_MAX_LOAD_ITERS = 100  # load-root cap; bisection takes the bracket to 2e-10 in ~40
+# a recursion warm-starts its hops from one at a load within this relative
+# distance: beyond it the linear start misses by more than (1e-4)^2 of a
+# spacing, and the cubic cold start costs fewer R evaluations
+_WARM_REL = 1e-4
 
 
 class OutOfRangeError(ValueError):
@@ -121,20 +135,33 @@ class Placement:
 
 @dataclass(frozen=True)
 class SubproblemResult:
-    """Coverage-maximizing spacings at a fixed load q."""
+    """Coverage-maximizing spacings at a fixed load q, and their derivatives.
+
+    The derivatives come from differentiating each tight hop
+    R(d_i) = q (d_i/2 + t_i) implicitly, with t_i the tail beyond hop i:
+    dd_i/dq = (d_i/2 + t_i + q dt_i/dq) / f'(d_i), where f'(x) = R'(x) - q/2
+    is the slope the hop's root-find ends with.  They are kept in log q,
+    q dd_i/dq, which stays finite where dd_i/dq overflows at tiny loads.
+    """
 
     distances: np.ndarray
     coverage: float          # sum of spacings
     branch: str              # CASE_I or CASE_II
+    q: float = math.nan                 # the load [bit/s per m]
+    dcoverage_dlogq: float = math.nan   # q dC/dq [m]
+    ddistances_dlogq: Optional[np.ndarray] = field(default=None, repr=False)
+    hop_slopes: Optional[np.ndarray] = field(default=None, repr=False)  # f'(d_i)
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Optimal placement for N hops over [0, L] and the load it supports.
 
-    q_sup is the better end of the final load bracket, whose width is
-    bracket_width; `iterations` counts the coverage evaluations (one
-    backward recursion each) the load root-find spent.
+    The load root-find ends on a bracket of two recursions, one covering
+    at least L and one at most L; q_sup is the end whose coverage is
+    nearer L, and bracket_width the bracket's width in q.  `iterations`
+    counts the backward recursions the root-find ran, one per Newton,
+    probe or bisection step.
     """
 
     q_sup: float                 # largest supportable per-meter load [bit/s per m]
@@ -143,7 +170,7 @@ class SolveResult:
     L0: float                    # coverage at that threshold; L <= L0 means branch case-i
     branch: str
     gamma: Optional[float]       # spacing decay factor, only on the chain branch
-    iterations: int              # coverage evaluations of the load root-find
+    iterations: int              # backward recursions of the load root-find
     bracket_width: float         # final q bracket width [bit/s per m]
     coverage_residual: float = field(default=0.0)  # |coverage - L| before rescaling
 
@@ -171,13 +198,20 @@ def surplus_inverse(rate: RateFunction, q: float, t: float, *,
     bracketed by a doubling walk from 1 m, capped at 2 (R(0)/q - t), where
     the surplus is already below t.  Either way `_hop_root` finds it.
     """
+    return _surplus_root(rate, q, t, upper)[0]
+
+
+def _surplus_root(rate: RateFunction, q: float, t: float,
+                  upper: float | None = None
+                  ) -> tuple[float, float, float | None]:
+    """`surplus_inverse` with R and the slope of f at the root, as `_hop_root`."""
     if q <= 0:
         raise ValueError("load q must be > 0")
     g0 = rate.r0 / q
     t = float(t)
     if t >= g0:
         if t - g0 <= _CLAMP_REL * max(1.0, abs(g0)):
-            return 0.0
+            return 0.0, rate.r0, None
         raise OutOfRangeError(f"surplus target {t:.9g} exceeds maximum {g0:.9g}")
     r = rate.scalar
     if upper is not None:
@@ -187,7 +221,7 @@ def surplus_inverse(rate: RateFunction, q: float, t: float, *,
         f_lo = rate.r0 - q * t
         if f_lo <= 0.0:
             # t is R(0)/q up to roundoff
-            return 0.0
+            return 0.0, rate.r0, None
 
         def f(x: float) -> float:
             return r(x) - q * (0.5 * x + t)
@@ -196,35 +230,41 @@ def surplus_inverse(rate: RateFunction, q: float, t: float, *,
                                               limit=2.0 * (g0 - t))
         # start from the secant through the walk's last two points
         x = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi < 0.0 else hi
-    return _hop_root(r, rate.r0, q, t, hi, r(hi), x)[0]
+    return _hop_root(r, rate.r0, q, t, hi, r(hi), x)
 
 
 def _hop_root(r, r0: float, q: float, t: float, hi: float, r_hi: float,
-              x: float) -> tuple[float, float]:
-    """Root in [0, hi] of f(x) = R(x) - q (x/2 + t), and R at that root.
+              x: float, slope: float | None = None
+              ) -> tuple[float, float, float | None]:
+    """Root in [0, hi] of f(x) = R(x) - q (x/2 + t), R there, and f' there.
 
     r is R's float path and r_hi = R(hi), so f(hi) costs no evaluation.
     f is q (surplus(x) - t): the same root, and finite even where R(0)/q
-    overflows at tiny loads; it is convex and decreasing.  A safeguarded
-    secant runs from the start point x: a step that leaves the bracket,
-    or is longer than half the step before last, bisects instead, and a
-    step shorter than half the tolerance is lengthened to it, so that the
-    bracket closes.  Once the bracket is narrower than the tolerance,
-    1e-9 m + 5e-10 x, its end where f >= 0 is returned: that end never
-    lies beyond the root, so a relayed tail summed from these lengths
-    cannot creep past R(0)/q.
+    overflows at tiny loads; it is convex and decreasing, with
+    f' = R' - q/2 <= -q/2.  A safeguarded secant runs from the start point
+    x; `slope`, if given, estimates f' near x and makes the first step a
+    Newton step (a warm start), else that step is the secant through hi.
+    A step that leaves the bracket, or is longer than half the step before
+    last, bisects instead, and a step shorter than half the tolerance is
+    lengthened to it, so that the bracket closes.  Once the bracket is
+    narrower than the tolerance, 1e-9 m + 5e-10 x, its end where f >= 0 is
+    returned: that end never lies beyond the root, so a relayed tail
+    summed from these lengths cannot creep past R(0)/q.  The slope
+    returned is the secant through the last two points evaluated, capped
+    at -q/2; it is None when the root is taken at 0 or hi unevaluated.
     """
     lo, r_lo = 0.0, r0
     if r0 - q * t <= 0.0:
         # t is R(0)/q up to roundoff
-        return lo, r_lo
+        return lo, r_lo, None
     f_hi = r_hi - q * (0.5 * hi + t)
     if f_hi >= 0.0:
         # the upper bound is the root up to roundoff
-        return hi, r_hi
+        return hi, r_hi, None
     # the secant's second point, and the last two steps taken
     xp, fp = hi, f_hi
     step = step_old = hi
+    cap = -0.5 * q
     for _ in range(_MAX_HOP_ITERS):
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -236,9 +276,13 @@ def _hop_root(r, r0: float, q: float, t: float, hi: float, r_hi: float,
             hi = x
         tol = _X_TOL + _X_RTOL * x
         if fx == 0.0 or hi - lo < tol:
-            return lo, r_lo
+            slope = (fx - fp) / (x - xp) if x != xp else cap
+            return lo, r_lo, slope if slope < cap else cap
         try:
-            s = fx * (xp - x) / (fx - fp)
+            if slope is None:
+                s = fx * (xp - x) / (fx - fp)
+            else:
+                s, slope = -fx / slope, None
         except ZeroDivisionError:  # flat secant: bisect
             s = math.inf
         xp, fp = x, fx
@@ -298,7 +342,8 @@ def decay_factor(rate: RateFunction, q: float) -> float:
 # coverage maximization at fixed load
 # ---------------------------------------------------------------------------
 
-def solve_subproblem(rate: RateFunction, q: float, n: int) -> SubproblemResult:
+def solve_subproblem(rate: RateFunction, q: float, n: int, *,
+                     warm: SubproblemResult | None = None) -> SubproblemResult:
     """Spacings maximizing covered length with n hops at fixed load q.
 
     Heavy load (surplus_inverse(0) >= R(0)/q): one active hop next to the
@@ -307,24 +352,42 @@ def solve_subproblem(rate: RateFunction, q: float, n: int) -> SubproblemResult:
     yielding spacings non-decreasing away from the sink.  Near the ceiling
     q ~ R(0)/L the relayed tail approaches R(0)/q, and inner hops fall
     below the per-hop root's ~1e-9 m resolution, down to 0.
+
+    `warm` is a recursion already run for n hops.  If it is on the chain
+    branch at a load within 1e-4 of q, relative, each inner hop starts at
+    its spacing there moved along dd_i/d(log q), with that hop's slope for
+    the first step; the farthest hop is always solved afresh.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if q <= 0:
         raise ValueError("load q must be > 0")
     g0 = rate.r0 / q
-    d_far = surplus_inverse(rate, q, 0.0)
-    d = np.zeros(n)
+    d_far, r_hi, s_hi = _surplus_root(rate, q, 0.0)
+    if s_hi is None:
+        s_hi = -0.5 * q
+    dt = 0.5 * d_far * (q / s_hi)
     if d_far >= g0:
         # case i: the single hop already out-reaches anything a chain could add
+        d = np.zeros(n)
         d[0] = d_far
-        return SubproblemResult(distances=d, coverage=d_far, branch=CASE_I)
-    d[n - 1] = d_far
+        return SubproblemResult(distances=d, coverage=d_far, branch=CASE_I,
+                                q=q, dcoverage_dlogq=dt)
     total = d_far
     r, r0 = rate.scalar, rate.r0
-    # each hop's root lies in [0, next spacing out]; spacings shrink about
-    # geometrically toward the sink, so d_{i+1}^2 / d_{i+2} starts it
-    far, hi, r_hi = 0.0, d_far, r(d_far)
+    starts = slopes = None
+    if (warm is not None and warm.branch == CASE_II and warm.distances.size == n
+            and abs(q - warm.q) < _WARM_REL * q):
+        starts = (warm.distances
+                  + warm.ddistances_dlogq * math.log(q / warm.q)).tolist()
+        # f' = R' - q/2 moves by -dq/2 through its q term alone
+        slopes = (warm.hop_slopes - 0.5 * (q - warm.q)).tolist()
+    # hops from the farthest inward; each root lies in [0, next spacing
+    # out], and dt, the tail's derivative in log q, sums the hops' q dd_i/dq
+    d, dd, fs = [0.0] * n, [0.0] * n, [0.0] * n
+    d[-1], dd[-1], fs[-1] = d_far, dt, s_hi
+    hi, far, far2 = d_far, 0.0, 0.0   # d_{i+1}, d_{i+2}, d_{i+3} (0: none yet)
+    slope = None
     for i in range(n - 2, -1, -1):
         t = total
         if t > g0:
@@ -333,12 +396,28 @@ def solve_subproblem(rate: RateFunction, q: float, n: int) -> SubproblemResult:
             else:
                 raise NumericalInfeasibleError(
                     f"relayed-tail total {t:.9g} exceeds surplus maximum {g0:.9g}")
-        x = hi * hi / far if far > 0.0 else 0.5 * hi
-        far = hi
-        hi, r_hi = _hop_root(r, r0, q, t, hi, r_hi, x)
-        d[i] = hi
+        if starts is not None:
+            x, slope = starts[i], slopes[i]
+        elif far > 0.0:
+            # spacings shrink about geometrically toward the sink, at a
+            # ratio that itself drifts: extrapolate both, d_{i+1}^3 d_{i+3}
+            # / d_{i+2}^3 (d_{i+1}^2 / d_{i+2} while d_{i+3} is unknown)
+            x = hi * hi / far
+            if far2 > 0.0:
+                x *= hi * far2 / (far * far)
+        else:
+            x = 0.5 * hi
+        far2, far = far, hi
+        hi, r_hi, s = _hop_root(r, r0, q, t, hi, r_hi, x, slope)
+        if s is not None:
+            s_hi = s
+        ddi = (0.5 * hi + t + dt) * (q / s_hi) if hi > 0.0 else 0.0
+        d[i], dd[i], fs[i] = hi, ddi, s_hi
         total += hi
-    return SubproblemResult(distances=d, coverage=total, branch=CASE_II)
+        dt += ddi
+    return SubproblemResult(distances=np.array(d), coverage=total,
+                            branch=CASE_II, q=q, dcoverage_dlogq=dt,
+                            ddistances_dlogq=np.array(dd), hop_slopes=np.array(fs))
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +429,15 @@ def solve(rate: RateFunction, n: int, length: float,
     """Find the load at which n hops exactly cover [0, length].
 
     Coverage is continuous and strictly decreasing in q, so the supportable
-    load is the unique q with coverage(q) = length; Brent's method finds it
-    on log q inside a closed bracket built from R(length/n).  The default
-    tolerance is relative, 2e-10 of q_sup; a given tol_q is an absolute
-    bound [bit/s per m] on the final bracket width.
+    load is the unique q with coverage(q) = length.  Newton's method on
+    log q, with the derivative each recursion carries, finds it from the
+    load equal spacing supports, inside a closed bracket built from
+    R(length/n).  A step that would leave the bracket bisects it instead,
+    except that a step onto an end already evaluated first probes just
+    inside that end, once.  Near the root a probe just past the predicted
+    root closes the bracket.  The default tolerance is relative, 2e-10 of
+    q_sup; a given tol_q is an absolute bound [bit/s per m] on the final
+    bracket width.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -375,26 +459,59 @@ def solve(rate: RateFunction, n: int, length: float,
     if not math.isfinite(q_up):
         raise ValueError(f"length {length!r} is so short that the load "
                          f"R(length/n) * n / length overflows")
-    # every recursion by its log q: Brent returns a point it evaluated, so
-    # the placement at q_sup is already among them
-    subs: dict[float, SubproblemResult] = {}
-    iterations = 0
-
-    def log_excess(log_q: float) -> float:
-        nonlocal iterations
-        iterations += 1
-        sub = subs[log_q] = solve_subproblem(rate, math.exp(log_q), n)
-        return math.log(sub.coverage / length)
-
-    # called through `scalar`, not this module's name: perfbench's tracer
-    # wraps solver1d.bisect_monotone to time the inner root-finds, and an
-    # outer span there would nest them inside it
-    log_q, width = scalar.bisect_monotone(
-        log_excess, math.log(q_lo), math.log(q_up),
-        xtol=_LOG_Q_TOL if tol_q is None else tol_q / q_up)
-    q_sup = math.exp(log_q)
-
-    sub = subs[log_q]
+    # safeguarded Newton on g(u) = log(coverage(e^u) / length), which falls
+    # in u, inside [lo, hi]; an end is a proven bound until a recursion
+    # there (sub_lo, sub_hi) has shown the sign of g, and the search stops
+    # only on a bracket of two recursions narrower than the tolerance
+    tol = _LOG_Q_TOL if tol_q is None else tol_q / q_up
+    lo, hi = math.log(q_lo), math.log(q_up)
+    sub_lo = sub_hi = sub = None
+    g_lo = g_hi = 0.0
+    probed = False
+    # start at the load equal spacing supports, a lower bound
+    u = math.log(2.0 * q_lo)
+    for iterations in range(1, _MAX_LOAD_ITERS + 1):
+        q = math.exp(u)
+        sub = solve_subproblem(rate, q, n, warm=sub)
+        g = math.log(sub.coverage / length)
+        # a recursion that hits length exactly is a lower end: the probe
+        # below then steps up, so the bracket keeps a width
+        if g >= 0.0:
+            lo, g_lo, sub_lo = u, g, sub
+        else:
+            hi, g_hi, sub_hi = u, g, sub
+        eps = tol + 4.0 * sys.float_info.epsilon * abs(u)
+        if sub_lo is not None and sub_hi is not None and hi - lo < eps:
+            break
+        # g'(u) = q C'(q) / C, carried through the recursion
+        try:
+            s = -g * sub.coverage / sub.dcoverage_dlogq
+        except ZeroDivisionError:
+            s = math.nan
+        if abs(s) < 0.75 * eps:
+            # u is within the tolerance of the predicted root: probe just
+            # past it, so that u and the probe close the bracket
+            s += math.copysign(0.25 * eps, s)
+        u_next = u + s
+        if not lo < u_next < hi:
+            # a step onto or beyond an evaluated end probes just inside it
+            # once, in case the root sits there; after that, bisect
+            if not probed and u_next >= hi and sub_hi is not None:
+                probed, u_next = True, hi - 0.25 * eps
+            elif not probed and u_next <= lo and sub_lo is not None:
+                probed, u_next = True, lo + 0.25 * eps
+            else:
+                u_next = 0.5 * (lo + hi)
+        u = u_next
+    else:
+        raise MaxItersError(
+            f"load root did not converge in {_MAX_LOAD_ITERS} recursions")
+    # q_sup is the end nearer the root, as far as g tells
+    if g_lo <= -g_hi:
+        u, sub = lo, sub_lo
+    else:
+        u, sub = hi, sub_hi
+    q_sup = math.exp(u)
     residual = abs(sub.coverage - length)
     distances = sub.distances * (length / sub.coverage)
     q0 = critical_load(rate)
@@ -410,6 +527,6 @@ def solve(rate: RateFunction, n: int, length: float,
         branch=sub.branch,
         gamma=gamma,
         iterations=iterations,
-        bracket_width=q_sup * math.expm1(width),
+        bracket_width=q_sup * math.expm1(hi - lo),
         coverage_residual=residual,
     )

@@ -295,6 +295,14 @@ def test_compare_rows(capsys):
 # simulate
 # ---------------------------------------------------------------------------
 
+def test_simulate_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, "simulate", "--preset", "blue", "--n", "5",
+                         "--l", "500", "--seed", "-1")
+    assert code == 2
+    assert not out
+    assert "seed" in err
+
+
 def test_simulate_single_run_and_timeseries(capsys, tmp_path):
     ts = tmp_path / "backlog.csv"
     code, out, _ = run(capsys, "simulate", "--preset", "blue", "--n", "1",

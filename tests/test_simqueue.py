@@ -137,6 +137,20 @@ def test_probe_grid_validation(blue_rate):
         sr.stability_probe(p, blue_rate, [-1.0, 1.0])
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True, "3", None, (1, -2), (1, 2.0), (False,)])
+def test_sim_config_rejects_bad_seed(seed):
+    # a ValueError naming the field, not a TypeError from default_rng
+    tm = sr.TrafficModel(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)
+    with pytest.raises(ValueError, match="seed"):
+        sr.SimConfig(placement=single_hop(), traffic=tm, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(3), (2, 0), (np.uint32(5), 1)])
+def test_sim_config_accepts_integer_seeds(seed):
+    tm = sr.TrafficModel(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)
+    assert sr.SimConfig(placement=single_hop(), traffic=tm, seed=seed).seed == seed
+
+
 def test_sim_config_validation(blue_rate):
     p = single_hop()
     tm = sr.TrafficModel(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)

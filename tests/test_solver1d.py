@@ -364,6 +364,141 @@ def test_solve_runs_one_recursion_per_iteration(blue_rate, monkeypatch, n):
     assert calls == res.iterations
 
 
+# q_sup and branch frozen from Brent's method on log q at the same default
+# tolerance, by (model, N) over GRID_LS; None: R(L/n) underflows to 0 and
+# solve raises
+I, II = CASE_I, CASE_II
+GRID_LS = (5.0, 50.0, 500.0, 5000.0)
+FROZEN_QSUP = {
+    ("blue", 1): [(1.5193101739e+09, I), (5.0028764220e+07, II), (2.8645772524e+01, II), (2.3557110615e-41, II)],
+    ("blue", 3): [(1.5193101739e+09, I), (8.2368151460e+07, II), (2.1384993619e+05, II), (2.2797698086e-11, II)],
+    ("blue", 30): [(1.5193101739e+09, I), (1.1208329358e+08, II), (7.9421736288e+06, II), (2.2513400543e+04, II)],
+    ("blue", 300): [(1.5193101739e+09, I), (1.1279580133e+08, II), (1.1203264845e+07, II), (7.9417236266e+05, II)],
+    ("fec", 1): [(1.0053749080e+06, II), (5.6575077400e+02, II), (7.2350197195e-05, II), (5.9497414191e-47, II)],
+    ("fec", 3): [(5.3759547134e+06, II), (9.8704977338e+03, II), (5.7352045738e-01, II), (5.7579391115e-17, II)],
+    ("fec", 30): [(1.9497501708e+07, II), (5.4166881267e+05, II), (1.0211406230e+03, II), (6.0650847995e-02, II)],
+    ("fec", 300): [(2.0000000000e+07, II), (1.9494536553e+06, II), (5.4254540828e+04, II), (1.0245247891e+02, II)],
+    ("green", 1): [(1.4693386983e+09, I), (1.3039775980e+07, II), (3.9783373110e-10, II), (6.2878407257e-150, II)],
+    ("green", 3): [(1.4693386983e+09, I), (7.1778064200e+07, II), (5.6781244967e+01, II), (1.4823993173e-47, II)],
+    ("green", 30): [(1.4693386983e+09, I), (1.1190084285e+08, II), (7.0553177758e+06, II), (6.1304639047e+00, II)],
+    ("green", 300): [(1.4693386983e+09, I), (1.1279580133e+08, II), (1.1187493756e+07, II), (7.0573736620e+05, II)],
+    ("red", 1): [(1.2396167912e+09, I), (1.8626202257e+02, II), (4.5272676361e-60, II), None],
+    ("red", 3): [(1.2396167912e+09, I), (2.0638988285e+07, II), (1.3088573641e-15, II), (4.9301596458e-214, II)],
+    ("red", 30): [(1.2396167912e+09, I), (1.1099040266e+08, II), (2.1212562970e+06, II), (1.4353952483e-16, II)],
+    ("red", 300): [(1.2396167912e+09, I), (1.1279580133e+08, II), (1.1097679359e+07, II), (2.1275752774e+05, II)],
+}
+
+
+def test_solve_matches_frozen_qsup():
+    for (name, n), frozen in FROZEN_QSUP.items():
+        rate = ROUNDTRIP_RATES[name]
+        for length, expect in zip(GRID_LS, frozen):
+            if expect is None:
+                with pytest.raises(ValueError, match=r"R\(length/n\)"):
+                    sr.solve(rate, n, length)
+                continue
+            res = sr.solve(rate, n, length)
+            q_sup, branch = expect
+            assert rel(res.q_sup, q_sup) < 1e-7, (name, n, length, res.q_sup)
+            assert res.branch == branch, (name, n, length)
+
+
+def test_solve_recursion_budget():
+    # machine-independent: recursions per solve of the safeguarded Newton
+    # (Brent spent 7.1 on average here, and up to 10)
+    iters = []
+    for rate in ROUNDTRIP_RATES.values():
+        for n in (1, 2, 3, 10, 30, 100, 300, 1000, 2000):
+            for length in (5.0, 20.0, 50.0, 200.0, 500.0, 2000.0, 5000.0):
+                if rate.scalar(length / n) > 0.0:
+                    iters.append(sr.solve(rate, n, length).iterations)
+    assert len(iters) == 250
+    assert sum(iters) / len(iters) <= 5.0
+    assert max(iters) <= 7
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+@pytest.mark.parametrize("n", [1, 10, 300])
+def test_carried_derivative_matches_central_difference(name, n):
+    # the recursion's q dC/dq against a central difference in q
+    rate = ROUNDTRIP_RATES[name]
+    q_sup = sr.solve(rate, n, 500.0).q_sup
+    for qf in (0.2, 0.9, 0.99):
+        q = qf * q_sup
+        sub = sr.solve_subproblem(rate, q, n)
+        h = 1e-4 * q
+        central = (sr.solve_subproblem(rate, q + h, n).coverage
+                   - sr.solve_subproblem(rate, q - h, n).coverage) / (2.0 * h)
+        assert central < 0.0
+        assert rel(sub.dcoverage_dlogq, q * central) < 1e-4, (qf, sub.dcoverage_dlogq, central)
+
+
+def test_carried_derivative_finite_at_subnormal_load(red_rate):
+    # q_sup ~ 1.6e-310: dC/dq itself overflows, q dC/dq does not.  The hop
+    # roots' noise in coverage is ~1e-10 while a 2e-10 change in log q moves
+    # it by 3e-13, so closing the bracket takes probes; bisection on a NaN
+    # derivative took 35 recursions
+    length = 7210.770016607243
+    res = sr.solve(red_rate, 3, length)
+    assert res.q_sup < 1e-300
+    sub = sr.solve_subproblem(red_rate, res.q_sup, 3)
+    assert math.isfinite(sub.dcoverage_dlogq) and sub.dcoverage_dlogq < 0.0
+    assert res.iterations <= 20
+    back = sr.qsup_of_placement(res.placement, red_rate).q_sup
+    assert rel(back, res.q_sup) < 1e-6
+
+
+BRACKET_CASES = ([(name, n, 500.0) for name in sorted(ROUNDTRIP_RATES) for n in (1, 1000)]
+                 + [("blue", 2000, 200.0), ("fec", 2000, 5.0)])
+
+
+@pytest.mark.parametrize("name,n,length", BRACKET_CASES)
+def test_solve_bracket_is_two_recursions_straddling_length(monkeypatch, name, n, length):
+    # both ends of the final bracket are recursions the root-find ran, on
+    # either side of length, no wider than the default tolerance
+    rate = ROUNDTRIP_RATES[name]
+    inner = solver1d.solve_subproblem
+    seen = {}
+
+    def recording(rate, q, n, **kwargs):
+        sub = seen[q] = inner(rate, q, n, **kwargs)
+        return sub
+
+    monkeypatch.setattr(solver1d, "solve_subproblem", recording)
+    res = sr.solve(rate, n, length)
+    width = math.log1p(res.bracket_width / res.q_sup)
+    assert 0.0 < width <= 2e-10 + 1e-15
+    at_sup = seen[res.q_sup].coverage
+    others = [q for q in seen
+              if q != res.q_sup and abs(abs(math.log(q / res.q_sup)) - width) <= 1e-13]
+    assert len(others) == 1, (seen.keys(), width)
+    q_other = others[0]
+    lo, hi = sorted((res.q_sup, q_other))
+    c_lo = at_sup if lo == res.q_sup else seen[q_other].coverage
+    c_hi = at_sup if hi == res.q_sup else seen[q_other].coverage
+    assert c_lo >= length >= c_hi, (lo, c_lo, hi, c_hi)
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+@pytest.mark.parametrize("rel_dq", [-1e-7, 1e-5, 9e-5])
+def test_warm_recursion_hops_match_surplus_inverse(name, rel_dq):
+    # hops warm-started from a recursion at a nearby load agree with the
+    # public inverse of their own tail, as cold ones do
+    rate = ROUNDTRIP_RATES[name]
+    q = 0.5 * sr.critical_load(rate)
+    n = 60
+    warm = sr.solve_subproblem(rate, q * (1.0 + rel_dq), n)
+    sub = sr.solve_subproblem(rate, q, n, warm=warm)
+    assert sub.branch == CASE_II
+    d = sub.distances
+    assert (np.diff(d) >= 0.0).all()
+    for i in range(n):
+        x = sr.surplus_inverse(rate, q, float(d[i + 1:].sum()))
+        assert abs(d[i] - x) <= 2.0 * hop_tol(x), (i, d[i], x)
+    cold = sr.solve_subproblem(rate, q, n)
+    assert rel(sub.dcoverage_dlogq, cold.dcoverage_dlogq) < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # the per-hop root of the recursion
 # ---------------------------------------------------------------------------
@@ -402,7 +537,7 @@ def test_hop_root_independent_of_start(name, qf, tf, hf, start):
     t = tf * rate.r0 / q
     root = sr.surplus_inverse(rate, q, t)
     hi = hf * root
-    x, r_x = _hop_root(rate.scalar, rate.r0, q, t, hi, rate.scalar(hi), start * hi)
+    x, r_x, _ = _hop_root(rate.scalar, rate.r0, q, t, hi, rate.scalar(hi), start * hi)
     assert abs(x - root) <= 2.0 * hop_tol(root)
     assert r_x == rate.scalar(x)
     # the returned end never lies beyond the root
