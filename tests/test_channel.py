@@ -178,12 +178,34 @@ def test_derivative_matches_closed_form():
         assert rel(rate.derivative(d), expected) < 1e-5, d
 
 
-def test_scalar_and_array_paths_agree():
-    rate = sr.shannon_rate_function(sr.preset("green"))
-    d = np.array([0.0, 0.7, 13.0, 210.0])
+FEC_KW = dict(modulation_bits_per_symbol=2, code_rate=0.5, snr_threshold=5.0,
+              scaled_gain=1e9, attenuation_per_m=0.02)
+RATE_MODELS = {
+    # id -> (params, public rate function, RateFunction builder)
+    "shannon-green": (sr.preset("green"), sr.shannon_rate, sr.shannon_rate_function),
+    "shannon-general": (sr.preset("blue", attenuation_exponent=0.8, geometric_exponent=1.5),
+                        sr.shannon_rate, sr.shannon_rate_function),
+    "fec-alpha2": (sr.FecRateParams(**FEC_KW), sr.fec_rate, sr.fec_rate_function),
+    "fec-alpha1.5": (sr.FecRateParams(**FEC_KW, geometric_exponent=1.5),
+                     sr.fec_rate, sr.fec_rate_function),
+}
+
+
+@pytest.mark.parametrize("model", sorted(RATE_MODELS))
+def test_scalar_and_array_paths_agree(model):
+    params, public, build = RATE_MODELS[model]
+    rate = build(params)
+    d = np.array([0.0, 0.7, 13.0, 210.0, 999.5, 2000.0])
     arr = rate(d)
-    for i, di in enumerate(d):
-        assert rel(arr[i], rate.scalar(float(di))) < 1e-12
+    scalars = np.array([rate.scalar(float(di)) for di in d])
+    np.testing.assert_array_max_ulp(arr, scalars, maxulp=4)
+    # the public functions are views of the same expression, bit for bit
+    assert np.array_equal(public(params, d), arr)
+    for di, want in zip(d, scalars):
+        assert public(params, float(di)) == want
+        if public is sr.shannon_rate:
+            snr = sr.snr(params.channel, float(di))
+            assert params.bandwidth_Hz * math.log1p(snr) == want
 
 
 def test_rate_function_scaled():
@@ -193,6 +215,9 @@ def test_rate_function_scaled():
     assert rel(half.r0, 0.5 * rate.r0) < 1e-12
     with pytest.raises(ValueError):
         rate.scaled(0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="factor"):
+            rate.scaled(bad)
 
 
 def test_rate_function_rejects_bad_origin():

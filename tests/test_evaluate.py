@@ -304,7 +304,7 @@ def test_trial_noise_matches_default_rng(seed, k):
             f"draws of trials {start}..{stop - 1}, seed {seed}, differ from NumPy's"
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
 def test_perturb_rejects_bad_seed(blue_rate, blue_10_500, seed):
     with pytest.raises(ValueError, match="seed"):
         sr.perturb_eval(blue_10_500.placement, blue_rate, sigma=1.0,

@@ -1,5 +1,7 @@
 """Rectangular grid design: strip accounting, grid evaluation, two-stage solve."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,11 @@ def test_solve_2d_validation(blue_rate):
         sr.solve_2d(blue_rate, 3, -1.0, 100.0)
     with pytest.raises(ValueError):
         sr.solve_2d(blue_rate, 3, 100.0, 100.0, n_l_max=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="length"):
+            sr.solve_2d(blue_rate, 3, bad, 100.0)
+        with pytest.raises(ValueError, match="height"):
+            sr.solve_2d(blue_rate, 3, 100.0, bad)
 
 
 def test_grid2d_validation():
@@ -95,6 +102,19 @@ def test_grid2d_validation():
     with pytest.raises(ValueError):
         sr.Grid2D(l_spacings=np.array([1.0, -1.0]), h_spacings=np.array([2.0]),
                   length=0.0, height=2.0)
+    nan, inf = math.nan, math.inf
+    bad_axes = [
+        dict(l_spacings=[nan, 1.0], h_spacings=[2.0], length=3.0, height=2.0),
+        dict(l_spacings=[1.0, 2.0], h_spacings=[inf], length=3.0, height=inf),
+        dict(l_spacings=[1.0, 2.0], h_spacings=[2.0], length=nan, height=2.0),
+        dict(l_spacings=[1.0, 2.0], h_spacings=[2.0], length=inf, height=2.0),
+        dict(l_spacings=[1.0, 2.0], h_spacings=[nan], length=3.0, height=nan),
+        dict(l_spacings=[[1.0, 2.0]], h_spacings=[2.0], length=3.0, height=2.0),
+    ]
+    for kw, axis in zip(bad_axes, ["l_spacings", "h_spacings", "l_spacings",
+                                   "l_spacings", "h_spacings", "l_spacings"]):
+        with pytest.raises(ValueError, match=axis):
+            sr.Grid2D(**kw)
     g = sr.Grid2D(l_spacings=np.array([1.0, 2.0]), h_spacings=np.array([2.0]),
                   length=3.0, height=2.0)
     assert g.length == 3.0
