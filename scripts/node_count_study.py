@@ -31,8 +31,8 @@ def main():
                     "q_sup_constant", "ratio", "branch"])
         for name in sr.preset_names():
             rate = sr.shannon_rate_function(sr.preset(name))
-            for n in range(1, args.n_max + 1):
-                res = sr.solve(rate, n, args.l)
+            results = sr.solve_n_range(rate, args.l, 1, args.n_max)
+            for n, res in enumerate(results, start=1):
                 qc = sr.qsup_of_placement(
                     sr.constant_placement(n, args.l), rate).q_sup
                 w.writerow([name, n, args.l,

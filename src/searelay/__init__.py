@@ -26,8 +26,8 @@ from .simqueue import (InconclusiveProbeError, ProbePoint, ProbeResult,
 from .solver1d import (NumericalInfeasibleError, OutOfRangeError, Placement,
                        SolveResult, SubproblemResult, WrongBranchError,
                        critical_length, critical_load, decay_factor, solve,
-                       solve_subproblem, surplus, surplus_inverse,
-                       surplus_slope)
+                       solve_n_range, solve_subproblem, surplus,
+                       surplus_inverse, surplus_slope)
 from .solver2d import (Grid2D, Grid2DResult, NoFeasibleGridError, grid_qsup,
                        solve_2d, strip_heights)
 
@@ -42,7 +42,7 @@ __all__ = [
     "Placement", "SubproblemResult", "SolveResult", "OutOfRangeError",
     "WrongBranchError", "NumericalInfeasibleError", "surplus",
     "surplus_inverse", "surplus_slope", "critical_load", "critical_length",
-    "decay_factor", "solve_subproblem", "solve",
+    "decay_factor", "solve_subproblem", "solve", "solve_n_range",
     "TrafficModel", "PlacementLimit", "PerturbStats", "hop_limits",
     "qsup_of_placement",
     "constant_placement", "tradeoff", "vertical_qsup", "perturb_eval",

@@ -138,13 +138,14 @@ class FecRateParams:
 # ---------------------------------------------------------------------------
 
 def _checked_distance(d):
-    """Accept a scalar or array distance, reject negatives."""
+    """Accept a scalar or array distance, reject negatives and NaN."""
     if isinstance(d, np.ndarray):
-        if d.size and float(d.min()) < 0.0:
+        # the minimum of an array holding NaN is NaN, which fails >= 0
+        if d.size and not float(d.min()) >= 0.0:
             raise ValueError("distance must be >= 0")
         return d.astype(float, copy=False), False
     dd = float(d)
-    if dd < 0.0:
+    if not dd >= 0.0:
         raise ValueError("distance must be >= 0")
     return dd, True
 
@@ -256,7 +257,7 @@ class RateFunction:
         difference below d = h, where a central stencil would leave the domain.
         """
         dd = float(d)
-        if dd < 0.0:
+        if not dd >= 0.0:
             raise ValueError("distance must be >= 0")
         h = max(1e-6, 1e-6 * dd)
         f = self.scalar

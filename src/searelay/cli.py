@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -26,7 +27,7 @@ from . import evaluate as ev
 from . import simqueue as sq
 from .scalar import MaxItersError, NoBracketError
 from .solver1d import (NumericalInfeasibleError, OutOfRangeError, Placement,
-                       WrongBranchError, solve)
+                       WrongBranchError, solve, solve_n_range)
 from .solver2d import NoFeasibleGridError, grid_qsup, solve_2d
 
 __all__ = ["main", "ConfigError", "PRESET_DIR_ENV"]
@@ -219,8 +220,8 @@ def _cmd_sweep_n(args, rate, meta) -> int:
         raise ConfigError("need 1 <= n-min <= n-max")
     header = ["n", "l", "q_sup", "delta", "q_sup_constant", "delta_constant"]
     rows, objs = [], []
-    for n in range(args.n_min, args.n_max + 1):
-        res = solve(rate, n, args.l, tol_q=args.tol_q)
+    results = solve_n_range(rate, args.l, args.n_min, args.n_max, tol_q=args.tol_q)
+    for n, res in enumerate(results, start=args.n_min):
         qc = ev.qsup_of_placement(ev.constant_placement(n, args.l), rate).q_sup
         rows.append([n, _f(args.l), _f(res.q_sup), _f(res.q_sup / n),
                      _f(qc), _f(qc / n)])
@@ -482,8 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         rate, meta = _build_rate(args)
         return args.func(args, rate, meta)

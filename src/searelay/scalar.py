@@ -3,8 +3,9 @@
 The critical load reduces to "find the sign change of a monotone f" with
 no good start point.  Two pieces serve it: `bracket_monotone`, a doubling
 walk that finds a bracket when no closed one is known (it also brackets a
-surplus inverse that has no bound, such as a recursion's farthest hop),
-and `bisect_monotone`, Brent's method
+surplus inverse that has no bound: `L0`, and a recursion's farthest hop
+when no recursion at a load within 1e-3 gives it a start), and
+`bisect_monotone`, Brent's method
 (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4):
 inverse quadratic interpolation and secant steps, safeguarded by bisection,
 so it converges superlinearly on the smooth rate models yet never needs

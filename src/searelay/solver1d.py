@@ -28,17 +28,20 @@ ended on, so no analytic R' and no extra R evaluation is needed.
 load equal spacing supports and stays inside a proven bracket, and it
 ends on two recursions that straddle the segment length within the
 tolerance.  A recursion within 1e-4 of the load before it warm-starts each
-inner hop from that recursion's, moved along dd_i/d(log q).  Brent's method
-(`scalar.bisect_monotone`) serves only `critical_load`, which has no
-start point.
+inner hop from that recursion's, moved along dd_i/d(log q), and within
+1e-3 its farthest hop too; further out the farthest hop is bracketed by a
+doubling walk from 1 m.  `solve_n_range` runs the same loop for a range
+of hop counts, each from the recursion of the count before extended by
+one hop at the sink.  Brent's method (`scalar.bisect_monotone`) serves
+only `critical_load`, which has no start point.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -60,6 +63,7 @@ __all__ = [
     "critical_length",
     "solve_subproblem",
     "solve",
+    "solve_n_range",
     "decay_factor",
     "surplus_slope",
 ]
@@ -78,6 +82,9 @@ _MAX_LOAD_ITERS = 100  # load-root cap; bisection takes the bracket to 2e-10 in 
 # distance: beyond it the linear start misses by more than (1e-4)^2 of a
 # spacing, and the cubic cold start costs fewer R evaluations
 _WARM_REL = 1e-4
+# the farthest hop's cold start is a doubling walk from 1 m, 12-22 R
+# evaluations, so it warm-starts from ten times farther out
+_FAR_REL = 1e-3
 
 
 class OutOfRangeError(ValueError):
@@ -334,8 +341,12 @@ def decay_factor(rate: RateFunction, q: float) -> float:
         raise ValueError("load q must be > 0")
     if q >= critical_load(rate):
         raise WrongBranchError("decay factor is defined only below the critical load")
-    slope0 = surplus_slope(rate, q, 0.0)
-    return 1.0 + 1.0 / slope0
+    return _gamma(rate, q)
+
+
+def _gamma(rate: RateFunction, q: float) -> float:
+    """1 + 1/surplus_slope(0): `decay_factor` without its branch check."""
+    return 1.0 + 1.0 / surplus_slope(rate, q, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +367,15 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     `warm` is a recursion already run for n hops.  If it is on the chain
     branch at a load within 1e-4 of q, relative, each inner hop starts at
     its spacing there moved along dd_i/d(log q), with that hop's slope for
-    the first step; the farthest hop is always solved afresh.
+    the first step.  Within 1e-3, on either branch, the farthest hop starts
+    from warm's in the same way (see `_far_root`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if q <= 0:
         raise ValueError("load q must be > 0")
     g0 = rate.r0 / q
-    d_far, r_hi, s_hi = _surplus_root(rate, q, 0.0)
+    d_far, r_hi, s_hi = _far_root(rate, q, warm)
     if s_hi is None:
         s_hi = -0.5 * q
     dt = 0.5 * d_far * (q / s_hi)
@@ -373,8 +385,6 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
         d[0] = d_far
         return SubproblemResult(distances=d, coverage=d_far, branch=CASE_I,
                                 q=q, dcoverage_dlogq=dt)
-    total = d_far
-    r, r0 = rate.scalar, rate.r0
     starts = slopes = None
     if (warm is not None and warm.branch == CASE_II and warm.distances.size == n
             and abs(q - warm.q) < _WARM_REL * q):
@@ -382,13 +392,87 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
                   + warm.ddistances_dlogq * math.log(q / warm.q)).tolist()
         # f' = R' - q/2 moves by -dq/2 through its q term alone
         slopes = (warm.hop_slopes - 0.5 * (q - warm.q)).tolist()
-    # hops from the farthest inward; each root lies in [0, next spacing
-    # out], and dt, the tail's derivative in log q, sums the hops' q dd_i/dq
     d, dd, fs = [0.0] * n, [0.0] * n, [0.0] * n
     d[-1], dd[-1], fs[-1] = d_far, dt, s_hi
-    hi, far, far2 = d_far, 0.0, 0.0   # d_{i+1}, d_{i+2}, d_{i+3} (0: none yet)
+    return _inward(rate, q, d, dd, fs, n - 1, r_hi, d_far, dt, starts, slopes)
+
+
+def _far_root(rate: RateFunction, q: float, warm: SubproblemResult | None
+              ) -> tuple[float, float, float | None]:
+    """The farthest hop at load q, as `_surplus_root(rate, q, 0)`.
+
+    From a recursion `warm` at a load within 1e-3 of q, relative, the hop
+    starts at warm's farthest hop moved along its dd/d(log q), with warm's
+    slope for a Newton first step.  The bracket's far end is one predicted
+    move beyond that start, plus one hop tolerance: warm's hop lies within
+    a tolerance below its root, so above warm's load that end lies beyond
+    the root, and below it too while the prediction errs by less than its
+    move.  Otherwise, and without warm, the hop is solved cold, from the
+    doubling walk.
+    """
+    if warm is None or not abs(q - warm.q) < _FAR_REL * q:
+        return _surplus_root(rate, q, 0.0)
+    if warm.branch == CASE_II:
+        d = float(warm.distances[-1])
+        dd = float(warm.ddistances_dlogq[-1])
+        slope = float(warm.hop_slopes[-1])
+    else:
+        # the single hop: its q dd/dq is the coverage's, 0.5 d q / f'
+        d, dd = warm.coverage, warm.dcoverage_dlogq
+        slope = 0.5 * d * warm.q / dd if dd else -0.5 * warm.q
+    x = d + dd * math.log(q / warm.q)
+    hi = max(x, d) + abs(x - d) + _X_TOL + _X_RTOL * d
+    r = rate.scalar
+    r_hi = r(hi)
+    if r_hi - 0.5 * q * hi >= 0.0:
+        return _surplus_root(rate, q, 0.0)
+    # f' = R' - q/2 moves by -dq/2 through its q term alone
+    return _hop_root(r, rate.r0, q, 0.0, hi, r_hi, x, slope - 0.5 * (q - warm.q))
+
+
+def _extend(rate: RateFunction, sub: SubproblemResult) -> SubproblemResult:
+    """The recursion for one more hop at sub's load: sub plus a hop at the sink.
+
+    At a fixed load the recursion runs from the farthest hop inward, so its
+    hops beyond the sink's are those of the recursion with one hop fewer.
+    On the chain branch this costs one hop root (and R at sub's innermost
+    hop); on the single-hop branch nothing.
+    """
+    n = sub.distances.size + 1
+    if sub.branch == CASE_I:
+        d = np.zeros(n)
+        d[0] = sub.coverage
+        return replace(sub, distances=d)
+    d = [0.0] + sub.distances.tolist()
+    dd = [0.0] + sub.ddistances_dlogq.tolist()
+    fs = [0.0] + sub.hop_slopes.tolist()
+    return _inward(rate, sub.q, d, dd, fs, 1, rate.scalar(d[1]),
+                   sub.coverage, sub.dcoverage_dlogq)
+
+
+def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
+            r_hi: float, total: float, dt: float,
+            starts: list | None = None, slopes: list | None = None
+            ) -> SubproblemResult:
+    """Finish a chain-branch recursion at load q: solve hops k-1, ..., 0.
+
+    d, dd and fs hold the spacings, their q dd_i/dq and their slopes f',
+    filled from hop k outward; r_hi is R(d[k]), and total and dt are the
+    coverage of hops k.. and its derivative in log q.  `starts` and
+    `slopes`, if given, are the warm start of each hop.
+    """
+    g0 = rate.r0 / q
+    r, r0 = rate.scalar, rate.r0
+    n = len(d)
+    # d_{i+1}, d_{i+2}, d_{i+3} of the next hop in (0: none yet)
+    hi = d[k]
+    far = d[k + 1] if k + 1 < n else 0.0
+    far2 = d[k + 2] if k + 2 < n else 0.0
+    s_hi = fs[k]
     slope = None
-    for i in range(n - 2, -1, -1):
+    # hops from the farthest inward; each root lies in [0, next spacing
+    # out], and dt, the tail's derivative in log q, sums the hops' q dd_i/dq
+    for i in range(k - 1, -1, -1):
         t = total
         if t > g0:
             if t - g0 <= _CLAMP_REL * max(1.0, g0):
@@ -439,6 +523,42 @@ def solve(rate: RateFunction, n: int, length: float,
     q_sup; a given tol_q is an absolute bound [bit/s per m] on the final
     bracket width.
     """
+    length = _checked_args(n, length, tol_q)
+    return _solve(rate, n, length, tol_q)[0]
+
+
+def solve_n_range(rate: RateFunction, length: float, n_min: int, n_max: int,
+                  tol_q: float | None = None) -> Iterator[SolveResult]:
+    """`solve` for n = n_min, ..., n_max hops over [0, length], in order.
+
+    The arguments are checked here; the solves run as the iterator is
+    read, so a caller may stop early.  Each n after the first starts its
+    load search from the previous n's recursion at its q_sup, extended by
+    one hop at the sink: at a fixed load the n-hop recursion is the
+    (n-1)-hop one plus that hop, which only adds coverage, so this start
+    lies below the new q_sup, or above it by at most the tolerance, and it
+    costs one hop root.  q0 and L0 are found once.  Each result meets
+    `solve`'s tolerance, so it agrees with `solve(rate, n, length, tol_q)`
+    within that tolerance, not bit for bit.
+    """
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min!r}, {n_max!r}")
+    length = _checked_args(n_min, length, tol_q)
+    return _sweep(rate, length, n_min, n_max, tol_q)
+
+
+def _sweep(rate: RateFunction, length: float, n_min: int, n_max: int,
+           tol_q: float | None) -> Iterator[SolveResult]:
+    res, sub = _solve(rate, n_min, length, tol_q)
+    yield res
+    for n in range(n_min + 1, n_max + 1):
+        res, sub = _solve(rate, n, length, tol_q, _extend(rate, sub),
+                          (res.q0, res.L0))
+        yield res
+
+
+def _checked_args(n: int, length: float, tol_q: float | None) -> float:
+    """`length` as a float, once n, length and tol_q are checked."""
     if n < 1:
         raise ValueError("n must be >= 1")
     length = float(length)
@@ -446,6 +566,19 @@ def solve(rate: RateFunction, n: int, length: float,
         raise ValueError(f"length must be finite and > 0, got {length!r}")
     if tol_q is not None and not (math.isfinite(tol_q) and tol_q > 0):
         raise ValueError(f"tol_q must be finite and > 0, got {tol_q!r}")
+    return length
+
+
+def _solve(rate: RateFunction, n: int, length: float, tol_q: float | None,
+           first: SubproblemResult | None = None,
+           thresholds: tuple[float, float] | None = None
+           ) -> tuple[SolveResult, SubproblemResult]:
+    """`solve` on checked arguments, and the recursion at q_sup.
+
+    `first`, if given, is a recursion for n hops that the search starts
+    from instead of the equal-spacing load; `thresholds` is (q0, L0) if
+    already known.
+    """
     r_eq = rate.scalar(length / n)
     # equal spacing supports 2 q_lo, and a hop of length >= length/n caps q
     # at q_up / 2; the factor-2 pads absorb roundoff at n = 1, where the
@@ -465,14 +598,15 @@ def solve(rate: RateFunction, n: int, length: float,
     # only on a bracket of two recursions narrower than the tolerance
     tol = _LOG_Q_TOL if tol_q is None else tol_q / q_up
     lo, hi = math.log(q_lo), math.log(q_up)
-    sub_lo = sub_hi = sub = None
+    sub_lo = sub_hi = None
     g_lo = g_hi = 0.0
     probed = False
-    # start at the load equal spacing supports, a lower bound
-    u = math.log(2.0 * q_lo)
+    # start at the load equal spacing supports, a lower bound, or at `first`
+    sub = first
+    u = math.log(2.0 * q_lo if first is None else first.q)
     for iterations in range(1, _MAX_LOAD_ITERS + 1):
-        q = math.exp(u)
-        sub = solve_subproblem(rate, q, n, warm=sub)
+        if sub is None or iterations > 1:
+            sub = solve_subproblem(rate, math.exp(u), n, warm=sub)
         g = math.log(sub.coverage / length)
         # a recursion that hits length exactly is a lower end: the probe
         # below then steps up, so the bracket keeps a width
@@ -507,26 +641,21 @@ def solve(rate: RateFunction, n: int, length: float,
         raise MaxItersError(
             f"load root did not converge in {_MAX_LOAD_ITERS} recursions")
     # q_sup is the end nearer the root, as far as g tells
-    if g_lo <= -g_hi:
-        u, sub = lo, sub_lo
-    else:
-        u, sub = hi, sub_hi
-    q_sup = math.exp(u)
-    residual = abs(sub.coverage - length)
+    sub = sub_lo if g_lo <= -g_hi else sub_hi
+    q_sup = sub.q
     distances = sub.distances * (length / sub.coverage)
-    q0 = critical_load(rate)
-    l0 = surplus_inverse(rate, q0, 0.0)
-    gamma = None
-    if sub.branch == CASE_II:
-        gamma = 1.0 + 1.0 / surplus_slope(rate, q_sup, 0.0)
-    return SolveResult(
+    if thresholds is None:
+        q0 = critical_load(rate)
+        thresholds = (q0, surplus_inverse(rate, q0, 0.0))
+    res = SolveResult(
         q_sup=q_sup,
         placement=Placement(distances=distances, length=length),
-        q0=q0,
-        L0=l0,
+        q0=thresholds[0],
+        L0=thresholds[1],
         branch=sub.branch,
-        gamma=gamma,
+        gamma=_gamma(rate, q_sup) if sub.branch == CASE_II else None,
         iterations=iterations,
         bracket_width=q_sup * math.expm1(hi - lo),
-        coverage_residual=residual,
+        coverage_residual=abs(sub.coverage - length),
     )
+    return res, sub

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import RateFunction
 from .evaluate import hop_limits
-from .solver1d import Placement, solve
+from .solver1d import Placement, solve, solve_n_range
 
 __all__ = [
     "Grid2D",
@@ -114,8 +114,8 @@ def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,
     c_max = float(strip_heights(h_spacings).max())
 
     x_rate = rate.scaled(1.0 / c_max)
-    for n_l in range(1, n_l_max + 1):
-        sol_x = solve(x_rate, n_l, length, tol_q=tol_q)
+    sols = solve_n_range(x_rate, length, 1, n_l_max, tol_q=tol_q)
+    for n_l, sol_x in enumerate(sols, start=1):
         if q_y < sol_x.q_sup:
             grid = Grid2D(l_spacings=sol_x.placement.distances,
                           h_spacings=h_spacings, length=length, height=height)

@@ -81,6 +81,27 @@ def test_negative_distance_rejected():
         rate.derivative(-1.0)
 
 
+NAN_DISTANCE_CALLS = {
+    "snr": lambda d: sr.snr(ChannelParams(), d),
+    "shannon_rate": lambda d: sr.shannon_rate(sr.preset("blue"), d),
+    "fec_rate": lambda d: sr.fec_rate(sr.FecRateParams(
+        modulation_bits_per_symbol=2, code_rate=0.5, snr_threshold=10.0,
+        scaled_gain=1e9, attenuation_per_m=2e-2, epsilon_m=1.0,
+        geometric_exponent=2.0), d),
+    "rate_function": sr.shannon_rate_function(sr.preset("green")),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NAN_DISTANCE_CALLS))
+@pytest.mark.parametrize("d", [math.nan, np.array([1.0, math.nan]),
+                               np.array([math.nan])],
+                         ids=["scalar", "array", "all-nan"])
+def test_nan_distance_rejected(call, d):
+    # NaN fails d >= 0 as a negative distance does, with the same error
+    with pytest.raises(ValueError, match="distance must be >= 0"):
+        NAN_DISTANCE_CALLS[call](d)
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         ChannelParams(misalignment_deg=90.0)   # cos(90) = 0 kills every link

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import searelay as sr
+import searelay.cli as cli
 from searelay.cli import PRESET_DIR_ENV, main
 
 BASE_CONFIG = {
@@ -398,3 +403,54 @@ def test_output_file_and_json_list(capsys, tmp_path):
     assert [o["n"] for o in objs] == [1, 2, 3]
     assert all(o["delta"] == pytest.approx(o["q_sup"] / o["n"], rel=1e-6)
                for o in objs)
+
+
+# ---------------------------------------------------------------------------
+# the parser, built once per process
+# ---------------------------------------------------------------------------
+
+PARSER_RUNS = [
+    ("sweep-n", "--preset", "blue", "--n-max", "4", "--l", "300"),
+    ("solve", "--preset", "green", "--n", "3", "--l", "120", "--format", "json"),
+    ("sweep-n", "--preset", "red", "--n-min", "2", "--n-max", "3", "--l", "80",
+     "--format", "json"),
+    ("solve", "--preset", "ultraviolet", "--n", "3", "--l", "100"),   # exit 2
+    ("solve2d", "--preset", "blue", "--n-h", "2", "--l", "150", "--h", "100"),
+    ("sweep-n", "--preset", "blue", "--n-min", "3", "--n-max", "2", "--l", "50"),
+    ("solve", "--preset", "blue", "--n", "2", "--l", "200"),
+    ("sweep-l", "--preset", "green", "--n", "2", "--l-values", "50,100",
+     "--format", "json"),
+    ("solve", "--preset", "blue", "--n", "2", "--l", "200"),
+]
+
+
+def run_all(capsys, runs):
+    return [run(capsys, *argv) for argv in runs]
+
+
+def test_repeated_main_matches_fresh_parser(capsys, monkeypatch):
+    # calls that mix subcommands, presets and formats through the one
+    # parser give what a parser built for each call gives
+    shared = run_all(capsys, PARSER_RUNS)
+    assert cli._parser() is cli._parser()
+    # an argparse error exits and leaves the parser usable
+    with pytest.raises(SystemExit):
+        main(["solve", "--preset", "blue"])
+    capsys.readouterr()
+    again = run_all(capsys, PARSER_RUNS)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_all(capsys, PARSER_RUNS)
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 2, 0, 0, 0]
+    assert shared == again == fresh
+
+
+def test_parser_not_built_at_import():
+    # importing the CLI stays as cheap as before; main builds the parser
+    code = ("import searelay.cli as c; print(c._parser.cache_info().currsize); "
+            "c.main(['solve', '--n', '1', '--l', '10']); "
+            "print(c._parser.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split()[0] == "0"
+    assert out.stdout.split()[-1] == "1"

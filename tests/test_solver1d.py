@@ -500,6 +500,114 @@ def test_warm_recursion_hops_match_surplus_inverse(name, rel_dq):
 
 
 # ---------------------------------------------------------------------------
+# sweeps over the hop count
+# ---------------------------------------------------------------------------
+
+def counting_rate(rate):
+    """`rate` with a counter of its scalar evaluations in `.evals[0]`."""
+    evals = [0]
+    scalar = rate.scalar
+
+    def fn(d):
+        evals[0] += 1
+        return scalar(d)
+
+    counted = sr.RateFunction(fn, rate, label=rate.label)
+    counted.evals = evals
+    return counted
+
+
+def check_sweep_against_solve(rate, length, n_min, n_max):
+    sweep = list(sr.solve_n_range(rate, length, n_min, n_max))
+    assert len(sweep) == n_max - n_min + 1
+    for n, res in enumerate(sweep, start=n_min):
+        ref = sr.solve(rate, n, length)
+        assert rel(res.q_sup, ref.q_sup) < 1e-8, (n, length, res.q_sup, ref.q_sup)
+        assert res.branch == ref.branch, (n, length)
+        assert (res.q0, res.L0) == (ref.q0, ref.L0)
+        assert res.placement.n == n
+        assert abs(res.placement.distances.sum() - length) <= 1e-9 * length
+        back = sr.qsup_of_placement(res.placement, rate).q_sup
+        assert rel(back, res.q_sup) < 1e-6, (n, length, back, res.q_sup)
+        if res.branch == CASE_II:
+            assert (np.diff(res.placement.distances) >= 0.0).all(), (n, length)
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+@pytest.mark.parametrize("length", GRID_LS)
+def test_solve_n_range_matches_solve(name, length):
+    # each N continues from the previous N's recursion, extended by a hop
+    # at the sink, and lands where an independent solve does
+    rate = ROUNDTRIP_RATES[name]
+    n_min = next(n for n in range(1, 31) if rate.scalar(length / n) > 0.0)
+    if n_min > 1:
+        # red water at 5 km: R(L/N) underflows at N = 1, 2, as in solve
+        with pytest.raises(ValueError, match=r"R\(length/n\)"):
+            next(sr.solve_n_range(rate, length, 1, 30))
+    check_sweep_against_solve(rate, length, n_min, 30)
+
+
+@pytest.mark.parametrize("name,length,n_min", [("blue", 500.0, 7), ("fec", 50.0, 12),
+                                               ("green", 5.0, 2)])
+def test_solve_n_range_from_n_min(name, length, n_min):
+    check_sweep_against_solve(ROUNDTRIP_RATES[name], length, n_min, n_min + 8)
+
+
+def test_extend_is_the_next_recursion():
+    # at a fixed load the recursion for n + 1 hops is the one for n hops
+    # plus a hop at the sink, bit for bit
+    for rate in ROUNDTRIP_RATES.values():
+        q0 = sr.critical_load(rate)
+        for qf in (1e-6, 0.01, 0.5, 0.99, 1.5):
+            for n in (1, 2, 3, 10, 50):
+                ext = solver1d._extend(rate, sr.solve_subproblem(rate, qf * q0, n))
+                ref = sr.solve_subproblem(rate, qf * q0, n + 1)
+                assert ext.branch == ref.branch
+                assert ext.q == ref.q and ext.coverage == ref.coverage
+                assert ext.dcoverage_dlogq == ref.dcoverage_dlogq
+                assert np.array_equal(ext.distances, ref.distances)
+                if ref.branch == CASE_II:
+                    assert np.array_equal(ext.ddistances_dlogq, ref.ddistances_dlogq)
+                    assert np.array_equal(ext.hop_slopes, ref.hop_slopes)
+
+
+def test_solve_n_range_saves_rate_evaluations():
+    # machine-independent: the sweep's R evaluations against N independent
+    # solves, over the lengths a design sweep draws
+    sweep_evals = solve_evals = 0
+    for base in ROUNDTRIP_RATES.values():
+        for length in (20.0, 200.0, 2000.0):
+            rate = counting_rate(base)
+            list(sr.solve_n_range(rate, length, 1, 23))
+            sweep_evals += rate.evals[0]
+            rate.evals[0] = 0
+            for n in range(1, 24):
+                sr.solve(rate, n, length)
+            solve_evals += rate.evals[0]
+    assert sweep_evals <= 0.85 * solve_evals, (sweep_evals, solve_evals)
+
+
+def test_solve_n_range_validation(blue_rate):
+    # arguments are checked on the call, before any solve runs
+    for n_min, n_max in ((0, 3), (4, 3), (-1, -1)):
+        with pytest.raises(ValueError, match="n_min"):
+            sr.solve_n_range(blue_rate, 500.0, n_min, n_max)
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="length"):
+            sr.solve_n_range(blue_rate, bad, 1, 3)
+    with pytest.raises(ValueError, match="tol_q"):
+        sr.solve_n_range(blue_rate, 500.0, 1, 3, tol_q=-1.0)
+
+
+def test_solve_n_range_with_tol_q(blue_rate):
+    # an absolute tol_q bounds each bracket, as in solve
+    tol_q = 1e-3
+    for n, res in enumerate(sr.solve_n_range(blue_rate, 500.0, 1, 6, tol_q=tol_q), start=1):
+        assert res.bracket_width <= tol_q
+        assert abs(res.q_sup - sr.solve(blue_rate, n, 500.0, tol_q=tol_q).q_sup) <= 2.0 * tol_q
+
+
+# ---------------------------------------------------------------------------
 # the per-hop root of the recursion
 # ---------------------------------------------------------------------------
 
