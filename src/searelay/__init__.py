@@ -16,8 +16,8 @@ from .channel import (ChannelParams, FecRateParams, RateFunction,
                       validate_rate_assumption)
 from .evaluate import (PERTURB_CSV_HEADER, PerturbStats, PlacementLimit,
                        TrafficModel, constant_placement, hop_limits,
-                       perturb_csv_row, perturb_eval, qsup_of_placement,
-                       tradeoff, vertical_qsup)
+                       perturb_eval, qsup_of_placement, tradeoff,
+                       vertical_qsup)
 from .scalar import (MaxItersError, NoBracketError, bisect_monotone,
                      bracket_monotone)
 from .simqueue import (InconclusiveProbeError, ProbePoint, ProbeResult,
@@ -46,7 +46,7 @@ __all__ = [
     "TrafficModel", "PlacementLimit", "PerturbStats", "hop_limits",
     "qsup_of_placement",
     "constant_placement", "tradeoff", "vertical_qsup", "perturb_eval",
-    "PERTURB_CSV_HEADER", "perturb_csv_row",
+    "PERTURB_CSV_HEADER",
     "Grid2D", "Grid2DResult", "NoFeasibleGridError", "strip_heights",
     "grid_qsup", "solve_2d",
     "SimConfig", "QueueStats", "ProbePoint", "ProbeResult",

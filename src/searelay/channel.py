@@ -314,9 +314,13 @@ class ValidationReport:
         return self.monotone_ok and self.convex_ok and self.tail_ok
 
 
+# validate_rate_assumption's thresholds, as fractions of R(0)
+_CONVEXITY_TOL_REL = 1e-6   # second differences may dip this far below 0
+_TAIL_RATIO = 1e-3          # R(d_max) above this is not vanishing
+
+
 def validate_rate_assumption(rate: RateFunction, d_max: float = 2000.0,
-                             n_grid: int = 10_000, convexity_tol: float | None = None,
-                             tail_ratio: float = 1e-3) -> ValidationReport:
+                             n_grid: int = 10_000) -> ValidationReport:
     """Probe R on a uniform grid over [0, d_max] for the solver's regularity needs.
 
     The report is advisory: callers decide whether a failed flag is fatal.
@@ -329,8 +333,8 @@ def validate_rate_assumption(rate: RateFunction, d_max: float = 2000.0,
     r = rate(grid)
     fwd = np.diff(r)
     sec = np.diff(r, n=2)
-    tol = 1e-6 * rate.r0 if convexity_tol is None else convexity_tol
-    tail_thr = tail_ratio * rate.r0
+    tol = _CONVEXITY_TOL_REL * rate.r0
+    tail_thr = _TAIL_RATIO * rate.r0
     max_fwd = float(fwd.max())
     min_sec = float(sec.min())
     tail = float(r[-1])

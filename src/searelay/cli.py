@@ -28,7 +28,7 @@ from . import simqueue as sq
 from .scalar import MaxItersError, NoBracketError
 from .solver1d import (NumericalInfeasibleError, OutOfRangeError, Placement,
                        WrongBranchError, solve, solve_n_range)
-from .solver2d import NoFeasibleGridError, grid_qsup, solve_2d
+from .solver2d import NoFeasibleGridError, solve_2d
 
 __all__ = ["main", "ConfigError", "PRESET_DIR_ENV"]
 
@@ -45,36 +45,46 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# formatting helpers
+# output
 # ---------------------------------------------------------------------------
 
-def _f(v) -> str:
-    return FMT % float(v)
+def _cell(v) -> str:
+    """One CSV cell: a float at 9 significant digits, None blank."""
+    if isinstance(v, float):
+        return FMT % v
+    return "" if v is None else str(v)
 
 
-def _j(v):
-    """Round floats to 9 significant digits for JSON output."""
-    return float(FMT % float(v))
+def _rounded(v):
+    """v as JSON data, every float rounded to 9 significant digits."""
+    if isinstance(v, float):
+        return float(FMT % v)
+    if isinstance(v, dict):
+        return {k: _rounded(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_rounded(x) for x in v]
+    return v
 
 
-def _emit_csv(out, header, rows) -> None:
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(rows[0])
+    w.writerows([_cell(v) for v in row.values()] for row in rows)
+    return buf.getvalue()
 
 
-def _emit(args, header, rows, json_obj) -> None:
+def _emit(args, rows, obj=None) -> None:
+    """Write rows (dicts keyed by the CSV header) as CSV, or as JSON: obj
+    where the subcommand's JSON shape differs from its CSV, else the rows."""
     if args.format == "json":
-        text = json.dumps(json_obj, indent=2) + "\n"
+        text = json.dumps(_rounded(rows if obj is None else obj), indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        _emit_csv(buf, header, rows)
-        text = buf.getvalue()
+        text = _csv(rows)
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        Path(args.output).write_text(text)
 
 
 def _config_hash(meta: dict) -> str:
@@ -141,17 +151,20 @@ def _read_placement(path: str) -> Placement:
         text = Path(path).read_text()
     except FileNotFoundError:
         raise ConfigError(f"placement file not found: {path}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         obj = json.loads(text)
         if "distances" not in obj:
             raise ConfigError(f"placement file {path}: JSON lacks a 'distances' key")
-        d = np.asarray([float(v) for v in obj["distances"]])
+        values = obj["distances"]
     else:
         rows = list(csv.DictReader(io.StringIO(text)))
         if not rows or "distance_m" not in rows[0]:
             raise ConfigError(f"placement file {path}: need a distance_m column")
-        d = np.asarray([float(r["distance_m"]) for r in rows])
+        values = [r["distance_m"] for r in rows]
+    try:
+        d = np.asarray([float(v) for v in values])
+    except TypeError:
+        raise ConfigError(f"placement file {path}: distances must be numbers") from None
     if d.size == 0:
         raise ConfigError(f"placement file {path}: no hops")
     try:
@@ -164,71 +177,42 @@ def _read_placement(path: str) -> Placement:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_SOLVE_HEADER = ["index", "distance_m", "position_m", "q_sup", "q0", "L0",
-                 "branch", "gamma", "iterations", "bracket_width"]
-
-
-def _solve_rows(res) -> list:
-    x = res.placement.positions
-    gamma = "" if res.gamma is None else _f(res.gamma)
-    rows = []
-    for i, d in enumerate(res.placement.distances, start=1):
-        rows.append([i, _f(d), _f(x[i]), _f(res.q_sup), _f(res.q0), _f(res.L0),
-                     res.branch, gamma, res.iterations, _f(res.bracket_width)])
-    return rows
-
-
-def _solve_json(res, n: int, length: float) -> dict:
-    return {
-        "n": n,
-        "l": _j(length),
-        "q_sup": _j(res.q_sup),
-        "q0": _j(res.q0),
-        "L0": _j(res.L0),
-        "branch": res.branch,
-        "gamma": None if res.gamma is None else _j(res.gamma),
-        "iterations": res.iterations,
-        "bracket_width": _j(res.bracket_width),
-        "coverage_residual": _j(res.coverage_residual),
-        "delta": _j(res.q_sup / n),
-        "distances": [_j(d) for d in res.placement.distances],
-        "positions": [_j(x) for x in res.placement.positions],
-    }
-
-
 def _cmd_solve(args, rate, meta) -> int:
     res = solve(rate, args.n, args.l, tol_q=args.tol_q)
-    _emit(args, _SOLVE_HEADER, _solve_rows(res), _solve_json(res, args.n, args.l))
+    p = res.placement
+    shared = {"q_sup": res.q_sup, "q0": res.q0, "L0": res.L0,
+              "branch": res.branch, "gamma": res.gamma,
+              "iterations": res.iterations, "bracket_width": res.bracket_width}
+    rows = [{"index": i, "distance_m": d, "position_m": x, **shared}
+            for i, (d, x) in enumerate(zip(p.distances, p.positions[1:]), start=1)]
+    obj = {"n": args.n, "l": args.l, **shared,
+           "coverage_residual": res.coverage_residual,
+           "delta": res.q_sup / args.n, "distances": p.distances,
+           "positions": p.positions}
+    _emit(args, rows, obj)
     return 0
 
 
 def _cmd_eval(args, rate, meta) -> int:
     placement = _read_placement(args.placement)
     limit = ev.qsup_of_placement(placement, rate)
-    n = placement.n
-    delta = ev.tradeoff(limit.q_sup, n)
-    header = ["n", "l", "q_sup", "delta", "bottleneck_hop"]
-    rows = [[n, _f(placement.length), _f(limit.q_sup), _f(delta), limit.bottleneck + 1]]
-    obj = {"n": n, "l": _j(placement.length), "q_sup": _j(limit.q_sup),
-           "delta": _j(delta), "bottleneck_hop": limit.bottleneck + 1}
-    _emit(args, header, rows, obj)
+    row = {"n": placement.n, "l": placement.length, "q_sup": limit.q_sup,
+           "delta": ev.tradeoff(limit.q_sup, placement.n),
+           "bottleneck_hop": limit.bottleneck + 1}
+    _emit(args, [row], row)
     return 0
 
 
 def _cmd_sweep_n(args, rate, meta) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ConfigError("need 1 <= n-min <= n-max")
-    header = ["n", "l", "q_sup", "delta", "q_sup_constant", "delta_constant"]
-    rows, objs = [], []
+    rows = []
     results = solve_n_range(rate, args.l, args.n_min, args.n_max, tol_q=args.tol_q)
     for n, res in enumerate(results, start=args.n_min):
         qc = ev.qsup_of_placement(ev.constant_placement(n, args.l), rate).q_sup
-        rows.append([n, _f(args.l), _f(res.q_sup), _f(res.q_sup / n),
-                     _f(qc), _f(qc / n)])
-        objs.append({"n": n, "l": _j(args.l), "q_sup": _j(res.q_sup),
-                     "delta": _j(res.q_sup / n), "q_sup_constant": _j(qc),
-                     "delta_constant": _j(qc / n)})
-    _emit(args, header, rows, objs)
+        rows.append({"n": n, "l": args.l, "q_sup": res.q_sup, "delta": res.q_sup / n,
+                     "q_sup_constant": qc, "delta_constant": qc / n})
+    _emit(args, rows)
     return 0
 
 
@@ -242,56 +226,44 @@ def _cmd_sweep_l(args, rate, meta) -> int:
             raise ConfigError("need 0 < l-min <= l-max and l-step > 0")
         lengths = list(np.arange(args.l_min, args.l_max + 0.5 * args.l_step,
                                  args.l_step))
-    header = ["n", "l", "q_sup", "delta"]
-    rows, objs = [], []
+    rows = []
     for length in lengths:
-        res = solve(rate, args.n, length, tol_q=args.tol_q)
-        rows.append([args.n, _f(length), _f(res.q_sup), _f(res.q_sup / args.n)])
-        objs.append({"n": args.n, "l": _j(length), "q_sup": _j(res.q_sup),
-                     "delta": _j(res.q_sup / args.n)})
-    _emit(args, header, rows, objs)
+        q = solve(rate, args.n, length, tol_q=args.tol_q).q_sup
+        rows.append({"n": args.n, "l": length, "q_sup": q, "delta": q / args.n})
+    _emit(args, rows)
     return 0
 
 
 def _cmd_solve2d(args, rate, meta) -> int:
     res = solve_2d(rate, args.n_h, args.l, args.h, tol_q=args.tol_q,
                    n_l_max=args.n_l_max)
-    header = ["index", "l_spacing_m", "h_spacing_m", "q_sup", "q_x", "q_y",
-              "n_l", "n_h", "total_nodes"]
     l = res.grid.l_spacings
     h = res.grid.h_spacings
-    rows = []
-    for i in range(max(l.size, h.size)):
-        rows.append([
-            i + 1,
-            _f(l[i]) if i < l.size else "",
-            _f(h[i]) if i < h.size else "",
-            _f(res.q_sup), _f(res.q_x), _f(res.q_y),
-            res.n_l, res.n_h, res.total_nodes,
-        ])
-    obj = {"n_l": res.n_l, "n_h": res.n_h, "total_nodes": res.total_nodes,
-           "l": _j(args.l), "h": _j(args.h),
-           "q_sup": _j(res.q_sup), "q_x": _j(res.q_x), "q_y": _j(res.q_y),
-           "l_spacings": [_j(v) for v in l], "h_spacings": [_j(v) for v in h]}
-    _emit(args, header, rows, obj)
+    loads = {"q_sup": res.q_sup, "q_x": res.q_x, "q_y": res.q_y}
+    counts = {"n_l": res.n_l, "n_h": res.n_h, "total_nodes": res.total_nodes}
+    rows = [{"index": i + 1, "l_spacing_m": l[i] if i < l.size else None,
+             "h_spacing_m": h[i] if i < h.size else None, **loads, **counts}
+            for i in range(max(l.size, h.size))]
+    obj = {**counts, "l": args.l, "h": args.h, **loads,
+           "l_spacings": l, "h_spacings": h}
+    _emit(args, rows, obj)
     return 0
 
 
 def _cmd_perturb(args, rate, meta) -> int:
     res = solve(rate, args.n, args.l, tol_q=args.tol_q)
     chash = _config_hash(meta)
-    k = meta.get("attenuation_per_m", float("nan"))
+    k = float(meta.get("attenuation_per_m", np.nan))
     rows, objs = [], []
     for sigma in args.sigma:
         stats = ev.perturb_eval(res.placement, rate, sigma,
                                 trials=args.trials, seed=args.seed)
-        rows.append(ev.perturb_csv_row(stats, chash, args.n, args.l, k))
-        obj = {k2: (_j(v) if isinstance(v, float) else v)
-               for k2, v in asdict(stats).items()}
-        obj.update({"config_hash": chash, "n": args.n, "l": _j(args.l),
-                    "q_sup_exact": _j(res.q_sup)})
-        objs.append(obj)
-    _emit(args, ev.PERTURB_CSV_HEADER, rows, objs)
+        rows.append(dict(zip(ev.PERTURB_CSV_HEADER, (
+            chash, args.n, args.l, k, stats.sigma, stats.trials,
+            stats.mean_q_sup, stats.std_q_sup, stats.mean_delta))))
+        objs.append({**asdict(stats), "config_hash": chash, "n": args.n,
+                     "l": args.l, "q_sup_exact": res.q_sup})
+    _emit(args, rows, objs)
     return 0
 
 
@@ -313,18 +285,13 @@ def _cmd_simulate(args, rate, meta) -> int:
             placement, rate, grid, mean_data_size=B,
             horizon_packets=args.horizon_packets, seed=args.seed,
             arrival_process=args.arrival, packet_size=args.size_dist)
-        header = ["q", "q_over_qsup", "stable", "total_drift_slope",
-                  "end_backlog"]
-        rows = [[_f(p.q), _f(p.q / q_ref), int(p.stable),
-                 _f(p.total_drift_slope), _f(p.end_backlog)]
-                for p in probe.points]
-        obj = {"q_sup_analytic": _j(q_ref),
-               "q_stable": None if probe.q_stable is None else _j(probe.q_stable),
-               "q_unstable": None if probe.q_unstable is None else _j(probe.q_unstable),
-               "points": [{"q": _j(p.q), "stable": p.stable,
-                           "total_drift_slope": _j(p.total_drift_slope),
-                           "end_backlog": _j(p.end_backlog)} for p in probe.points]}
-        _emit(args, header, rows, obj)
+        rows = [{"q": p.q, "q_over_qsup": p.q / q_ref, "stable": int(p.stable),
+                 "total_drift_slope": p.total_drift_slope,
+                 "end_backlog": p.end_backlog} for p in probe.points]
+        obj = {"q_sup_analytic": q_ref, "q_stable": probe.q_stable,
+               "q_unstable": probe.q_unstable,
+               "points": [asdict(p) for p in probe.points]}
+        _emit(args, rows, obj)
         return 0
     q = args.q_factor * q_ref
     traffic = ev.TrafficModel(packet_rate=q * placement.length / B,
@@ -337,27 +304,22 @@ def _cmd_simulate(args, rate, meta) -> int:
         horizon_s=horizon, warmup_s=0.1 * horizon, seed=args.seed)
     stats = sq.simulate(cfg, rate)
     stable = sq.is_stable(stats, lam)
-    header = ["node", "distance_m", "time_avg_queue", "end_queue",
-              "drift_slope", "q", "lambda", "stable", "delivered", "generated"]
-    rows = []
-    for i in range(placement.n):
-        rows.append([i + 1, _f(placement.distances[i]),
-                     _f(stats.time_avg_queue[i]), _f(stats.end_queue[i]),
-                     _f(stats.drift_slope[i]), _f(q), _f(lam), int(stable),
-                     stats.delivered, stats.generated])
-    obj = {"q": _j(q), "lambda": _j(lam), "stable": stable,
-           "total_drift_slope": _j(stats.total_drift_slope),
+    rows = [{"node": i + 1, "distance_m": placement.distances[i],
+             "time_avg_queue": stats.time_avg_queue[i],
+             "end_queue": stats.end_queue[i], "drift_slope": stats.drift_slope[i],
+             "q": q, "lambda": lam, "stable": int(stable),
+             "delivered": stats.delivered, "generated": stats.generated}
+            for i in range(placement.n)]
+    obj = {"q": q, "lambda": lam, "stable": stable,
+           "total_drift_slope": stats.total_drift_slope,
            "delivered": stats.delivered, "generated": stats.generated,
-           "time_avg_queue": [_j(v) for v in stats.time_avg_queue],
-           "end_queue": [_j(v) for v in stats.end_queue],
-           "drift_slope": [_j(v) for v in stats.drift_slope]}
-    _emit(args, header, rows, obj)
+           "time_avg_queue": stats.time_avg_queue,
+           "end_queue": stats.end_queue, "drift_slope": stats.drift_slope}
+    _emit(args, rows, obj)
     if args.timeseries:
-        with open(args.timeseries, "w") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["time_s"] + [f"node_{i+1}" for i in range(placement.n)])
-            for t, row in zip(stats.sample_times, stats.queue_samples):
-                w.writerow([_f(t)] + [_f(v) for v in row])
+        samples = [{"time_s": t, **{f"node_{i + 1}": v for i, v in enumerate(row)}}
+                   for t, row in zip(stats.sample_times, stats.queue_samples)]
+        Path(args.timeseries).write_text(_csv(samples))
     return 0
 
 
@@ -367,15 +329,11 @@ def _cmd_compare(args, rate, meta) -> int:
     n_v = args.vertical_nv if args.vertical_nv else args.n
     qv = ev.vertical_qsup(rate, args.vertical_nl, n_v, args.vertical_depth, args.l)
     n_vert_total = args.vertical_nl * (n_v + 1)
-    header = ["placement", "nodes", "q_sup", "delta"]
-    rows = [
-        ["optimal", args.n, _f(res.q_sup), _f(res.q_sup / args.n)],
-        ["constant", args.n, _f(qc), _f(qc / args.n)],
-        ["vertical", n_vert_total, _f(qv), _f(qv / n_vert_total)],
-    ]
-    objs = [{"placement": r[0], "nodes": r[1], "q_sup": _j(float(r[2])),
-             "delta": _j(float(r[3]))} for r in rows]
-    _emit(args, header, rows, objs)
+    rows = [{"placement": name, "nodes": nodes, "q_sup": q, "delta": q / nodes}
+            for name, nodes, q in (("optimal", args.n, res.q_sup),
+                                   ("constant", args.n, qc),
+                                   ("vertical", n_vert_total, qv))]
+    _emit(args, rows)
     return 0
 
 
@@ -391,8 +349,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate-model", choices=("shannon", "fec"), default="shannon")
     p.add_argument("--fec-config", help="JSON file with FEC rate parameters")
     p.add_argument("--tol-q", type=float, default=None,
-                   help="absolute load tolerance [bit/s per m] for the load "
-                        "root-find (default: 2e-10 relative)")
+                   help="absolute width [bit/s per m] of the load search's "
+                        "final bracket (default: 2e-10 relative); q_sup's "
+                        "error can be larger where coverage is flat in q")
     p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

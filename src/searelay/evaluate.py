@@ -49,7 +49,6 @@ __all__ = [
     "vertical_qsup",
     "perturb_eval",
     "PERTURB_CSV_HEADER",
-    "perturb_csv_row",
 ]
 
 # trial t draws from Generator(PCG64(SeedSequence([seed, t]))), its PCG64
@@ -306,14 +305,6 @@ def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
                         mean_delta=mean / n)
 
 
+# columns of the CLI's perturb rows
 PERTURB_CSV_HEADER = ["config_hash", "n", "l", "k_attenuation", "sigma",
                       "trials", "mean_q_sup", "std_q_sup", "mean_delta"]
-
-
-def perturb_csv_row(stats: PerturbStats, config_hash: str, n: int, length: float,
-                    attenuation_per_m: float) -> list[str]:
-    """One CSV row matching PERTURB_CSV_HEADER (floats at 9 significant digits)."""
-    fmt = "%.9g"
-    return [config_hash, str(n), fmt % length, fmt % attenuation_per_m,
-            fmt % stats.sigma, str(stats.trials), fmt % stats.mean_q_sup,
-            fmt % stats.std_q_sup, fmt % stats.mean_delta]

@@ -178,7 +178,7 @@ class SolveResult:
     branch: str
     gamma: Optional[float]       # spacing decay factor, only on the chain branch
     iterations: int              # backward recursions of the load root-find
-    bracket_width: float         # final q bracket width [bit/s per m]
+    bracket_width: float         # final q bracket [bit/s per m]; not q_sup's error
     coverage_residual: float = field(default=0.0)  # |coverage - L| before rescaling
 
 
@@ -196,20 +196,17 @@ def surplus(rate: RateFunction, q: float, x):
     return r / q - 0.5 * float(x)
 
 
-def surplus_inverse(rate: RateFunction, q: float, t: float, *,
-                    upper: float | None = None) -> float:
+def surplus_inverse(rate: RateFunction, q: float, t: float) -> float:
     """Hop length x >= 0 with surplus(x) = t; t may not exceed R(0)/q.
 
-    `upper`, if given, must be a hop length at or beyond the root (case-ii
-    spacings never undercut the next one out).  Without it the root is
-    bracketed by a doubling walk from 1 m, capped at 2 (R(0)/q - t), where
-    the surplus is already below t.  Either way `_hop_root` finds it.
+    The root is bracketed by a doubling walk from 1 m, capped at
+    2 (R(0)/q - t), where the surplus is already below t; `_hop_root`
+    finds it.
     """
-    return _surplus_root(rate, q, t, upper)[0]
+    return _surplus_root(rate, q, t)[0]
 
 
-def _surplus_root(rate: RateFunction, q: float, t: float,
-                  upper: float | None = None
+def _surplus_root(rate: RateFunction, q: float, t: float
                   ) -> tuple[float, float, float | None]:
     """`surplus_inverse` with R and the slope of f at the root, as `_hop_root`."""
     if q <= 0:
@@ -220,23 +217,18 @@ def _surplus_root(rate: RateFunction, q: float, t: float,
         if t - g0 <= _CLAMP_REL * max(1.0, abs(g0)):
             return 0.0, rate.r0, None
         raise OutOfRangeError(f"surplus target {t:.9g} exceeds maximum {g0:.9g}")
+    f_lo = rate.r0 - q * t
+    if f_lo <= 0.0:
+        # t is R(0)/q up to roundoff
+        return 0.0, rate.r0, None
     r = rate.scalar
-    if upper is not None:
-        hi = float(upper)
-        x = 0.5 * hi
-    else:
-        f_lo = rate.r0 - q * t
-        if f_lo <= 0.0:
-            # t is R(0)/q up to roundoff
-            return 0.0, rate.r0, None
 
-        def f(x: float) -> float:
-            return r(x) - q * (0.5 * x + t)
+    def f(x: float) -> float:
+        return r(x) - q * (0.5 * x + t)
 
-        lo, f_lo, hi, f_hi = bracket_monotone(f, 0.0, f_lo, 1.0,
-                                              limit=2.0 * (g0 - t))
-        # start from the secant through the walk's last two points
-        x = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi < 0.0 else hi
+    lo, f_lo, hi, f_hi = bracket_monotone(f, 0.0, f_lo, 1.0, limit=2.0 * (g0 - t))
+    # start from the secant through the walk's last two points
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi < 0.0 else hi
     return _hop_root(r, rate.r0, q, t, hi, r(hi), x)
 
 
@@ -519,9 +511,11 @@ def solve(rate: RateFunction, n: int, length: float,
     R(length/n).  A step that would leave the bracket bisects it instead,
     except that a step onto an end already evaluated first probes just
     inside that end, once.  Near the root a probe just past the predicted
-    root closes the bracket.  The default tolerance is relative, 2e-10 of
-    q_sup; a given tol_q is an absolute bound [bit/s per m] on the final
-    bracket width.
+    root closes the bracket.  The default tolerance, 2e-10 relative, or a
+    given tol_q, absolute [bit/s per m], bounds the final bracket in q.
+    It does not bound q_sup's error: where coverage is flat in q the hop
+    roots' 5e-10 length resolution dominates (red water, N = 1, L = 2 km:
+    q_sup 1.5e-7 below the exact 2R(L)/L, bracket 5e-11 relative).
     """
     length = _checked_args(n, length, tol_q)
     return _solve(rate, n, length, tol_q)[0]

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,22 @@ def test_eval_nan_placement_row_exits_2(capsys, tmp_path):
     assert "distances" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("name,text", [
+    ("scalar.json", '{"distances": 5}'),
+    ("null.json", '{"distances": [100, null]}'),
+    ("short_row.csv", "index,distance_m\n1,100\n2\n"),
+])
+def test_malformed_placement_exits_2(capsys, tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--preset", "blue",
+                         "--placement", str(path))
+    assert code == 2
+    assert not out
+    assert str(path) in err
+
+
 def test_numeric_failure_exits_3(capsys):
     code, _, err = run(capsys, "solve2d", "--preset", "blue", "--n-h", "5",
                        "--l", "500", "--h", "500", "--n-l-max", "2")
@@ -264,7 +281,7 @@ def test_solve2d_csv(capsys):
     assert float(rows[0][5]) == float(rows[0][3])  # q_sup = q_y
 
 
-def test_perturb_csv_header_and_rows(capsys):
+def test_perturb_csv_header_and_rows(capsys, blue_rate):
     code, out, _ = run(capsys, "perturb", "--preset", "blue", "--n", "5",
                        "--l", "300", "--sigma", "0", "2", "--trials", "50",
                        "--seed", "7")
@@ -272,14 +289,19 @@ def test_perturb_csv_header_and_rows(capsys):
     header, rows = read_csv(out)
     assert header == sr.PERTURB_CSV_HEADER
     assert len(rows) == 2
-    named = dict(zip(header, rows[0]))
-    assert named["n"] == "5"
-    assert named["trials"] == "50"
-    assert float(named["sigma"]) == 0.0
-    assert float(named["std_q_sup"]) == 0.0
+    named = [dict(zip(header, r)) for r in rows]
+    assert named[0]["n"] == "5"
+    assert named[0]["trials"] == "50"
+    assert [r["sigma"] for r in named] == ["0", "2"]
+    assert float(named[0]["std_q_sup"]) == 0.0
+    # one digest of the channel configuration on every row
+    assert re.fullmatch("[0-9a-f]{12}", named[0]["config_hash"])
+    assert named[1]["config_hash"] == named[0]["config_hash"]
+    stats = sr.perturb_eval(sr.solve(blue_rate, 5, 300.0).placement, blue_rate,
+                            2.0, trials=50, seed=7)
+    assert float(named[1]["mean_q_sup"]) == pytest.approx(stats.mean_q_sup, rel=1e-8)
     # noise never helps on average
-    assert float(rows[1][header.index("mean_q_sup")]) <= \
-        float(rows[0][header.index("mean_q_sup")])
+    assert float(named[1]["mean_q_sup"]) <= float(named[0]["mean_q_sup"])
 
 
 def test_compare_rows(capsys):
@@ -338,6 +360,107 @@ def test_simulate_probe_mode(capsys):
     assert [r[2] for r in rows] == ["1", "0"]
     assert float(rows[0][1]) == pytest.approx(0.9, rel=1e-6)
     assert float(rows[1][1]) == pytest.approx(1.1, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# output formats: one set of named fields, as CSV or as JSON
+# ---------------------------------------------------------------------------
+
+SOLVE_JSON = ["n", "l", "q_sup", "q0", "L0", "branch", "gamma", "iterations",
+              "bracket_width", "coverage_residual", "delta", "distances",
+              "positions"]
+FORMAT_CASES = {
+    # name: (argv, CSV header, JSON keys: of each element when JSON is a list)
+    "solve": (("solve", "--preset", "blue", "--n", "4", "--l", "300"),
+              ["index", "distance_m", "position_m", "q_sup", "q0", "L0",
+               "branch", "gamma", "iterations", "bracket_width"], SOLVE_JSON),
+    "eval": (("eval", "--preset", "blue", "--placement", "{placement}"),
+             ["n", "l", "q_sup", "delta", "bottleneck_hop"],
+             ["n", "l", "q_sup", "delta", "bottleneck_hop"]),
+    "sweep-n": (("sweep-n", "--preset", "blue", "--n-max", "3", "--l", "300"),
+                ["n", "l", "q_sup", "delta", "q_sup_constant", "delta_constant"],
+                ["n", "l", "q_sup", "delta", "q_sup_constant", "delta_constant"]),
+    "sweep-l": (("sweep-l", "--preset", "blue", "--n", "3", "--l-values", "200,300"),
+                ["n", "l", "q_sup", "delta"], ["n", "l", "q_sup", "delta"]),
+    "solve2d": (("solve2d", "--preset", "blue", "--n-h", "2", "--l", "150",
+                 "--h", "100"),
+                ["index", "l_spacing_m", "h_spacing_m", "q_sup", "q_x", "q_y",
+                 "n_l", "n_h", "total_nodes"],
+                ["n_l", "n_h", "total_nodes", "l", "h", "q_sup", "q_x", "q_y",
+                 "l_spacings", "h_spacings"]),
+    "perturb": (("perturb", "--preset", "blue", "--n", "4", "--l", "300",
+                 "--sigma", "0", "3", "--trials", "40"),
+                sr.PERTURB_CSV_HEADER,
+                ["sigma", "trials", "seed", "mean_q_sup", "std_q_sup",
+                 "mean_delta", "rng_algorithm", "config_hash", "n", "l",
+                 "q_sup_exact"]),
+    "compare": (("compare", "--preset", "blue", "--n", "4", "--l", "300",
+                 "--vertical-depth", "1000", "--vertical-nl", "2"),
+                ["placement", "nodes", "q_sup", "delta"],
+                ["placement", "nodes", "q_sup", "delta"]),
+    "simulate": (("simulate", "--preset", "blue", "--n", "2", "--l", "200",
+                  "--horizon-packets", "2000"),
+                 ["node", "distance_m", "time_avg_queue", "end_queue",
+                  "drift_slope", "q", "lambda", "stable", "delivered",
+                  "generated"],
+                 ["q", "lambda", "stable", "total_drift_slope", "delivered",
+                  "generated", "time_avg_queue", "end_queue", "drift_slope"]),
+    "simulate-probe": (("simulate", "--preset", "blue", "--n", "1", "--l", "200",
+                        "--probe-factors", "0.5,2", "--horizon-packets", "2000"),
+                       ["q", "q_over_qsup", "stable", "total_drift_slope",
+                        "end_backlog"],
+                       ["q_sup_analytic", "q_stable", "q_unstable", "points"]),
+}
+
+
+def json_records(data, n_rows):
+    """The JSON record behind each CSV row: the list's elements, the probe's
+    points, or the one object (whose lists hold one entry per row)."""
+    if isinstance(data, list):
+        return data
+    return data.get("points", [data] * n_rows)
+
+
+def same_value(cell, value):
+    if value is None:
+        return cell == ""
+    if isinstance(value, str):
+        return cell == value
+    if isinstance(value, bool):
+        return cell == str(int(value))
+    return float(cell) == value
+
+
+@pytest.mark.parametrize("name", list(FORMAT_CASES))
+def test_output_formats_name_the_same_fields(capsys, tmp_path, name):
+    argv, header, json_keys = FORMAT_CASES[name]
+    placement = tmp_path / "placement.csv"
+    placement.write_text("index,distance_m\n1,100\n2,150\n")
+    argv = [a.format(placement=placement) for a in argv]
+    code, out_csv, _ = run(capsys, *argv)
+    assert code == 0
+    code, out_json, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    csv_header, rows = read_csv(out_csv)
+    assert csv_header == header
+    data = json.loads(out_json)
+    if isinstance(data, list):
+        assert all(list(d) == json_keys for d in data)
+    else:
+        assert list(data) == json_keys
+    if "points" in data:
+        assert all(list(p) == ["q", "stable", "total_drift_slope", "end_backlog"]
+                   for p in data["points"])
+    records = json_records(data, len(rows))
+    assert rows and len(records) == len(rows)
+    for i, (row, record) in enumerate(zip(rows, records)):
+        shared = [c for c in header if c in record]
+        assert len(shared) >= 3
+        for column in shared:
+            value = record[column]
+            if isinstance(value, list):
+                value = value[i]
+            assert same_value(row[header.index(column)], value), (column, i)
 
 
 # ---------------------------------------------------------------------------

@@ -231,19 +231,6 @@ def test_perturb_mean_degrades_with_sigma(blue_rate, blue_10_500):
     assert means[0] > means[1] > means[2]
 
 
-def test_perturb_csv_row_shape(blue_rate, blue_10_500):
-    out = sr.perturb_eval(blue_10_500.placement, blue_rate, sigma=2.0,
-                          trials=64, seed=5)
-    row = sr.perturb_csv_row(out, "abc123def456", 10, 500.0, 2e-2)
-    assert len(row) == len(sr.PERTURB_CSV_HEADER)
-    named = dict(zip(sr.PERTURB_CSV_HEADER, row))
-    assert named["config_hash"] == "abc123def456"
-    assert named["n"] == "10"
-    assert named["sigma"] == "2"
-    assert named["trials"] == "64"
-    assert float(named["mean_q_sup"]) == pytest.approx(out.mean_q_sup, rel=1e-8)
-
-
 @pytest.mark.parametrize("seed", [0, 9])
 @pytest.mark.parametrize("sigma_frac", [0.02, 0.3, 2.0])
 @pytest.mark.parametrize("n", [3, 8, 12, 60])
