@@ -152,7 +152,10 @@ def _read_placement(path: str) -> Placement:
     except FileNotFoundError:
         raise ConfigError(f"placement file not found: {path}") from None
     if text.lstrip().startswith("{"):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"placement file {path}: {exc}") from None
         if "distances" not in obj:
             raise ConfigError(f"placement file {path}: JSON lacks a 'distances' key")
         values = obj["distances"]
@@ -163,7 +166,7 @@ def _read_placement(path: str) -> Placement:
         values = [r["distance_m"] for r in rows]
     try:
         d = np.asarray([float(v) for v in values])
-    except TypeError:
+    except (TypeError, ValueError):
         raise ConfigError(f"placement file {path}: distances must be numbers") from None
     if d.size == 0:
         raise ConfigError(f"placement file {path}: no hops")
@@ -326,7 +329,7 @@ def _cmd_simulate(args, rate, meta) -> int:
 def _cmd_compare(args, rate, meta) -> int:
     res = solve(rate, args.n, args.l, tol_q=args.tol_q)
     qc = ev.qsup_of_placement(ev.constant_placement(args.n, args.l), rate).q_sup
-    n_v = args.vertical_nv if args.vertical_nv else args.n
+    n_v = args.n if args.vertical_nv is None else args.vertical_nv
     qv = ev.vertical_qsup(rate, args.vertical_nl, n_v, args.vertical_depth, args.l)
     n_vert_total = args.vertical_nl * (n_v + 1)
     rows = [{"placement": name, "nodes": nodes, "q_sup": q, "delta": q / nodes}

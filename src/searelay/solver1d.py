@@ -33,7 +33,9 @@ inner hop from that recursion's, moved along dd_i/d(log q), and within
 doubling walk from 1 m.  `solve_n_range` runs the same loop for a range
 of hop counts, each from the recursion of the count before extended by
 one hop at the sink.  Brent's method (`scalar.bisect_monotone`) serves
-only `critical_load`, which has no start point.
+only `critical_load`, which has no start point.  Its one root, the hop
+length d_half where R falls to R(0)/2, gives both thresholds: the
+critical load q0 = R(0)/d_half and the critical length L0 = R(0)/q0.
 """
 
 from __future__ import annotations
@@ -312,8 +314,8 @@ def critical_load(rate: RateFunction) -> float:
 
 
 def critical_length(rate: RateFunction) -> float:
-    """Coverage L0 of the single active hop at the critical load."""
-    return surplus_inverse(rate, critical_load(rate), 0.0)
+    """Coverage L0 = R(0)/q0 = d_half of the single hop at the critical load."""
+    return rate.r0 / critical_load(rate)
 
 
 def surplus_slope(rate: RateFunction, q: float, x: float) -> float:
@@ -640,7 +642,7 @@ def _solve(rate: RateFunction, n: int, length: float, tol_q: float | None,
     distances = sub.distances * (length / sub.coverage)
     if thresholds is None:
         q0 = critical_load(rate)
-        thresholds = (q0, surplus_inverse(rate, q0, 0.0))
+        thresholds = (q0, rate.r0 / q0)
     res = SolveResult(
         q_sup=q_sup,
         placement=Placement(distances=distances, length=length),

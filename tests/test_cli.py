@@ -189,6 +189,8 @@ def test_eval_nan_placement_row_exits_2(capsys, tmp_path):
     ("scalar.json", '{"distances": 5}'),
     ("null.json", '{"distances": [100, null]}'),
     ("short_row.csv", "index,distance_m\n1,100\n2\n"),
+    ("broken.json", '{"distances": [100, 200'),
+    ("text_cell.csv", "index,distance_m\n1,100\n2,far\n"),
 ])
 def test_malformed_placement_exits_2(capsys, tmp_path, command, name, text):
     path = tmp_path / name
@@ -197,7 +199,7 @@ def test_malformed_placement_exits_2(capsys, tmp_path, command, name, text):
                          "--placement", str(path))
     assert code == 2
     assert not out
-    assert str(path) in err
+    assert f"placement file {path}: " in err
 
 
 def test_numeric_failure_exits_3(capsys):
@@ -316,6 +318,17 @@ def test_compare_rows(capsys):
     assert float(by_name["optimal"][2]) > float(by_name["constant"][2])
     assert float(by_name["optimal"][2]) > float(by_name["vertical"][2])
     assert by_name["vertical"][1] == "6"  # 1 riser, 5 hops -> 6 nodes
+
+
+@pytest.mark.parametrize("n_v", ["0", "-1"])
+def test_compare_vertical_nv_below_one_exits_2(capsys, n_v):
+    # 0 hops per riser is an error, not the --n default
+    code, out, err = run(capsys, "compare", "--preset", "blue", "--n", "10",
+                         "--l", "500", "--vertical-depth", "3000",
+                         "--vertical-nl", "1", "--vertical-nv", n_v)
+    assert code == 2
+    assert not out
+    assert "n_v" in err
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,17 @@ ROUNDTRIP_RATES = {
 
 
 @pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+def test_critical_load_and_length_share_one_root(name):
+    # q0 = R(0)/d_half and L0 = d_half come from one root, so q0 L0 = R(0)
+    # to rounding, not to a root-finder's tolerance
+    rate = ROUNDTRIP_RATES[name]
+    res = sr.solve(rate, 3, 200.0)
+    for q0, l0 in ((sr.critical_load(rate), sr.critical_length(rate)),
+                   (res.q0, res.L0)):
+        assert rel(q0 * l0, rate.r0) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
 def test_solve_roundtrip_relative(name):
     # re-evaluating the returned placement gives back q_sup, at every N and L
     rate = ROUNDTRIP_RATES[name]
