@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,7 @@ __all__ = [
     "preset",
     "preset_names",
     "load_channel_config",
+    "load_fec_config",
     "CONFIG_KEYS",
 ]
 
@@ -233,12 +234,14 @@ class RateFunction:
     """An evaluable hop-rate model R(d) with a numeric derivative.
 
     ``scalar`` is the raw float -> float callable (no validation, hot path);
-    calling the object validates d >= 0 and also accepts arrays.
+    calling the object validates d >= 0 and also accepts arrays, which go
+    to ``array_fn`` if given, else through ``fn`` one element at a time.
     """
 
     def __init__(self, fn, array_fn=None, label: str = "custom"):
         self.scalar = fn
-        self._array = array_fn if array_fn is not None else fn
+        self._array = (array_fn if array_fn is not None
+                       else np.vectorize(fn, otypes=[float]))
         self.label = label
         self.r0 = float(fn(0.0))
         if not math.isfinite(self.r0) or self.r0 <= 0:
@@ -390,21 +393,43 @@ CONFIG_KEYS = (
 _OPTIONAL_CONFIG_KEYS = ("attenuation_exponent", "geometric_exponent")
 
 
-def load_channel_config(path) -> ShannonRateParams:
-    """Read a flat JSON file of channel constants (exact keys, see CONFIG_KEYS)."""
-    text = Path(path).read_text()
+def _load_flat_config(path, keys, optional, build):
+    """build(**values) from a flat JSON object of finite numbers: every key
+    in `keys` but `optional` present, no other.  Errors name the file."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path}: expected a flat JSON object")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
         raise ValueError(f"config file {path}: unknown keys {unknown}")
-    missing = sorted(set(CONFIG_KEYS) - set(_OPTIONAL_CONFIG_KEYS) - set(raw))
+    missing = sorted(set(keys) - set(optional) - set(raw))
     if missing:
         raise ValueError(f"config file {path}: missing keys {missing}")
-    values = {k: float(v) for k, v in raw.items()}
-    bandwidth = values.pop("bandwidth_Hz")
-    return ShannonRateParams(channel=ChannelParams(**values), bandwidth_Hz=bandwidth)
+    # bool is an int subclass, and json reads NaN and Infinity as floats
+    bad = sorted(k for k, v in raw.items() if isinstance(v, bool)
+                 or not isinstance(v, (int, float)) or not math.isfinite(v))
+    if bad:
+        raise ValueError(f"config file {path}: {bad} must be finite JSON numbers")
+    try:
+        return build(**raw)
+    except ValueError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+
+
+def load_channel_config(path) -> ShannonRateParams:
+    """Read a flat JSON file of channel constants (exact keys, see CONFIG_KEYS)."""
+    def build(bandwidth_Hz, **channel):
+        return ShannonRateParams(
+            channel=ChannelParams(**{k: float(v) for k, v in channel.items()}),
+            bandwidth_Hz=float(bandwidth_Hz))
+    return _load_flat_config(path, CONFIG_KEYS, _OPTIONAL_CONFIG_KEYS, build)
+
+
+def load_fec_config(path) -> FecRateParams:
+    """Read a flat JSON file of FecRateParams fields; those with defaults may be left out."""
+    fs = fields(FecRateParams)
+    optional = [f.name for f in fs if f.default is not MISSING]
+    return _load_flat_config(path, [f.name for f in fs], optional, FecRateParams)

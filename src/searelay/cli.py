@@ -25,19 +25,14 @@ import numpy as np
 from . import channel as ch
 from . import evaluate as ev
 from . import simqueue as sq
-from .scalar import MaxItersError, NoBracketError
-from .solver1d import (NumericalInfeasibleError, OutOfRangeError, Placement,
-                       WrongBranchError, solve, solve_n_range)
-from .solver2d import NoFeasibleGridError, solve_2d
+from .scalar import NumericalError
+from .solver1d import Placement, solve, solve_n_range
+from .solver2d import solve_2d
 
 __all__ = ["main", "ConfigError", "PRESET_DIR_ENV"]
 
 PRESET_DIR_ENV = "SEARELAY_PRESETS"  # directory of extra <name>.json presets
 FMT = "%.9g"
-
-_NUMERIC_ERRORS = (NoBracketError, MaxItersError, OutOfRangeError,
-                   WrongBranchError, NumericalInfeasibleError,
-                   NoFeasibleGridError, sq.InconclusiveProbeError)
 
 
 class ConfigError(Exception):
@@ -84,7 +79,14 @@ def _emit(args, rows, obj=None) -> None:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror}") from None
 
 
 def _config_hash(meta: dict) -> str:
@@ -103,11 +105,20 @@ def _resolve_preset(name: str) -> ch.ShannonRateParams:
     if preset_dir:
         path = os.path.join(preset_dir, f"{name}.json")
         if os.path.exists(path):
-            return ch.load_channel_config(path)
+            return _load_config(ch.load_channel_config, path)
     raise ConfigError(
         f"unknown preset {name!r}; built-ins are {sorted(ch.preset_names())}"
         + (f", and no {name}.json under ${PRESET_DIR_ENV}" if preset_dir else
            f" (set ${PRESET_DIR_ENV} to add preset files)"))
+
+
+def _load_config(load, path: str):
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _build_rate(args):
@@ -115,25 +126,10 @@ def _build_rate(args):
     if args.rate_model == "fec":
         if not args.fec_config:
             raise ConfigError("--rate-model fec requires --fec-config FILE")
-        try:
-            raw = json.loads(Path(args.fec_config).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.fec_config}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.fec_config}: {exc}") from None
-        try:
-            params = ch.FecRateParams(**raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config file {args.fec_config}: {exc}") from None
-        meta = {"rate_model": "fec", **raw}
-        return ch.fec_rate_function(params), meta
+        params = _load_config(ch.load_fec_config, args.fec_config)
+        return ch.fec_rate_function(params), {"rate_model": "fec", **asdict(params)}
     if args.config:
-        try:
-            params = ch.load_channel_config(args.config)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        params = _load_config(ch.load_channel_config, args.config)
         source = {"config": args.config}
     else:
         name = args.preset or "blue"
@@ -223,8 +219,12 @@ def _cmd_sweep_l(args, rate, meta) -> int:
     if args.l_values:
         lengths = [float(v) for v in args.l_values.split(",")]
     else:
-        if args.l_min is None or args.l_max is None or args.l_step is None:
-            raise ConfigError("need --l-values or all of --l-min/--l-max/--l-step")
+        for flag in ("l_min", "l_max", "l_step"):
+            value = getattr(args, flag)
+            if value is None:
+                raise ConfigError("need --l-values or all of --l-min/--l-max/--l-step")
+            if not np.isfinite(value):
+                raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {value!r}")
         if args.l_min <= 0 or args.l_max < args.l_min or args.l_step <= 0:
             raise ConfigError("need 0 < l-min <= l-max and l-step > 0")
         lengths = list(np.arange(args.l_min, args.l_max + 0.5 * args.l_step,
@@ -256,7 +256,7 @@ def _cmd_solve2d(args, rate, meta) -> int:
 def _cmd_perturb(args, rate, meta) -> int:
     res = solve(rate, args.n, args.l, tol_q=args.tol_q)
     chash = _config_hash(meta)
-    k = float(meta.get("attenuation_per_m", np.nan))
+    k = float(meta["attenuation_per_m"])
     rows, objs = [], []
     for sigma in args.sigma:
         stats = ev.perturb_eval(res.placement, rate, sigma,
@@ -322,7 +322,7 @@ def _cmd_simulate(args, rate, meta) -> int:
     if args.timeseries:
         samples = [{"time_s": t, **{f"node_{i + 1}": v for i, v in enumerate(row)}}
                    for t, row in zip(stats.sample_times, stats.queue_samples)]
-        Path(args.timeseries).write_text(_csv(samples))
+        _write(args.timeseries, _csv(samples))
     return 0
 
 
@@ -459,13 +459,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"searelay: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"searelay: file not found: {exc.filename or exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"searelay: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except NumericalError as exc:
         print(f"searelay: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -125,8 +125,6 @@ def constant_placement(n: int, length: float) -> Placement:
     """Equally spaced baseline: d_i = length / n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if length <= 0:
-        raise ValueError("length must be > 0")
     return Placement(distances=np.full(n, length / n), length=length)
 
 
@@ -147,8 +145,8 @@ def vertical_qsup(rate: RateFunction, n_l: int, n_v: int, depth: float,
     """
     if n_l < 1 or n_v < 1:
         raise ValueError("n_l and n_v must be >= 1")
-    if depth <= 0 or length <= 0:
-        raise ValueError("depth and length must be > 0")
+    if not (0 < depth < math.inf and 0 < length < math.inf):
+        raise ValueError("depth and length must be finite and > 0")
     return n_l * rate.scalar(depth / n_v) / length
 
 

@@ -2,14 +2,14 @@
 
 The critical load reduces to "find the sign change of a monotone f" with
 no good start point.  Two pieces serve it: `bracket_monotone`, a doubling
-walk that finds a bracket when no closed one is known (it also brackets a
-surplus inverse that has no bound: `L0`, and a recursion's farthest hop
-when no recursion at a load within 1e-3 gives it a start), and
-`bisect_monotone`, Brent's method
+walk that finds a bracket when no closed one is known (it also brackets
+a recursion's farthest hop, or a surplus inverse, when no recursion at a
+load within 1e-3 gives it a start), and `bisect_monotone`, Brent's method
 (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4):
 inverse quadratic interpolation and secant steps, safeguarded by bisection,
 so it converges superlinearly on the smooth rate models yet never needs
-more steps than about the square of plain bisection's.
+more steps than about the square of plain bisection's.  Their errors, and
+every other numeric failure in the package, derive from `NumericalError`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 from typing import Callable
 
 __all__ = [
+    "NumericalError",
     "NoBracketError",
     "MaxItersError",
     "bracket_monotone",
@@ -28,11 +29,15 @@ __all__ = [
 _MAX_WALK_STEPS = 60  # walk limit: 2**60 * step
 
 
-class NoBracketError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numeric routine failed on input it accepted; the CLI exits 3 on it."""
+
+
+class NoBracketError(NumericalError):
     """No sign change of f between the given points, or along the walk."""
 
 
-class MaxItersError(RuntimeError):
+class MaxItersError(NumericalError):
     """A root-finder hit its iteration cap before reaching tolerance."""
 
 

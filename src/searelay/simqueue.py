@@ -34,6 +34,7 @@ import numpy as np
 
 from .channel import RateFunction
 from .evaluate import TrafficModel
+from .scalar import NumericalError
 from .solver1d import Placement
 
 __all__ = [
@@ -51,7 +52,7 @@ DRIFT_SLOPE_FRACTION = 0.01   # stable iff total slope < fraction * packet rate
 END_QUEUE_FACTOR = 100.0      # ... and end backlog <= factor * early average
 
 
-class InconclusiveProbeError(RuntimeError):
+class InconclusiveProbeError(NumericalError):
     """Stability classification was not monotone across the probed loads."""
 
     def __init__(self, message: str, points=None):

@@ -18,10 +18,13 @@ then the root, in log q, of log(maximal covered length / L).
 
 Each hop of the recursion solves its surplus equation with `_hop_root`, a
 safeguarded secant inside [0, next spacing out] that reuses R at the next
-spacing; `surplus_inverse` wraps the same routine.  The recursion also
-returns the derivative of its coverage in log q, q dC/dq, by
-differentiating every tight hop implicitly with the slope its root-find
-ended on, so no analytic R' and no extra R evaluation is needed.
+spacing.  The farthest hop, of surplus 0, has no spacing beyond it:
+`_far_root` brackets it, warm from a recursion at a nearby load or cold by
+a doubling walk from 1 m, before `_hop_root` runs; `surplus_inverse` is
+its cold path at any surplus t.  The recursion also returns the derivative
+of its coverage in log q, q dC/dq, by differentiating every tight hop
+implicitly with the slope its root-find ended on, so no analytic R' and
+no extra R evaluation is needed.
 
 `solve` finds the load by a safeguarded Newton iteration on log q (as
 `rtsafe`, Press et al., *Numerical Recipes*, section 9.4): it starts at the
@@ -29,8 +32,7 @@ load equal spacing supports and stays inside a proven bracket, and it
 ends on two recursions that straddle the segment length within the
 tolerance.  A recursion within 1e-4 of the load before it warm-starts each
 inner hop from that recursion's, moved along dd_i/d(log q), and within
-1e-3 its farthest hop too; further out the farthest hop is bracketed by a
-doubling walk from 1 m.  `solve_n_range` runs the same loop for a range
+1e-3 its farthest hop too.  `solve_n_range` runs the same loop for a range
 of hop counts, each from the recursion of the count before extended by
 one hop at the sink.  Brent's method (`scalar.bisect_monotone`) serves
 only `critical_load`, which has no start point.  Its one root, the hop
@@ -48,7 +50,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .channel import RateFunction
-from .scalar import MaxItersError, bisect_monotone, bracket_monotone
+from .scalar import (MaxItersError, NumericalError, bisect_monotone,
+                     bracket_monotone)
 
 __all__ = [
     "CASE_I",
@@ -93,11 +96,11 @@ class OutOfRangeError(ValueError):
     """Requested surplus value exceeds the maximum R(0)/q attained at x = 0."""
 
 
-class WrongBranchError(RuntimeError):
+class WrongBranchError(NumericalError):
     """Decay factor requested at a load where the chain solution is inactive."""
 
 
-class NumericalInfeasibleError(RuntimeError):
+class NumericalInfeasibleError(NumericalError):
     """Backward recursion left the surplus domain by more than roundoff."""
 
 
@@ -201,18 +204,44 @@ def surplus(rate: RateFunction, q: float, x):
 def surplus_inverse(rate: RateFunction, q: float, t: float) -> float:
     """Hop length x >= 0 with surplus(x) = t; t may not exceed R(0)/q.
 
-    The root is bracketed by a doubling walk from 1 m, capped at
-    2 (R(0)/q - t), where the surplus is already below t; `_hop_root`
-    finds it.
+    Solved as a cold farthest hop is, by `_far_root`.
     """
-    return _surplus_root(rate, q, t)[0]
+    return _far_root(rate, q, None, t)[0]
 
 
-def _surplus_root(rate: RateFunction, q: float, t: float
-                  ) -> tuple[float, float, float | None]:
-    """`surplus_inverse` with R and the slope of f at the root, as `_hop_root`."""
+def _far_root(rate: RateFunction, q: float, warm: SubproblemResult | None,
+              t: float = 0.0) -> tuple[float, float, float | None]:
+    """Hop x >= 0 with surplus(x) = t at load q, R(x), and f' there, as `_hop_root`.
+
+    t = 0 gives a recursion's farthest hop.  For it, a recursion `warm` at
+    a load within 1e-3 of q, relative, gives a start: warm's farthest hop
+    moved along its dd/d(log q), with warm's slope for a Newton first step.
+    The bracket's far end is one predicted move beyond that start, plus one
+    hop tolerance: warm's hop lies within a tolerance below its root, so
+    above warm's load that end lies beyond the root, and below it too while
+    the prediction errs by less than its move.  Otherwise a doubling walk
+    from 1 m brackets the root, capped at 2 (R(0)/q - t), where the surplus
+    is already below t, and `_hop_root` starts from the walk's last secant.
+    """
     if q <= 0:
         raise ValueError("load q must be > 0")
+    r = rate.scalar
+    if warm is not None and abs(q - warm.q) < _FAR_REL * q:
+        if warm.branch == CASE_II:
+            d = float(warm.distances[-1])
+            dd = float(warm.ddistances_dlogq[-1])
+            slope = float(warm.hop_slopes[-1])
+        else:
+            # the single hop: its q dd/dq is the coverage's, 0.5 d q / f'
+            d, dd = warm.coverage, warm.dcoverage_dlogq
+            slope = 0.5 * d * warm.q / dd if dd else -0.5 * warm.q
+        x = d + dd * math.log(q / warm.q)
+        hi = max(x, d) + abs(x - d) + _X_TOL + _X_RTOL * d
+        r_hi = r(hi)
+        if r_hi - 0.5 * q * hi < 0.0:
+            # f' = R' - q/2 moves by -dq/2 through its q term alone
+            return _hop_root(r, rate.r0, q, 0.0, hi, r_hi, x,
+                             slope - 0.5 * (q - warm.q))
     g0 = rate.r0 / q
     t = float(t)
     if t >= g0:
@@ -223,7 +252,6 @@ def _surplus_root(rate: RateFunction, q: float, t: float
     if f_lo <= 0.0:
         # t is R(0)/q up to roundoff
         return 0.0, rate.r0, None
-    r = rate.scalar
 
     def f(x: float) -> float:
         return r(x) - q * (0.5 * x + t)
@@ -331,8 +359,6 @@ def decay_factor(rate: RateFunction, q: float) -> float:
     Defined as 1 + 1/surplus_slope(0); only meaningful on the chain branch
     (q below the critical load), where the slope at 0 is below -1.
     """
-    if q <= 0:
-        raise ValueError("load q must be > 0")
     if q >= critical_load(rate):
         raise WrongBranchError("decay factor is defined only below the critical load")
     return _gamma(rate, q)
@@ -366,10 +392,8 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if q <= 0:
-        raise ValueError("load q must be > 0")
-    g0 = rate.r0 / q
     d_far, r_hi, s_hi = _far_root(rate, q, warm)
+    g0 = rate.r0 / q
     if s_hi is None:
         s_hi = -0.5 * q
     dt = 0.5 * d_far * (q / s_hi)
@@ -389,39 +413,6 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     d, dd, fs = [0.0] * n, [0.0] * n, [0.0] * n
     d[-1], dd[-1], fs[-1] = d_far, dt, s_hi
     return _inward(rate, q, d, dd, fs, n - 1, r_hi, d_far, dt, starts, slopes)
-
-
-def _far_root(rate: RateFunction, q: float, warm: SubproblemResult | None
-              ) -> tuple[float, float, float | None]:
-    """The farthest hop at load q, as `_surplus_root(rate, q, 0)`.
-
-    From a recursion `warm` at a load within 1e-3 of q, relative, the hop
-    starts at warm's farthest hop moved along its dd/d(log q), with warm's
-    slope for a Newton first step.  The bracket's far end is one predicted
-    move beyond that start, plus one hop tolerance: warm's hop lies within
-    a tolerance below its root, so above warm's load that end lies beyond
-    the root, and below it too while the prediction errs by less than its
-    move.  Otherwise, and without warm, the hop is solved cold, from the
-    doubling walk.
-    """
-    if warm is None or not abs(q - warm.q) < _FAR_REL * q:
-        return _surplus_root(rate, q, 0.0)
-    if warm.branch == CASE_II:
-        d = float(warm.distances[-1])
-        dd = float(warm.ddistances_dlogq[-1])
-        slope = float(warm.hop_slopes[-1])
-    else:
-        # the single hop: its q dd/dq is the coverage's, 0.5 d q / f'
-        d, dd = warm.coverage, warm.dcoverage_dlogq
-        slope = 0.5 * d * warm.q / dd if dd else -0.5 * warm.q
-    x = d + dd * math.log(q / warm.q)
-    hi = max(x, d) + abs(x - d) + _X_TOL + _X_RTOL * d
-    r = rate.scalar
-    r_hi = r(hi)
-    if r_hi - 0.5 * q * hi >= 0.0:
-        return _surplus_root(rate, q, 0.0)
-    # f' = R' - q/2 moves by -dq/2 through its q term alone
-    return _hop_root(r, rate.r0, q, 0.0, hi, r_hi, x, slope - 0.5 * (q - warm.q))
 
 
 def _extend(rate: RateFunction, sub: SubproblemResult) -> SubproblemResult:

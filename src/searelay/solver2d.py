@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import RateFunction
 from .evaluate import hop_limits
+from .scalar import NumericalError
 from .solver1d import Placement, solve, solve_n_range
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 
-class NoFeasibleGridError(RuntimeError):
+class NoFeasibleGridError(NumericalError):
     """No column count within the sweep limit made the x-family non-binding."""
 
 

@@ -187,6 +187,19 @@ def test_validate_flags_increasing_function():
     assert not report.passed
 
 
+def test_custom_scalar_rate_on_the_array_path():
+    # a math-only callable, no array_fn: arrays go through it element-wise
+    rate = sr.RateFunction(lambda d: 1e8 * math.exp(-d / 50.0))
+    assert list(rate(np.array([0.0, 50.0]))) == [1e8, 1e8 * math.exp(-1.0)]
+    assert rate(np.zeros((2, 0))).shape == (2, 0)
+    res = sr.solve(rate, 6, 300.0)
+    back = sr.qsup_of_placement(res.placement, rate).q_sup
+    assert back == pytest.approx(res.q_sup, rel=1e-6)
+    assert sr.validate_rate_assumption(rate).passed
+    stats = sr.perturb_eval(res.placement, rate, 1.0, trials=20, seed=3)
+    assert 0.0 < stats.mean_q_sup <= res.q_sup * (1 + 1e-6)
+
+
 def test_derivative_matches_closed_form():
     # beta=1, alpha=2: R'(d) = W s'(d)/(1+s(d)), s' = -s (K + 2/(eps+d))
     params = sr.preset("blue")
@@ -295,6 +308,20 @@ def test_load_channel_config_rejects_bad_keys(tmp_path):
     path.write_text("not json at all {")
     with pytest.raises(ValueError, match="not valid JSON"):
         sr.load_channel_config(path)
+
+
+def test_load_fec_config(tmp_path):
+    path = tmp_path / "fec.json"
+    required = {"modulation_bits_per_symbol": 2, "code_rate": 0.5,
+                "snr_threshold": 10.0, "scaled_gain": 1e9}
+    path.write_text(json.dumps(required))
+    assert sr.load_fec_config(path) == sr.FecRateParams(**required)
+    for bad, message in [({**required, "code_rate": True}, "finite JSON numbers"),
+                         ({**required, "modulation_bits_per_symbol": 2.5}, "integer"),
+                         ({"code_rate": 0.5}, "missing keys")]:
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=f"config file {path}: .*{message}"):
+            sr.load_fec_config(path)
 
 
 # ---------------------------------------------------------------------------

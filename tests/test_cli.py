@@ -209,6 +209,53 @@ def test_numeric_failure_exits_3(capsys):
     assert "numeric failure" in err
 
 
+def test_inconclusive_probe_exits_3(capsys, monkeypatch):
+    def inconclusive(*args, **kwargs):
+        raise sr.InconclusiveProbeError("stable above an unstable load")
+
+    monkeypatch.setattr(cli.sq, "stability_probe", inconclusive)
+    code, out, err = run(capsys, "simulate", "--preset", "blue", "--n", "1",
+                         "--l", "200", "--probe-factors", "0.9,1.1")
+    assert code == 3
+    assert not out
+    assert "numeric failure: stable above an unstable load" in err
+
+
+@pytest.mark.parametrize("depth", ["nan", "inf", "0"])
+def test_compare_non_finite_depth_exits_2(capsys, depth):
+    code, out, err = run(capsys, "compare", "--preset", "blue", "--n", "10",
+                         "--l", "500", "--vertical-depth", depth,
+                         "--vertical-nl", "1")
+    assert code == 2
+    assert not out
+    assert "depth and length must be finite" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--l-min", "nan"), ("--l-max", "inf"), ("--l-step", "nan"),
+])
+def test_sweep_l_non_finite_range_exits_2(capsys, flag, value):
+    flags = {"--l-min": "100", "--l-max": "300", "--l-step": "100", flag: value}
+    code, out, err = run(capsys, "sweep-l", "--preset", "blue", "--n", "2",
+                         *[x for kv in flags.items() for x in kv])
+    assert code == 2
+    assert not out
+    assert f"{flag} must be finite" in err
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    missing = tmp_path / "no_such_dir" / "x.csv"
+    code, out, err = run(capsys, "sweep-n", "--preset", "blue", "--n-max", "2",
+                         "--l", "500", "-o", str(missing))
+    assert code == 2
+    assert f"cannot write output {missing}: " in err
+    code, out, err = run(capsys, "simulate", "--preset", "blue", "--n", "1",
+                         "--l", "200", "--horizon-packets", "500",
+                         "--timeseries", str(missing))
+    assert code == 2
+    assert f"cannot write output {missing}: " in err
+
+
 def test_argparse_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--preset", "blue"])  # --n and --l missing
@@ -527,6 +574,48 @@ def test_fec_rate_model(capsys, tmp_path):
     _, rows = read_csv(out)
     assert len(rows) == 3
     assert float(rows[0][3]) > 0.0
+
+
+@pytest.mark.parametrize("flag", ["--config", "--fec-config"])
+@pytest.mark.parametrize("edit,message", [
+    (lambda cfg: list(cfg), "expected a flat JSON object"),
+    (lambda cfg: {**cfg, "bogus": 1}, "unknown keys ['bogus']"),
+    (lambda cfg: {}, "missing keys"),
+    (lambda cfg: {**cfg, "epsilon_m": "x"}, "['epsilon_m'] must be finite JSON numbers"),
+    (lambda cfg: {**cfg, "epsilon_m": True}, "['epsilon_m'] must be finite JSON numbers"),
+    (lambda cfg: {**cfg, "epsilon_m": float("nan")}, "must be finite JSON numbers"),
+    (lambda cfg: {**cfg, "epsilon_m": -1.0}, "epsilon_m"),
+], ids=["list", "unknown", "missing", "string", "bool", "nan", "negative"])
+def test_bad_config_file_names_file_and_key(capsys, tmp_path, flag, edit, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(edit(BASE_CONFIG if flag == "--config" else FEC_CONFIG)))
+    model = ("--rate-model", "fec") if flag == "--fec-config" else ()
+    code, out, err = run(capsys, "solve", *model, flag, str(path), "--n", "3",
+                         "--l", "100")
+    assert code == 2
+    assert not out
+    assert f"searelay: config file {path}: " in err
+    assert message in err
+
+
+def test_fec_config_defaults_and_hash(capsys, tmp_path):
+    # a file stating every key keeps its digest; one omitting a key with a
+    # default is the same model, and prints the default it uses
+    full, partial = tmp_path / "full.json", tmp_path / "partial.json"
+    full.write_text(json.dumps(FEC_CONFIG))
+    partial.write_text(json.dumps(
+        {k: v for k, v in FEC_CONFIG.items() if k != "attenuation_per_m"}))
+    outs = []
+    for path in (full, partial):
+        code, out, _ = run(capsys, "perturb", "--rate-model", "fec",
+                           "--fec-config", str(path), "--n", "3", "--l", "5",
+                           "--sigma", "0", "--trials", "2")
+        assert code == 0
+        header, rows = read_csv(out)
+        outs.append(dict(zip(header, rows[0])))
+    assert outs[0] == outs[1]
+    assert outs[0]["config_hash"] == "7f84af250898"
+    assert outs[0]["k_attenuation"] == "0.02"
 
 
 def test_output_file_and_json_list(capsys, tmp_path):
