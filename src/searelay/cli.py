@@ -15,7 +15,6 @@ import functools
 import hashlib
 import io
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -29,9 +28,8 @@ from .scalar import NumericalError
 from .solver1d import Placement, solve, solve_n_range
 from .solver2d import solve_2d
 
-__all__ = ["main", "ConfigError", "PRESET_DIR_ENV"]
+__all__ = ["main", "ConfigError"]
 
-PRESET_DIR_ENV = "SEARELAY_PRESETS"  # directory of extra <name>.json presets
 FMT = "%.9g"
 
 
@@ -98,25 +96,11 @@ def _config_hash(meta: dict) -> str:
 # rate construction
 # ---------------------------------------------------------------------------
 
-def _resolve_preset(name: str) -> ch.ShannonRateParams:
-    if name in ch.preset_names():
-        return ch.preset(name)
-    preset_dir = os.environ.get(PRESET_DIR_ENV)
-    if preset_dir:
-        path = os.path.join(preset_dir, f"{name}.json")
-        if os.path.exists(path):
-            return _load_config(ch.load_channel_config, path)
-    raise ConfigError(
-        f"unknown preset {name!r}; built-ins are {sorted(ch.preset_names())}"
-        + (f", and no {name}.json under ${PRESET_DIR_ENV}" if preset_dir else
-           f" (set ${PRESET_DIR_ENV} to add preset files)"))
-
-
 def _load_config(load, path: str):
     try:
         return load(path)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -133,7 +117,10 @@ def _build_rate(args):
         source = {"config": args.config}
     else:
         name = args.preset or "blue"
-        params = _resolve_preset(name)
+        if name not in ch.preset_names():
+            raise ConfigError(f"unknown preset {name!r}; built-ins are "
+                              f"{sorted(ch.preset_names())}")
+        params = ch.preset(name)
         source = {"preset": name}
     meta = {"rate_model": "shannon", **source,
             "attenuation_per_m": params.channel.attenuation_per_m,
@@ -145,8 +132,8 @@ def _read_placement(path: str) -> Placement:
     """Placement from a CSV (index,distance_m) or a solve JSON output."""
     try:
         text = Path(path).read_text()
-    except FileNotFoundError:
-        raise ConfigError(f"placement file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"placement file {path}: {exc.strerror}") from None
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
@@ -296,16 +283,10 @@ def _cmd_simulate(args, rate, meta) -> int:
                "points": [asdict(p) for p in probe.points]}
         _emit(args, rows, obj)
         return 0
-    q = args.q_factor * q_ref
-    traffic = ev.TrafficModel(packet_rate=q * placement.length / B,
-                              mean_data_size=B, area_length=placement.length)
-    lam = traffic.packet_rate
-    horizon = args.horizon_packets / lam
-    cfg = sq.SimConfig(
-        placement=placement, traffic=traffic,
-        arrival_process=args.arrival, packet_size=args.size_dist,
-        horizon_s=horizon, warmup_s=0.1 * horizon, seed=args.seed)
+    cfg = sq.SimConfig(placement, args.q_factor * q_ref, B, args.arrival,
+                       args.size_dist, args.horizon_packets, seed=args.seed)
     stats = sq.simulate(cfg, rate)
+    q, lam = cfg.q, cfg.packet_rate
     stable = sq.is_stable(stats, lam)
     rows = [{"node": i + 1, "distance_m": placement.distances[i],
              "time_avg_queue": stats.time_avg_queue[i],
@@ -318,11 +299,11 @@ def _cmd_simulate(args, rate, meta) -> int:
            "delivered": stats.delivered, "generated": stats.generated,
            "time_avg_queue": stats.time_avg_queue,
            "end_queue": stats.end_queue, "drift_slope": stats.drift_slope}
-    _emit(args, rows, obj)
-    if args.timeseries:
+    if args.timeseries:   # first, so a failed write leaves no table behind
         samples = [{"time_s": t, **{f"node_{i + 1}": v for i, v in enumerate(row)}}
                    for t, row in zip(stats.sample_times, stats.queue_samples)]
         _write(args.timeseries, _csv(samples))
+    _emit(args, rows, obj)
     return 0
 
 
@@ -346,8 +327,7 @@ def _cmd_compare(args, rate, meta) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group()
-    src.add_argument("--preset", help="built-in water preset (red, green, blue)"
-                     f" or a name under ${PRESET_DIR_ENV}")
+    src.add_argument("--preset", help="built-in water preset (red, green, blue)")
     src.add_argument("--config", help="flat JSON channel config file")
     p.add_argument("--rate-model", choices=("shannon", "fec"), default="shannon")
     p.add_argument("--fec-config", help="JSON file with FEC rate parameters")

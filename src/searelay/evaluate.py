@@ -39,7 +39,6 @@ from .channel import RateFunction
 from .solver1d import _SUM_TOL, Placement
 
 __all__ = [
-    "TrafficModel",
     "PlacementLimit",
     "PerturbStats",
     "hop_limits",
@@ -65,26 +64,6 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-
-
-@dataclass(frozen=True)
-class TrafficModel:
-    """Homogeneous packet traffic over a segment of seafloor."""
-
-    packet_rate: float      # lambda, packets per second over the whole segment
-    mean_data_size: float   # B, bits per packet
-    area_length: float      # L, meters
-
-    def __post_init__(self) -> None:
-        for name in ("packet_rate", "mean_data_size", "area_length"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-    @property
-    def q(self) -> float:
-        """Offered load per meter: lambda * B / L [bit/s per m]."""
-        return self.packet_rate * self.mean_data_size / self.area_length
 
 
 @dataclass(frozen=True)

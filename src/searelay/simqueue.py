@@ -1,5 +1,11 @@
 """Simulation of the relay chain's tandem queues, one recursion per node.
 
+A run is configured by its load, as the analytic model states it: a
+``SimConfig`` holds the placement, the load q [bit/s per m], the mean packet
+size B and a horizon counted in packets.  The packet rate lambda = q L / B,
+the horizon in seconds (horizon_packets / lambda) and the warmup (a fraction
+of the horizon) are derived from those, in that order, in one place.
+
 Packets are generated on [0, L] by a stationary arrival process, collected
 by the nearest node, and forwarded hop by hop toward the sink.  Every hop is
 a FIFO single-server queue whose service time is packet size over the hop's
@@ -33,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from .channel import RateFunction
-from .evaluate import TrafficModel
 from .scalar import NumericalError
 from .solver1d import Placement
 
@@ -48,6 +53,7 @@ ARRIVAL_DETERMINISTIC = "deterministic"
 SIZE_FIXED = "fixed"
 SIZE_EXPONENTIAL = "exponential"
 
+N_SAMPLES = 2048              # queue-length snapshots along each run
 DRIFT_SLOPE_FRACTION = 0.01   # stable iff total slope < fraction * packet rate
 END_QUEUE_FACTOR = 100.0      # ... and end backlog <= factor * early average
 
@@ -62,41 +68,59 @@ class InconclusiveProbeError(NumericalError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run: ``placement`` carrying ``q`` bit/s per meter in packets of
+    mean size ``mean_data_size`` bits, for ``horizon_packets`` mean
+    inter-arrival times, of which the first ``warmup_frac`` is warmup."""
+
     placement: Placement
-    traffic: TrafficModel
+    q: float                          # offered load [bit/s per m]
+    mean_data_size: float = 1e5       # B [bit]
     arrival_process: str = ARRIVAL_POISSON
     packet_size: str = SIZE_FIXED
-    horizon_s: Optional[float] = None    # default: 1e6 packets worth of time
-    warmup_s: Optional[float] = None     # default: 10% of the horizon
+    horizon_packets: float = 50_000
+    warmup_frac: float = 0.1
     seed: int | tuple = 0
-    n_samples: int = 2048                # queue-length snapshots along the run
-    record_trace: bool = False           # per-node arrival/departure id lists
+    record_trace: bool = False        # per-node arrival/departure id lists
 
     def __post_init__(self) -> None:
         if self.arrival_process not in (ARRIVAL_POISSON, ARRIVAL_DETERMINISTIC):
             raise ValueError(f"unknown arrival process {self.arrival_process!r}")
         if self.packet_size not in (SIZE_FIXED, SIZE_EXPONENTIAL):
             raise ValueError(f"unknown packet size model {self.packet_size!r}")
-        if self.n_samples < 4:
-            raise ValueError("n_samples must be >= 4")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError("q must be finite and > 0 for a positive packet_rate, "
+                             f"got {self.q!r}")
+        for name in ("mean_data_size", "horizon_packets"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0.0 <= self.warmup_frac < 1.0:
+            raise ValueError(f"warmup_frac must be in [0, 1), got {self.warmup_frac!r}")
+        lam = self.packet_rate
+        if not (lam > 0.0 and self.horizon_s < math.inf):
+            raise ValueError(f"load {self.q!r} is too small: packet_rate {lam!r} "
+                             "leaves no finite horizon")
+        if not self.horizon_s > self.warmup_s:
+            raise ValueError(f"load {self.q!r} is too large: packet_rate {lam!r} "
+                             "leaves no time after the warmup")
         words = self.seed if isinstance(self.seed, tuple) else (self.seed,)
         if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
                    and w >= 0 for w in words):
             raise ValueError("seed must be a non-negative integer or a tuple "
                              f"of them, got {self.seed!r}")
 
-    def resolved_window(self) -> tuple[float, float]:
-        """Concrete (horizon_s, warmup_s) after defaults."""
-        horizon = self.horizon_s
-        if horizon is None:
-            horizon = 1e6 / self.traffic.packet_rate
-        warmup = 0.1 * horizon if self.warmup_s is None else self.warmup_s
-        for name, value in (("horizon_s", horizon), ("warmup_s", warmup)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not horizon > warmup >= 0.0:
-            raise ValueError("need horizon_s > warmup_s >= 0")
-        return float(horizon), float(warmup)
+    @property
+    def packet_rate(self) -> float:
+        """lambda = q * L / B, packets per second over the whole segment."""
+        return self.q * self.placement.length / self.mean_data_size
+
+    @property
+    def horizon_s(self) -> float:
+        return self.horizon_packets / self.packet_rate
+
+    @property
+    def warmup_s(self) -> float:
+        return self.warmup_frac * self.horizon_s
 
 
 @dataclass(frozen=True)
@@ -112,7 +136,7 @@ class QueueStats:
     duration_s: float
     warmup_s: float
     sample_times: np.ndarray
-    queue_samples: np.ndarray     # (n_samples, N) backlog snapshots
+    queue_samples: np.ndarray     # (N_SAMPLES, N) backlog snapshots
     trace: Optional[dict] = field(default=None, repr=False)
 
 
@@ -135,12 +159,8 @@ def _lsq_slope(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
     """Run the tandem-queue simulation and summarize backlog behavior."""
     placement = cfg.placement
-    traffic = cfg.traffic
-    if abs(traffic.area_length - placement.length) > 1e-6 * placement.length:
-        raise ValueError("traffic.area_length must match placement.length")
     n = placement.n
-    lam = traffic.packet_rate
-    horizon, warmup = cfg.resolved_window()
+    lam, horizon, warmup = cfg.packet_rate, cfg.horizon_s, cfg.warmup_s
 
     link_rate = np.asarray(rate(placement.distances), dtype=float)
     if np.any(link_rate <= 0.0) or not np.all(np.isfinite(link_rate)):
@@ -168,9 +188,9 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
     m = times.size
     positions = rng.uniform(0.0, placement.length, m)
     if cfg.packet_size == SIZE_FIXED:
-        sizes = np.full(m, traffic.mean_data_size)
+        sizes = np.full(m, cfg.mean_data_size)
     else:
-        sizes = rng.exponential(traffic.mean_data_size, m)
+        sizes = rng.exponential(cfg.mean_data_size, m)
 
     x = placement.positions
     boundaries = 0.5 * (x[:-1] + x[1:])
@@ -180,8 +200,8 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
     ext_id = np.arange(ext_t.size)     # trace id: index among relay packets
 
     # --- one Lindley recursion per node, from the far end inward
-    sample_t = np.linspace(0.0, horizon, cfg.n_samples)
-    samples = np.zeros((cfg.n_samples, n), dtype=float)
+    sample_t = np.linspace(0.0, horizon, N_SAMPLES)
+    samples = np.zeros((N_SAMPLES, n), dtype=float)
     time_avg = np.zeros(n)
     end_queue = np.zeros(n)
     trace = {"arrivals": [None] * n, "departures": [None] * n} if cfg.record_trace else None
@@ -264,32 +284,13 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
         raise ValueError(f"q_grid loads must be finite and > 0, got {q_grid}")
     if any(b <= a for a, b in zip(q_grid, q_grid[1:])):
         raise ValueError("q_grid must be strictly increasing")
-    for name, value in (("horizon_packets", horizon_packets),
-                        ("mean_data_size", mean_data_size)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    if not 0.0 <= warmup_frac < 1.0:
-        raise ValueError(f"warmup_frac must be in [0, 1), got {warmup_frac!r}")
     points = []
     for i, q in enumerate(q_grid):
-        lam = q * placement.length / mean_data_size
         # the grid ascends, so a load too small for a horizon fails first
-        horizon = horizon_packets / lam if lam > 0.0 else math.inf
-        if not math.isfinite(horizon):
-            raise ValueError(f"load {q!r} is too small: packet rate {lam!r} "
-                             "leaves no finite horizon")
-        cfg = SimConfig(
-            placement=placement,
-            traffic=TrafficModel(packet_rate=lam, mean_data_size=mean_data_size,
-                                 area_length=placement.length),
-            arrival_process=arrival_process,
-            packet_size=packet_size,
-            horizon_s=horizon,
-            warmup_s=warmup_frac * horizon,
-            seed=(seed, i),
-        )
+        cfg = SimConfig(placement, q, mean_data_size, arrival_process, packet_size,
+                        horizon_packets, warmup_frac, seed=(seed, i))
         stats = simulate(cfg, rate)
-        points.append(ProbePoint(q=q, stable=is_stable(stats, lam),
+        points.append(ProbePoint(q=q, stable=is_stable(stats, cfg.packet_rate),
                                  total_drift_slope=stats.total_drift_slope,
                                  end_backlog=float(stats.end_queue.sum())))
     flags = [p.stable for p in points]

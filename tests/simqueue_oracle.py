@@ -16,20 +16,17 @@ from collections import deque
 
 import numpy as np
 
-from searelay.simqueue import (ARRIVAL_POISSON, SIZE_FIXED, QueueStats,
-                               SimConfig, _lsq_slope)
+from searelay.simqueue import (ARRIVAL_POISSON, N_SAMPLES, SIZE_FIXED,
+                               QueueStats, SimConfig, _lsq_slope)
 
 
 def simulate_events(cfg: SimConfig, rate) -> QueueStats:
     """Run the tandem queues event by event and summarize backlog behavior."""
     placement = cfg.placement
-    traffic = cfg.traffic
-    if abs(traffic.area_length - placement.length) > 1e-6 * placement.length:
-        raise ValueError("traffic.area_length must match placement.length")
     n = placement.n
-    lam = traffic.packet_rate
-    mean_size = traffic.mean_data_size
-    horizon, warmup = cfg.resolved_window()
+    lam = cfg.packet_rate
+    mean_size = cfg.mean_data_size
+    horizon, warmup = cfg.horizon_s, cfg.warmup_s
 
     d = placement.distances
     link_rate = np.asarray(rate(d), dtype=float)
@@ -87,8 +84,8 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
     trace_dep = [[] for _ in range(n + 1)] if cfg.record_trace else None
     ids_enabled = cfg.record_trace
 
-    sample_t = np.linspace(0.0, horizon, cfg.n_samples)
-    samples = np.zeros((cfg.n_samples, n), dtype=float)
+    sample_t = np.linspace(0.0, horizon, N_SAMPLES)
+    samples = np.zeros((N_SAMPLES, n), dtype=float)
     sp = 0
     stimes = sample_t.tolist()
 
@@ -106,7 +103,7 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
         t = t_ext if t_ext <= t_dep else t_dep
         if t is inf or t > horizon:
             break
-        while sp < cfg.n_samples and stimes[sp] <= t:
+        while sp < N_SAMPLES and stimes[sp] <= t:
             samples[sp] = counts[1:]
             sp += 1
         if warm_acc is None and t > warmup:
@@ -164,7 +161,7 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
             raise AssertionError("packet conservation violated")
 
     # --- flush to the horizon
-    while sp < cfg.n_samples:
+    while sp < N_SAMPLES:
         samples[sp] = counts[1:]
         sp += 1
     if warm_acc is None:

@@ -13,7 +13,7 @@ import pytest
 
 import searelay as sr
 import searelay.cli as cli
-from searelay.cli import PRESET_DIR_ENV, main
+from searelay.cli import main
 
 BASE_CONFIG = {
     "transmit_power_W": 0.5,
@@ -253,7 +253,20 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
                          "--l", "200", "--horizon-packets", "500",
                          "--timeseries", str(missing))
     assert code == 2
+    assert not out
     assert f"cannot write output {missing}: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--config", "{dir}", "--n", "2", "--l", "10"),
+    ("solve", "--rate-model", "fec", "--fec-config", "{dir}", "--n", "2", "--l", "10"),
+    ("eval", "--preset", "blue", "--placement", "{dir}"),
+], ids=["config", "fec-config", "placement"])
+def test_directory_as_input_file_exits_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *[a.format(dir=tmp_path) for a in argv])
+    assert code == 2
+    assert not out
+    assert f"file {tmp_path}: " in err
 
 
 def test_argparse_errors(capsys):
@@ -409,6 +422,30 @@ def test_simulate_single_run_and_timeseries(capsys, tmp_path):
     assert len(ts_rows) == 1 + 2048
 
 
+@pytest.mark.parametrize("models", [
+    (), ("--arrival", "deterministic", "--size-dist", "exponential", "--data-size", "3e4"),
+], ids=["defaults", "other-models"])
+def test_simulate_single_run_is_one_sim_config(capsys, blue_rate, models):
+    # a single run at --q-factor f is simulate() of one SimConfig at f * q_sup
+    code, out, _ = run(capsys, "simulate", "--preset", "blue", "--n", "3",
+                       "--l", "300", "--q-factor", "1.1", "--seed", "4",
+                       "--horizon-packets", "3000", "--format", "json", *models)
+    assert code == 0
+    kw = dict(zip(("arrival_process", "packet_size", "mean_data_size"),
+                  ("deterministic", "exponential", 3e4))) if models else {}
+    res = sr.solve(blue_rate, 3, 300.0)
+    cfg = sr.SimConfig(res.placement, 1.1 * res.q_sup, horizon_packets=3000,
+                       seed=4, **kw)
+    stats = sr.simulate(cfg, blue_rate)
+    assert json.loads(out) == cli._rounded({
+        "q": cfg.q, "lambda": cfg.packet_rate,
+        "stable": sr.is_stable(stats, cfg.packet_rate),
+        "total_drift_slope": stats.total_drift_slope,
+        "delivered": stats.delivered, "generated": stats.generated,
+        "time_avg_queue": stats.time_avg_queue, "end_queue": stats.end_queue,
+        "drift_slope": stats.drift_slope})
+
+
 def test_simulate_probe_mode(capsys):
     code, out, _ = run(capsys, "simulate", "--preset", "blue", "--n", "1",
                        "--l", "200", "--probe-factors", "0.9,1.1",
@@ -536,29 +573,6 @@ def test_config_file_matches_builtin_preset(capsys, tmp_path):
                            "--l", "250")
     assert code_a == code_b == 0
     assert out_a == out_b
-
-
-def test_preset_dir_env(capsys, tmp_path, monkeypatch):
-    (tmp_path / "murky.json").write_text(
-        json.dumps({**BASE_CONFIG, "attenuation_per_m": 0.5}))
-    monkeypatch.setenv(PRESET_DIR_ENV, str(tmp_path))
-    code, out, _ = run(capsys, "solve", "--preset", "murky", "--n", "3",
-                       "--l", "50")
-    assert code == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 3
-    # murkier water than any built-in: lower supportable load than blue
-    code, out_blue, _ = run(capsys, "solve", "--preset", "blue", "--n", "3",
-                            "--l", "50")
-    assert float(rows[0][3]) < float(read_csv(out_blue)[1][0][3])
-
-
-def test_preset_dir_env_still_unknown(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(PRESET_DIR_ENV, str(tmp_path))
-    code, _, err = run(capsys, "solve", "--preset", "murky", "--n", "3",
-                       "--l", "50")
-    assert code == 2
-    assert "murky" in err
 
 
 def test_fec_rate_model(capsys, tmp_path):

@@ -328,14 +328,18 @@ def test_perturb_validation(blue_rate, blue_10_500):
 # ---------------------------------------------------------------------------
 
 def test_traffic_model_q():
-    tm = sr.TrafficModel(packet_rate=2.0, mean_data_size=1e5, area_length=500.0)
-    assert tm.q == pytest.approx(2.0 * 1e5 / 500.0, rel=1e-12)
+    # a simulation's traffic: q bit/s per m over L in packets of B bits
+    # arrive at lambda = q * L / B packets per second
+    p = sr.Placement(distances=np.array([200.0, 300.0]), length=500.0)
+    cfg = sr.SimConfig(p, q=2.0 * 1e5 / 500.0, mean_data_size=1e5)
+    assert cfg.packet_rate == pytest.approx(2.0, rel=1e-12)
 
 
 def test_traffic_model_validation():
+    p = sr.Placement(distances=np.array([1.0]), length=1.0)
     with pytest.raises(ValueError):
-        sr.TrafficModel(packet_rate=-1.0, mean_data_size=1.0, area_length=1.0)
+        sr.SimConfig(p, q=-1.0, mean_data_size=1.0)
     with pytest.raises(ValueError):
-        sr.TrafficModel(packet_rate=1.0, mean_data_size=0.0, area_length=1.0)
+        sr.SimConfig(p, q=1.0, mean_data_size=0.0)
     with pytest.raises(ValueError):
-        sr.TrafficModel(packet_rate=1.0, mean_data_size=1.0, area_length=0.0)
+        sr.SimConfig(sr.Placement(distances=np.array([0.0]), length=0.0), q=1.0)

@@ -21,31 +21,14 @@ def single_hop(length=LENGTH):
     return sr.Placement(distances=np.array([length]), length=length)
 
 
-def cfg_for(placement, q, *, horizon_packets=20_000, seed=0,
+def cfg_for(placement, q, *, horizon_packets=20_000,
             arrival=ARRIVAL_DETERMINISTIC, size_model=SIZE_FIXED, **kw):
-    lam = q * placement.length / SIZE
-    horizon = horizon_packets / lam
-    return sr.SimConfig(
-        placement=placement,
-        traffic=sr.TrafficModel(packet_rate=lam, mean_data_size=SIZE,
-                                area_length=placement.length),
-        arrival_process=arrival,
-        packet_size=size_model,
-        horizon_s=horizon,
-        warmup_s=0.1 * horizon,
-        seed=seed,
-        **kw,
-    )
+    return sr.SimConfig(placement, q, SIZE, arrival, size_model, horizon_packets, **kw)
 
 
 def test_empty_horizon_produces_nothing(blue_rate):
-    p = single_hop()
-    cfg = sr.SimConfig(
-        placement=p,
-        traffic=sr.TrafficModel(packet_rate=1e-12, mean_data_size=SIZE,
-                                area_length=LENGTH),
-        arrival_process=ARRIVAL_DETERMINISTIC,
-        horizon_s=1.0, warmup_s=0.1, seed=0)
+    # half a packet's worth of time: no deterministic arrival fits
+    cfg = cfg_for(single_hop(), 1.0, horizon_packets=0.5)
     stats = sr.simulate(cfg, blue_rate)
     assert stats.generated == 0
     assert stats.delivered == 0
@@ -97,7 +80,7 @@ def test_single_hop_stable_below_boundary(blue_rate):
     p = single_hop()
     cfg = cfg_for(p, 0.8 * q_b, horizon_packets=30_000)
     stats = sr.simulate(cfg, blue_rate)
-    lam = cfg.traffic.packet_rate
+    lam = cfg.packet_rate
     assert sr.is_stable(stats, lam)
     assert np.all(np.abs(stats.drift_slope) < 0.01 * lam)
     assert np.all(stats.time_avg_queue < 10.0)
@@ -109,7 +92,7 @@ def test_single_hop_overload_drift_matches_rate_gap(blue_rate):
     p = single_hop()
     cfg = cfg_for(p, 1.2 * q_b, horizon_packets=30_000)
     stats = sr.simulate(cfg, blue_rate)
-    lam = cfg.traffic.packet_rate
+    lam = cfg.packet_rate
     assert not sr.is_stable(stats, lam)
     expected = 0.2 * blue_rate.scalar(LENGTH) / SIZE
     assert stats.total_drift_slope == pytest.approx(expected, rel=0.2)
@@ -140,36 +123,53 @@ def test_probe_grid_validation(blue_rate):
 @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None, (1, -2), (1, 2.0), (False,)])
 def test_sim_config_rejects_bad_seed(seed):
     # a ValueError naming the field, not a TypeError from default_rng
-    tm = sr.TrafficModel(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)
     with pytest.raises(ValueError, match="seed"):
-        sr.SimConfig(placement=single_hop(), traffic=tm, seed=seed)
+        sr.SimConfig(placement=single_hop(), q=1e3, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 7, np.int64(3), (2, 0), (np.uint32(5), 1)])
 def test_sim_config_accepts_integer_seeds(seed):
-    tm = sr.TrafficModel(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)
-    assert sr.SimConfig(placement=single_hop(), traffic=tm, seed=seed).seed == seed
+    assert sr.SimConfig(placement=single_hop(), q=1e3, seed=seed).seed == seed
 
 
-def test_sim_config_validation(blue_rate):
+def test_sim_config_validation():
     p = single_hop()
-    tm = sr.TrafficModel(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)
-    with pytest.raises(ValueError):
-        sr.SimConfig(placement=p, traffic=tm, arrival_process="bursty")
-    with pytest.raises(ValueError):
-        sr.SimConfig(placement=p, traffic=tm, packet_size="pareto")
-    with pytest.raises(ValueError):
-        sr.SimConfig(placement=p, traffic=tm, n_samples=3)
-    bad = sr.SimConfig(placement=p, traffic=tm, horizon_s=1.0, warmup_s=2.0)
-    with pytest.raises(ValueError):
-        bad.resolved_window()
-    mismatched = sr.SimConfig(
-        placement=p,
-        traffic=sr.TrafficModel(packet_rate=1.0, mean_data_size=SIZE,
-                                area_length=LENGTH + 50.0),
-        horizon_s=1.0)
-    with pytest.raises(ValueError):
-        sr.simulate(mismatched, blue_rate)
+    with pytest.raises(ValueError, match="arrival process"):
+        sr.SimConfig(placement=p, q=1e3, arrival_process="bursty")
+    with pytest.raises(ValueError, match="packet size"):
+        sr.SimConfig(placement=p, q=1e3, packet_size="pareto")
+    # q * L overflows, so the packet rate is inf and the horizon 0 s
+    with pytest.raises(ValueError, match=r"load 1e\+308 is too large"):
+        sr.SimConfig(placement=p, q=1e308)
+
+
+def test_sim_config_derives_rate_then_horizon_then_warmup():
+    cfg = sr.SimConfig(single_hop(), 3.7e3, mean_data_size=2e4,
+                       horizon_packets=1234, warmup_frac=0.25)
+    lam = 3.7e3 * LENGTH / 2e4
+    assert cfg.packet_rate == lam
+    assert cfg.horizon_s == 1234 / lam
+    assert cfg.warmup_s == 0.25 * (1234 / lam)
+
+
+@pytest.mark.parametrize("arrival,size_model", [
+    (ARRIVAL_POISSON, SIZE_FIXED), (ARRIVAL_DETERMINISTIC, SIZE_EXPONENTIAL)])
+def test_probe_point_is_one_sim_config_run(blue_rate, arrival, size_model):
+    # the probe's i-th load is the run of one SimConfig seeded (seed, i)
+    q_b = 2.0 * blue_rate.scalar(LENGTH) / LENGTH
+    grid = [0.9 * q_b, 1.3 * q_b]
+    probe = sr.stability_probe(single_hop(), blue_rate, grid, seed=6,
+                               horizon_packets=3_000, arrival_process=arrival,
+                               packet_size=size_model)
+    for i, (q, point) in enumerate(zip(grid, probe.points)):
+        cfg = sr.SimConfig(single_hop(), q, arrival_process=arrival,
+                           packet_size=size_model, horizon_packets=3_000,
+                           seed=(6, i))
+        stats = sr.simulate(cfg, blue_rate)
+        assert point.q == q
+        assert point.stable == sr.is_stable(stats, cfg.packet_rate)
+        assert point.total_drift_slope == stats.total_drift_slope
+        assert point.end_backlog == float(stats.end_queue.sum())
 
 
 def test_poisson_exponential_smoke(blue_rate, blue_10_500):
@@ -177,7 +177,7 @@ def test_poisson_exponential_smoke(blue_rate, blue_10_500):
                   horizon_packets=10_000, arrival=ARRIVAL_POISSON,
                   size_model=SIZE_EXPONENTIAL, seed=1)
     stats = sr.simulate(cfg, blue_rate)
-    assert sr.is_stable(stats, cfg.traffic.packet_rate)
+    assert sr.is_stable(stats, cfg.packet_rate)
     assert stats.delivered > 0.9 * stats.generated
     assert stats.queue_samples.shape == (2048, 10)
     assert stats.sample_times[0] == 0.0
@@ -240,27 +240,26 @@ def test_trace_is_a_by_product(blue_rate, arrival, size_model):
 # non-finite input
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("field", ["packet_rate", "mean_data_size", "area_length"])
+@pytest.mark.parametrize("field", ["q", "mean_data_size", "horizon_packets"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_traffic_model_rejects_non_finite(field, value):
-    kw = dict(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)
+    # the traffic model is SimConfig's load q, packet size B and run length
+    kw = dict(q=1e3, mean_data_size=SIZE, horizon_packets=1_000)
     kw[field] = value
-    with pytest.raises(ValueError, match=field):
-        sr.TrafficModel(**kw)
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        sr.SimConfig(placement=single_hop(), **kw)
 
 
 @pytest.mark.parametrize("window,field", [
-    (dict(horizon_s=math.inf, warmup_s=0.0), "horizon_s"),
-    (dict(horizon_s=math.nan), "horizon_s"),
-    (dict(horizon_s=10.0, warmup_s=math.nan), "warmup_s"),
+    (dict(horizon_packets=0), "horizon_packets"),
+    (dict(horizon_packets=-5.0), "horizon_packets"),
+    (dict(warmup_frac=math.nan), "warmup_frac"),
+    (dict(warmup_frac=1.0), "warmup_frac"),
+    (dict(warmup_frac=-0.1), "warmup_frac"),
 ])
-def test_sim_config_rejects_non_finite_window(blue_rate, window, field):
-    tm = sr.TrafficModel(packet_rate=1.0, mean_data_size=SIZE, area_length=LENGTH)
-    cfg = sr.SimConfig(placement=single_hop(), traffic=tm, **window)
+def test_sim_config_rejects_bad_window(window, field):
     with pytest.raises(ValueError, match=field):
-        cfg.resolved_window()
-    with pytest.raises(ValueError, match=field):
-        sr.simulate(cfg, blue_rate)
+        sr.SimConfig(placement=single_hop(), q=1e3, **window)
 
 
 @pytest.mark.parametrize("kw,field", [
