@@ -190,8 +190,6 @@ def _cmd_eval(args, rate, meta) -> int:
 
 
 def _cmd_sweep_n(args, rate, meta) -> int:
-    if args.n_min < 1 or args.n_max < args.n_min:
-        raise ConfigError("need 1 <= n-min <= n-max")
     rows = []
     results = solve_n_range(rate, args.l, args.n_min, args.n_max, tol_q=args.tol_q)
     for n, res in enumerate(results, start=args.n_min):

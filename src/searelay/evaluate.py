@@ -30,13 +30,12 @@ loudly instead of drifting the results.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import RateFunction
-from .solver1d import _SUM_TOL, Placement
+from .solver1d import _SUM_TOL, Placement, _checked_count
 
 __all__ = [
     "PlacementLimit",
@@ -102,16 +101,13 @@ def qsup_of_placement(placement: Placement, rate: RateFunction) -> PlacementLimi
 
 def constant_placement(n: int, length: float) -> Placement:
     """Equally spaced baseline: d_i = length / n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _checked_count(n)
     return Placement(distances=np.full(n, length / n), length=length)
 
 
 def tradeoff(q_sup: float, n: int) -> float:
     """Deployment efficiency: supportable load per deployed node."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return q_sup / n
+    return q_sup / _checked_count(n)
 
 
 def vertical_qsup(rate: RateFunction, n_l: int, n_v: int, depth: float,
@@ -122,8 +118,8 @@ def vertical_qsup(rate: RateFunction, n_l: int, n_v: int, depth: float,
     hops over the water column of the given depth, jointly drain the segment:
     q = n_l * R(depth / n_v) / length.
     """
-    if n_l < 1 or n_v < 1:
-        raise ValueError("n_l and n_v must be >= 1")
+    _checked_count(n_l, "n_l")
+    _checked_count(n_v, "n_v")
     if not (0 < depth < math.inf and 0 < length < math.inf):
         raise ValueError("depth and length must be finite and > 0")
     return n_l * rate.scalar(depth / n_v) / length
@@ -244,14 +240,10 @@ def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
     through ``hop_limits``, so memory stays bounded for any trial count.
     ``seed`` must be a non-negative integer, not a bool.
     """
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-            and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    seed = int(seed)
+    seed = _checked_count(seed, "seed", 0)
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _checked_count(trials, "trials")
     n = placement.n
     length = placement.length
     exact = qsup_of_placement(placement, rate).q_sup

@@ -16,23 +16,23 @@ that makes every hop's constraint tight, producing spacings that grow with
 distance from the sink.  The optimal supportable load q_sup for a given L is
 then the root, in log q, of log(maximal covered length / L).
 
-Each hop of the recursion solves its surplus equation with `_hop_root`, a
-safeguarded secant inside [0, next spacing out] that reuses R at the next
-spacing.  The farthest hop, of surplus 0, has no spacing beyond it:
-`_far_root` brackets it, warm from a recursion at a nearby load or cold by
-a doubling walk from 1 m, before `_hop_root` runs; `surplus_inverse` is
-its cold path at any surplus t.  The recursion also returns the derivative
-of its coverage in log q, q dC/dq, by differentiating every tight hop
-implicitly with the slope its root-find ended on, so no analytic R' and
-no extra R evaluation is needed.
+Each hop of a cold recursion solves its surplus equation with `_hop_root`,
+a safeguarded secant inside [0, next spacing out] that reuses R at the next
+spacing.  A chain of more than 48 hops within 0.3 of the load of a
+recursion before solves its inner hops at once instead, by Newton sweeps
+that evaluate R over every hop in one array call.  The farthest hop, of
+surplus 0, has no spacing beyond it: `_far_root` brackets it, warm from a
+recursion at a nearby load or cold by a doubling walk from 1 m, before
+`_hop_root` runs; `surplus_inverse` is its cold path at any surplus t.
+The recursion also returns the derivative of its coverage in log q,
+q dC/dq, by differentiating every tight hop implicitly with the slope its
+root-find ended on, so no analytic R' and no extra R evaluation is needed.
 
 `solve` finds the load by a safeguarded Newton iteration on log q (as
 `rtsafe`, Press et al., *Numerical Recipes*, section 9.4): it starts at the
 load equal spacing supports and stays inside a proven bracket, and it
 ends on two recursions that straddle the segment length within the
-tolerance.  A recursion within 1e-4 of the load before it warm-starts each
-inner hop from that recursion's, moved along dd_i/d(log q), and within
-1e-3 its farthest hop too.  `solve_n_range` runs the same loop for a range
+tolerance.  `solve_n_range` runs the same loop for a range
 of hop counts, each from the recursion of the count before extended by
 one hop at the sink.  Brent's method (`scalar.bisect_monotone`) serves
 only `critical_load`, which has no start point.  Its one root, the hop
@@ -43,6 +43,7 @@ critical load q0 = R(0)/d_half and the critical length L0 = R(0)/q0.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
@@ -83,10 +84,18 @@ _X_RTOL = 5e-10      # ... plus relative tolerance
 _LOG_Q_TOL = 2e-10   # default load tolerance, in log q (i.e. relative)
 _MAX_HOP_ITERS = 200  # hop-root cap; bisection takes a 1e6 m bracket to 1e-9 m in 50
 _MAX_LOAD_ITERS = 100  # load-root cap; bisection takes the bracket to 2e-10 in ~40
-# a recursion warm-starts its hops from one at a load within this relative
-# distance: beyond it the linear start misses by more than (1e-4)^2 of a
-# spacing, and the cubic cold start costs fewer R evaluations
-_WARM_REL = 1e-4
+# a recursion within this relative load of one before solves its inner hops
+# by Newton sweeps.  Per long-chain solve (48, seed 77), besides 1 cold
+# start: warm and cold-miss recursions, then the sweeps that failed
+#   1e-4: 1.92 1.79, 1 of 93     1e-2: 2.40 1.27, 1 of 116   3e-2: 2.46 1.12, 2 of 120
+#   1e-1: 2.79 0.75, 5 of 139    0.3:  3.29 0.25, 5 of 163   1.0:  3.54 0,    5 of 175
+_WARM_REL = 0.3
+_MAX_SWEEPS = 8        # sweeps before the cold recursion takes over
+# only longer chains sweep: a sweep's ~30 numpy calls cost more than the
+# cold recursion below 24-32 hops at dq/q = 1e-5 (1 sweep), 32-48 at 1e-3,
+# 48-64 at 1e-2 and 64-96 at 0.1
+_SWEEP_HOPS = 48
+_TINY_PRODUCT = 1e-250  # smallest back-substitution product an array sweep takes
 # the farthest hop's cold start is a doubling walk from 1 m, 12-22 R
 # evaluations, so it warm-starts from ten times farther out
 _FAR_REL = 1e-3
@@ -191,14 +200,24 @@ class SolveResult:
 # surplus machinery
 # ---------------------------------------------------------------------------
 
+def _checked_load(q) -> float:
+    """q as a float, once checked to be a finite load > 0."""
+    if not 0.0 < float(q) < math.inf:
+        raise ValueError(f"load q must be finite and > 0, got {q!r}")
+    return float(q)
+
+
+def _checked_count(n, name: str = "n", least: int = 1) -> int:
+    """n as an int, once checked to be an integer (not a bool) >= least."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
 def surplus(rate: RateFunction, q: float, x):
     """Chain length a hop of length x can feed at load q: R(x)/q - x/2."""
-    if q <= 0:
-        raise ValueError("load q must be > 0")
-    r = rate(x)
-    if isinstance(x, np.ndarray):
-        return r / q - 0.5 * x
-    return r / q - 0.5 * float(x)
+    q = _checked_load(q)
+    return rate(x) / q - 0.5 * (x if isinstance(x, np.ndarray) else float(x))
 
 
 def surplus_inverse(rate: RateFunction, q: float, t: float) -> float:
@@ -206,7 +225,10 @@ def surplus_inverse(rate: RateFunction, q: float, t: float) -> float:
 
     Solved as a cold farthest hop is, by `_far_root`.
     """
-    return _far_root(rate, q, None, t)[0]
+    t = float(t)
+    if not t > -math.inf:
+        raise ValueError(f"surplus target t must be > -inf, got {t!r}")
+    return _far_root(rate, _checked_load(q), None, t)[0]
 
 
 def _far_root(rate: RateFunction, q: float, warm: SubproblemResult | None,
@@ -223,8 +245,6 @@ def _far_root(rate: RateFunction, q: float, warm: SubproblemResult | None,
     from 1 m brackets the root, capped at 2 (R(0)/q - t), where the surplus
     is already below t, and `_hop_root` starts from the walk's last secant.
     """
-    if q <= 0:
-        raise ValueError("load q must be > 0")
     r = rate.scalar
     if warm is not None and abs(q - warm.q) < _FAR_REL * q:
         if warm.branch == CASE_II:
@@ -243,7 +263,6 @@ def _far_root(rate: RateFunction, q: float, warm: SubproblemResult | None,
             return _hop_root(r, rate.r0, q, 0.0, hi, r_hi, x,
                              slope - 0.5 * (q - warm.q))
     g0 = rate.r0 / q
-    t = float(t)
     if t >= g0:
         if t - g0 <= _CLAMP_REL * max(1.0, abs(g0)):
             return 0.0, rate.r0, None
@@ -348,9 +367,7 @@ def critical_length(rate: RateFunction) -> float:
 
 def surplus_slope(rate: RateFunction, q: float, x: float) -> float:
     """Numeric derivative of the surplus: R'(x)/q - 1/2."""
-    if q <= 0:
-        raise ValueError("load q must be > 0")
-    return rate.derivative(x) / q - 0.5
+    return rate.derivative(x) / _checked_load(q) - 0.5
 
 
 def decay_factor(rate: RateFunction, q: float) -> float:
@@ -359,7 +376,7 @@ def decay_factor(rate: RateFunction, q: float) -> float:
     Defined as 1 + 1/surplus_slope(0); only meaningful on the chain branch
     (q below the critical load), where the slope at 0 is below -1.
     """
-    if q >= critical_load(rate):
+    if _checked_load(q) >= critical_load(rate):
         raise WrongBranchError("decay factor is defined only below the critical load")
     return _gamma(rate, q)
 
@@ -384,14 +401,13 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     q ~ R(0)/L the relayed tail approaches R(0)/q, and inner hops fall
     below the per-hop root's ~1e-9 m resolution, down to 0.
 
-    `warm` is a recursion already run for n hops.  If it is on the chain
-    branch at a load within 1e-4 of q, relative, each inner hop starts at
-    its spacing there moved along dd_i/d(log q), with that hop's slope for
-    the first step.  Within 1e-3, on either branch, the farthest hop starts
-    from warm's in the same way (see `_far_root`).
+    `warm` is a recursion already run for n hops.  Within 1e-3 of q,
+    relative, the farthest hop starts from warm's (`_far_root`).  For more
+    than 48 hops on the chain branch within 0.3, Newton sweeps from warm's
+    solve the inner hops (`_newton_sweeps`), and the cold recursion runs if
+    they fail.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    q, n = _checked_load(q), _checked_count(n)
     d_far, r_hi, s_hi = _far_root(rate, q, warm)
     g0 = rate.r0 / q
     if s_hi is None:
@@ -403,16 +419,68 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
         d[0] = d_far
         return SubproblemResult(distances=d, coverage=d_far, branch=CASE_I,
                                 q=q, dcoverage_dlogq=dt)
-    starts = slopes = None
-    if (warm is not None and warm.branch == CASE_II and warm.distances.size == n
-            and abs(q - warm.q) < _WARM_REL * q):
-        starts = (warm.distances
-                  + warm.ddistances_dlogq * math.log(q / warm.q)).tolist()
-        # f' = R' - q/2 moves by -dq/2 through its q term alone
-        slopes = (warm.hop_slopes - 0.5 * (q - warm.q)).tolist()
+    if (n > _SWEEP_HOPS and warm is not None and warm.branch == CASE_II
+            and warm.distances.size == n and abs(q - warm.q) < _WARM_REL * q):
+        sub = _newton_sweeps(rate, q, warm, d_far, s_hi, dt)
+        if sub is not None:
+            return sub
     d, dd, fs = [0.0] * n, [0.0] * n, [0.0] * n
     d[-1], dd[-1], fs[-1] = d_far, dt, s_hi
-    return _inward(rate, q, d, dd, fs, n - 1, r_hi, d_far, dt, starts, slopes)
+    return _inward(rate, q, d, dd, fs, n - 1, r_hi, d_far, dt)
+
+
+def _newton_sweeps(rate: RateFunction, q: float, warm: SubproblemResult,
+                   d_far: float, s_far: float, dt: float) -> SubproblemResult | None:
+    """The inner hops at load q by Newton sweeps from warm's, or None.
+
+    The hop equations F_i = R(d_i) - q (d_i/2 + T_i) = 0 are triangular: a
+    sweep evaluates R at every hop in one array call, then back-substitutes
+    from the farthest hop inward, delta_i = (q S_i - F_i) / f'_i with S_i
+    the steps beyond hop i, and q dd_i/dq = (d_i/2 + T_i + q dT_i/dq) q / f'_i
+    alongside.  Sweeps start from warm's spacings moved along q dd_i/dq and
+    its R', then take R' from the secant of a hop's last two iterates.  None
+    if a hop leaves (0, inf) or falls out of order, the tail passes R(0)/q,
+    or _MAX_SWEEPS sweeps do not converge to the hop tolerance."""
+    # z[j] is hop n-1-j: from the farthest hop inward; g is R'
+    z = warm.distances[::-1] + warm.ddistances_dlogq[::-1] * math.log(q / warm.q)
+    z[0] = d_far
+    g = warm.hop_slopes[::-1] + 0.5 * warm.q
+    for sweep in range(_MAX_SWEEPS):
+        if not z.min() > 0.0:
+            return None
+        r = rate(z)
+        if sweep:
+            np.divide(r - r_old, delta, out=g, where=~small)
+        load = q * (np.cumsum(z) - 0.5 * z)
+        s = np.minimum(g, 0.0) - 0.5 * q
+        # x_j = a_j x_{j-1} + b_j is x_j = p_j sum_{k<=j} b_k/p_k, p_j the
+        # product of a_1..a_j, falling in size as |a_j| <= 1; row 0 sums
+        # the steps from 0, row 1 the tails' q dT/dq from dt
+        a = 1.0 + q / s
+        a[0] = 1.0
+        p = np.cumprod(a)
+        if not abs(p[-1]) > _TINY_PRODUCT:
+            return None
+        sums = np.array([load - r, load]) / s
+        sums[:, 0] = 0.0, dt
+        sums = p * np.cumsum(sums / p, axis=1)
+        delta = np.diff(sums[0], prepend=0.0)
+        z_old, r_old, z = z, r, z + delta
+        small = np.abs(delta) <= _X_TOL + _X_RTOL * z_old
+        if small.all():
+            break
+    else:
+        return None
+    tails = np.cumsum(z)
+    g0 = rate.r0 / q
+    if not (z[-1] > 0.0 and (z[:-1] >= z[1:]).all()
+            and tails[-2] - g0 <= _CLAMP_REL * max(1.0, g0)):
+        return None
+    s[0] = s_far
+    return SubproblemResult(distances=z[::-1], coverage=float(tails[-1]),
+                            branch=CASE_II, q=q, dcoverage_dlogq=float(sums[1, -1]),
+                            ddistances_dlogq=np.diff(sums[1], prepend=0.0)[::-1],
+                            hop_slopes=s[::-1])
 
 
 def _extend(rate: RateFunction, sub: SubproblemResult) -> SubproblemResult:
@@ -436,15 +504,12 @@ def _extend(rate: RateFunction, sub: SubproblemResult) -> SubproblemResult:
 
 
 def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
-            r_hi: float, total: float, dt: float,
-            starts: list | None = None, slopes: list | None = None
-            ) -> SubproblemResult:
+            r_hi: float, total: float, dt: float) -> SubproblemResult:
     """Finish a chain-branch recursion at load q: solve hops k-1, ..., 0.
 
     d, dd and fs hold the spacings, their q dd_i/dq and their slopes f',
     filled from hop k outward; r_hi is R(d[k]), and total and dt are the
-    coverage of hops k.. and its derivative in log q.  `starts` and
-    `slopes`, if given, are the warm start of each hop.
+    coverage of hops k.. and its derivative in log q.
     """
     g0 = rate.r0 / q
     r, r0 = rate.scalar, rate.r0
@@ -454,7 +519,6 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
     far = d[k + 1] if k + 1 < n else 0.0
     far2 = d[k + 2] if k + 2 < n else 0.0
     s_hi = fs[k]
-    slope = None
     # hops from the farthest inward; each root lies in [0, next spacing
     # out], and dt, the tail's derivative in log q, sums the hops' q dd_i/dq
     for i in range(k - 1, -1, -1):
@@ -465,9 +529,7 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
             else:
                 raise NumericalInfeasibleError(
                     f"relayed-tail total {t:.9g} exceeds surplus maximum {g0:.9g}")
-        if starts is not None:
-            x, slope = starts[i], slopes[i]
-        elif far > 0.0:
+        if far > 0.0:
             # spacings shrink about geometrically toward the sink, at a
             # ratio that itself drifts: extrapolate both, d_{i+1}^3 d_{i+3}
             # / d_{i+2}^3 (d_{i+1}^2 / d_{i+2} while d_{i+3} is unknown)
@@ -477,7 +539,7 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
         else:
             x = 0.5 * hi
         far2, far = far, hi
-        hi, r_hi, s = _hop_root(r, r0, q, t, hi, r_hi, x, slope)
+        hi, r_hi, s = _hop_root(r, r0, q, t, hi, r_hi, x)
         if s is not None:
             s_hi = s
         ddi = (0.5 * hi + t + dt) * (q / s_hi) if hi > 0.0 else 0.0
@@ -528,8 +590,8 @@ def solve_n_range(rate: RateFunction, length: float, n_min: int, n_max: int,
     `solve`'s tolerance, so it agrees with `solve(rate, n, length, tol_q)`
     within that tolerance, not bit for bit.
     """
-    if not 1 <= n_min <= n_max:
-        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min!r}, {n_max!r}")
+    if not _checked_count(n_min, "n_min") <= _checked_count(n_max, "n_max"):
+        raise ValueError(f"need n_min <= n_max, got {n_min!r}, {n_max!r}")
     length = _checked_args(n_min, length, tol_q)
     return _sweep(rate, length, n_min, n_max, tol_q)
 
@@ -546,14 +608,12 @@ def _sweep(rate: RateFunction, length: float, n_min: int, n_max: int,
 
 def _checked_args(n: int, length: float, tol_q: float | None) -> float:
     """`length` as a float, once n, length and tol_q are checked."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    length = float(length)
-    if not (math.isfinite(length) and length > 0):
+    _checked_count(n)
+    if not 0.0 < float(length) < math.inf:
         raise ValueError(f"length must be finite and > 0, got {length!r}")
     if tol_q is not None and not (math.isfinite(tol_q) and tol_q > 0):
         raise ValueError(f"tol_q must be finite and > 0, got {tol_q!r}")
-    return length
+    return float(length)
 
 
 def _solve(rate: RateFunction, n: int, length: float, tol_q: float | None,

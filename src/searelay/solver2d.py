@@ -25,7 +25,7 @@ import numpy as np
 from .channel import RateFunction
 from .evaluate import hop_limits
 from .scalar import NumericalError
-from .solver1d import Placement, solve, solve_n_range
+from .solver1d import Placement, _checked_count, solve, solve_n_range
 
 __all__ = [
     "Grid2D",
@@ -101,12 +101,10 @@ def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,
     R(.)/c_max over [0, length] until its limit q_x exceeds q_y; the smallest
     such n_l is returned and the grid supports q_sup = q_y.
     """
-    if n_h < 1:
-        raise ValueError("n_h must be >= 1")
+    _checked_count(n_h, "n_h")
     if not (0.0 < length < math.inf and 0.0 < height < math.inf):
         raise ValueError(f"length and height must be finite and > 0, got {length!r}, {height!r}")
-    if n_l_max < 1:
-        raise ValueError("n_l_max must be >= 1")
+    _checked_count(n_l_max, "n_l_max")
 
     y_rate = rate.scaled(1.0 / length)
     sol_y = solve(y_rate, n_h, height, tol_q=tol_q)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import searelay as sr
@@ -207,6 +207,35 @@ def test_subproblem_validation(blue_rate):
         sr.solve_subproblem(blue_rate, -1.0, 3)
     with pytest.raises(ValueError):
         sr.solve_subproblem(blue_rate, 1e6, 0)
+
+
+BAD_CALLS = {
+    "subproblem-nan-load": (lambda r: sr.solve_subproblem(r, math.nan, 3), "load q"),
+    "subproblem-inf-load": (lambda r: sr.solve_subproblem(r, math.inf, 3), "load q"),
+    "inverse-nan-target": (lambda r: sr.surplus_inverse(r, 1e6, math.nan), "surplus target t"),
+    "inverse-minus-inf-target": (lambda r: sr.surplus_inverse(r, 1e6, -math.inf),
+                                 "surplus target t"),
+    "surplus-nan-load": (lambda r: sr.surplus(r, math.nan, 1.0), "load q"),
+    "decay-factor-nan-load": (lambda r: sr.decay_factor(r, math.nan), "load q"),
+    "solve-fractional-n": (lambda r: sr.solve(r, 2.5, 100.0), "n must be an integer"),
+    "solve-bool-n": (lambda r: sr.solve(r, True, 100.0), "n must be an integer"),
+    "n-range-fractional-n-min": (lambda r: sr.solve_n_range(r, 100.0, 1.5, 3), "n_min"),
+    "solve-2d-fractional-n-h": (lambda r: sr.solve_2d(r, 2.5, 100.0, 100.0), "n_h"),
+    "constant-placement-fractional-n": (lambda r: sr.constant_placement(2.5, 100.0),
+                                        "n must be an integer"),
+    "vertical-fractional-n-v": (lambda r: sr.vertical_qsup(r, 2, 1.5, 100.0, 100.0), "n_v"),
+    "perturb-fractional-trials": (lambda r: sr.perturb_eval(
+        sr.constant_placement(4, 100.0), r, 1.0, trials=2.5, seed=1), "trials"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_public_entry_points_name_a_bad_argument(blue_rate, case):
+    # a ValueError naming the argument (the CLI's exit 2), never a numeric
+    # error, a NaN, a silent answer or a TypeError from deep inside
+    call, names = BAD_CALLS[case]
+    with pytest.raises(ValueError, match=names):
+        call(blue_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +519,11 @@ def test_solve_bracket_is_two_recursions_straddling_length(monkeypatch, name, n,
     assert c_lo >= length >= c_hi, (lo, c_lo, hi, c_hi)
 
 
+WARM_REL = solver1d._WARM_REL
+
+
 @pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
-@pytest.mark.parametrize("rel_dq", [-1e-7, 1e-5, 9e-5])
+@pytest.mark.parametrize("rel_dq", [-1e-7, 1e-5, 9e-5, -0.9 * WARM_REL, 0.9 * WARM_REL])
 def test_warm_recursion_hops_match_surplus_inverse(name, rel_dq):
     # hops warm-started from a recursion at a nearby load agree with the
     # public inverse of their own tail, as cold ones do
@@ -510,20 +542,105 @@ def test_warm_recursion_hops_match_surplus_inverse(name, rel_dq):
     assert rel(sub.dcoverage_dlogq, cold.dcoverage_dlogq) < 1e-4
 
 
+def check_warm_recursion(rate, q, n, rel_dq):
+    """The invariants of a recursion at q warm-started from one at q (1 + rel_dq)."""
+    warm = sr.solve_subproblem(rate, q * (1.0 + rel_dq), n)
+    sub = sr.solve_subproblem(rate, q, n, warm=warm)
+    assert sub.branch == CASE_II
+    d = sub.distances
+    assert (d >= 0.0).all()
+    assert (np.diff(d) >= 0.0).all()
+    for i, t in enumerate(tails(d)):
+        x = sr.surplus_inverse(rate, q, float(t))
+        assert abs(d[i] - x) <= 2.0 * hop_tol(x), (i, d[i], x)
+    cold = sr.solve_subproblem(rate, q, n)
+    assert rel(sub.dcoverage_dlogq, cold.dcoverage_dlogq) < 1e-4
+
+
+# warm recursions at q_sup of n hops over a length, solved by Newton sweeps
+# beyond 48 hops and by the cold recursion up to it: about 2 m a hop, and
+# the FEC capacity ceiling, where the inner hops approach 0 and a sweep that
+# would leave them out of order or past R(0)/q falls back to the cold
+# recursion
+SWEEP_CASES = ([(name, n, 20.0 + 2.0 * n) for name in sorted(ROUNDTRIP_RATES)
+                for n in (2, 10, 60, 300, 2000)] + [("fec", 2000, 5.0)])
+
+
+@pytest.mark.parametrize("name,n,length", SWEEP_CASES)
+def test_newton_sweep_invariants(name, n, length):
+    rate = ROUNDTRIP_RATES[name]
+    q = sr.solve(rate, n, length).q_sup
+    for rel_dq in (-1e-7, 1e-7, -1e-4, 1e-4, -0.5 * WARM_REL, 0.5 * WARM_REL):
+        check_warm_recursion(rate, q, n, rel_dq)
+
+
+@given(name=st.sampled_from(sorted(ROUNDTRIP_RATES)), n=st.integers(2, 2000),
+       length=st.floats(5.0, 5000.0),
+       rel_dq=st.floats(-0.5 * WARM_REL, 0.5 * WARM_REL))
+@settings(max_examples=25, deadline=None)
+def test_newton_sweep_invariants_property(name, n, length, rel_dq):
+    rate = ROUNDTRIP_RATES[name]
+    assume(rate.scalar(length / n) > 0.0)
+    res = sr.solve(rate, n, length)
+    assume(res.branch == CASE_II)
+    check_warm_recursion(rate, res.q_sup, n, rel_dq)
+
+
+def test_warm_recursion_runs_on_the_array_path(blue_rate):
+    # machine-independent: a warm recursion of 1000 hops makes at most
+    # _MAX_SWEEPS array R calls, and its only scalar ones are the farthest
+    # hop's; a silent fallback to the cold recursion would make ~2000
+    n = 1000
+    q = sr.solve(blue_rate, n, 2000.0).q_sup
+    warm = sr.solve_subproblem(blue_rate, q * (1.0 + 1e-5), n)
+    rate = counting_rate(blue_rate)
+    rate.evals[:] = [0, 0]
+    solver1d._far_root(rate, q, warm)
+    far = list(rate.evals)
+    assert far[1] == 0
+    rate.evals[:] = [0, 0]
+    sub = sr.solve_subproblem(rate, q, n, warm=warm)
+    assert sub.branch == CASE_II
+    assert 1 <= rate.evals[1] <= solver1d._MAX_SWEEPS
+    assert rate.evals[0] == far[0]
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+@pytest.mark.parametrize("n", [10, 300, 2000])
+def test_wrapped_rate_gives_bit_identical_results(name, n):
+    # a rate wrapped as the traced benchmark wraps it, scalar path and
+    # array path each around the model's own, gives every result bit for bit
+    rate = ROUNDTRIP_RATES[name]
+    other = counting_rate(rate)
+    pairs = [(sr.solve(rate, n, 500.0), sr.solve(other, n, 500.0))]
+    pairs += zip(sr.solve_n_range(rate, 500.0, n, n + 2),
+                 sr.solve_n_range(other, 500.0, n, n + 2))
+    assert len(pairs) == 4
+    for a, b in pairs:
+        assert a.q_sup == b.q_sup
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.placement.distances, b.placement.distances)
+
+
 # ---------------------------------------------------------------------------
 # sweeps over the hop count
 # ---------------------------------------------------------------------------
 
 def counting_rate(rate):
-    """`rate` with a counter of its scalar evaluations in `.evals[0]`."""
-    evals = [0]
+    """`rate` counting its scalar evaluations in `.evals[0]` and array calls in
+    `.evals[1]`, wrapped as the traced benchmark wraps a rate."""
+    evals = [0, 0]
     scalar = rate.scalar
 
     def fn(d):
         evals[0] += 1
         return scalar(d)
 
-    counted = sr.RateFunction(fn, rate, label=rate.label)
+    def array_fn(d):
+        evals[1] += 1
+        return rate(d)
+
+    counted = sr.RateFunction(fn, array_fn, label=rate.label)
     counted.evals = evals
     return counted
 
