@@ -87,11 +87,6 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output {path}: {exc.strerror}") from None
 
 
-def _config_hash(meta: dict) -> str:
-    blob = json.dumps(meta, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
 # ---------------------------------------------------------------------------
 # rate construction
 # ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def _cmd_solve2d(args, rate, meta) -> int:
 
 def _cmd_perturb(args, rate, meta) -> int:
     res = solve(rate, args.n, args.l, tol_q=args.tol_q)
-    chash = _config_hash(meta)
+    chash = hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()[:12]
     k = float(meta["attenuation_per_m"])
     rows, objs = [], []
     for sigma in args.sigma:

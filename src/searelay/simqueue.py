@@ -40,7 +40,7 @@ import numpy as np
 
 from .channel import RateFunction
 from .scalar import NumericalError
-from .solver1d import Placement
+from .solver1d import Placement, _checked_positive
 
 __all__ = [
     "ARRIVAL_POISSON", "ARRIVAL_DETERMINISTIC", "SIZE_FIXED", "SIZE_EXPONENTIAL",
@@ -91,9 +91,7 @@ class SimConfig:
             raise ValueError("q must be finite and > 0 for a positive packet_rate, "
                              f"got {self.q!r}")
         for name in ("mean_data_size", "horizon_packets"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            _checked_positive(getattr(self, name), name)
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError(f"warmup_frac must be in [0, 1), got {self.warmup_frac!r}")
         lam = self.packet_rate

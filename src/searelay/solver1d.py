@@ -16,28 +16,23 @@ that makes every hop's constraint tight, producing spacings that grow with
 distance from the sink.  The optimal supportable load q_sup for a given L is
 then the root, in log q, of log(maximal covered length / L).
 
-Each hop of a cold recursion solves its surplus equation with `_hop_root`,
-a safeguarded secant inside [0, next spacing out] that reuses R at the next
-spacing.  A chain of more than 48 hops within 0.3 of the load of a
-recursion before solves its inner hops at once instead, by Newton sweeps
-that evaluate R over every hop in one array call.  The farthest hop, of
-surplus 0, has no spacing beyond it: `_far_root` brackets it, warm from a
-recursion at a nearby load or cold by a doubling walk from 1 m, before
-`_hop_root` runs; `surplus_inverse` is its cold path at any surplus t.
-The recursion also returns the derivative of its coverage in log q,
-q dC/dq, by differentiating every tight hop implicitly with the slope its
-root-find ended on, so no analytic R' and no extra R evaluation is needed.
+The recursion solves a chain's hops one by one, inward, by `_hop_root`, a
+safeguarded secant inside [0, next spacing out] that reuses R there, or,
+for a long chain, all inner hops at once by Newton sweeps that evaluate R
+over every hop in one array call.  The sweeps start from a recursion at a
+nearby load or, cold, from a continuum map of the recursion beyond the
+farthest 16 hops (`_continuum`); where they fail the hop-by-hop recursion
+runs.  The farthest hop, of surplus 0, has no spacing beyond it:
+`_far_root` brackets it, warm from a recursion at a nearby load or cold by
+a doubling walk from 1 m; `surplus_inverse` is its cold path at any
+surplus t.  The recursion also returns q dC/dq, the derivative of its
+coverage in log q, from every tight hop differentiated implicitly with the
+slope its root-find ended on: no analytic R' and no extra R evaluation.
 
 `solve` finds the load by a safeguarded Newton iteration on log q (as
-`rtsafe`, Press et al., *Numerical Recipes*, section 9.4): it starts at the
-load equal spacing supports and stays inside a proven bracket, and it
-ends on two recursions that straddle the segment length within the
-tolerance.  `solve_n_range` runs the same loop for a range
-of hop counts, each from the recursion of the count before extended by
-one hop at the sink.  Brent's method (`scalar.bisect_monotone`) serves
-only `critical_load`, which has no start point.  Its one root, the hop
-length d_half where R falls to R(0)/2, gives both thresholds: the
-critical load q0 = R(0)/d_half and the critical length L0 = R(0)/q0.
+`rtsafe`, Press et al., *Numerical Recipes*, section 9.4), and
+`solve_n_range` runs it over a range of hop counts.  Brent's method
+(`scalar.bisect_monotone`) serves only `critical_load`.
 """
 
 from __future__ import annotations
@@ -84,17 +79,22 @@ _X_RTOL = 5e-10      # ... plus relative tolerance
 _LOG_Q_TOL = 2e-10   # default load tolerance, in log q (i.e. relative)
 _MAX_HOP_ITERS = 200  # hop-root cap; bisection takes a 1e6 m bracket to 1e-9 m in 50
 _MAX_LOAD_ITERS = 100  # load-root cap; bisection takes the bracket to 2e-10 in ~40
-# a recursion within this relative load of one before solves its inner hops
-# by Newton sweeps.  Per long-chain solve (48, seed 77), besides 1 cold
-# start: warm and cold-miss recursions, then the sweeps that failed
-#   1e-4: 1.92 1.79, 1 of 93     1e-2: 2.40 1.27, 1 of 116   3e-2: 2.46 1.12, 2 of 120
-#   1e-1: 2.79 0.75, 5 of 139    0.3:  3.29 0.25, 5 of 163   1.0:  3.54 0,    5 of 175
+# a recursion within this relative load of one before starts the inner hops'
+# sweeps.  Per long-chain solve (48, seed 77), besides 1 cold start: warm and
+# cold-miss recursions, then failed sweeps and in-process time of the 48
+#   3e-2: 2.52 1.12, 5 of 225, 95.6 ms    0.1: 2.90 0.75, 5 of 225, 90.3 ms
+#   0.3:  3.40 0.25, 5 of 225, 90.2 ms    1.0: 3.65 0,    5 of 225, 89.9 ms
 _WARM_REL = 0.3
-_MAX_SWEEPS = 8        # sweeps before the cold recursion takes over
+_MAX_SWEEPS = 8        # sweeps before the hop-by-hop recursion takes over
 # only longer chains sweep: a sweep's ~30 numpy calls cost more than the
-# cold recursion below 24-32 hops at dq/q = 1e-5 (1 sweep), 32-48 at 1e-3,
-# 48-64 at 1e-2 and 64-96 at 0.1
+# hop-by-hop recursion below 24-32 hops at dq/q = 1e-5 (1 sweep), 32-48 at
+# 1e-3, 48-64 at 1e-2 and 64-96 at 0.1
 _SWEEP_HOPS = 48
+# and only longer chains start them cold, from a continuum map beyond their
+# farthest 16 hops.  The hop-by-hop recursion's time over theirs, at q_sup,
+# 0.5-10 m a hop, by hop count: 64: 0.65-0.83, 96: 0.89-1.18, 128:
+# 1.11-1.45, 192: 1.52-1.99, 256: 1.92-2.47
+_COLD_HOPS = 128
 _TINY_PRODUCT = 1e-250  # smallest back-substitution product an array sweep takes
 # the farthest hop's cold start is a doubling walk from 1 m, 12-22 R
 # evaluations, so it warm-starts from ten times farther out
@@ -129,12 +129,9 @@ class Placement:
         object.__setattr__(self, "distances", d)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("distances must be a 1-D array with at least one hop")
-        if not np.isfinite(d).all():
-            raise ValueError("distances must be finite")
-        if not 0.0 < self.length < math.inf:
-            raise ValueError(f"length must be finite and > 0, got {self.length!r}")
-        if float(d.min()) < 0.0:
-            raise ValueError("distances must be >= 0")
+        if not (np.isfinite(d).all() and d.min() >= 0.0):
+            raise ValueError("distances must be finite and >= 0")
+        _checked_positive(self.length, "length")
         total = float(d.sum())
         if abs(total - self.length) > _SUM_TOL * self.length:
             raise ValueError(
@@ -148,10 +145,7 @@ class Placement:
     @property
     def positions(self) -> np.ndarray:
         """Node positions x_0 = 0, x_1, ..., x_N."""
-        out = np.empty(self.distances.size + 1)
-        out[0] = 0.0
-        np.cumsum(self.distances, out=out[1:])
-        return out
+        return np.concatenate(([0.0], np.cumsum(self.distances)))
 
 
 @dataclass(frozen=True)
@@ -200,11 +194,11 @@ class SolveResult:
 # surplus machinery
 # ---------------------------------------------------------------------------
 
-def _checked_load(q) -> float:
-    """q as a float, once checked to be a finite load > 0."""
-    if not 0.0 < float(q) < math.inf:
-        raise ValueError(f"load q must be finite and > 0, got {q!r}")
-    return float(q)
+def _checked_positive(x, name: str) -> float:
+    """x as a float, once checked to be finite and > 0."""
+    if not 0.0 < float(x) < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+    return float(x)
 
 
 def _checked_count(n, name: str = "n", least: int = 1) -> int:
@@ -216,7 +210,7 @@ def _checked_count(n, name: str = "n", least: int = 1) -> int:
 
 def surplus(rate: RateFunction, q: float, x):
     """Chain length a hop of length x can feed at load q: R(x)/q - x/2."""
-    q = _checked_load(q)
+    q = _checked_positive(q, "load q")
     return rate(x) / q - 0.5 * (x if isinstance(x, np.ndarray) else float(x))
 
 
@@ -228,7 +222,7 @@ def surplus_inverse(rate: RateFunction, q: float, t: float) -> float:
     t = float(t)
     if not t > -math.inf:
         raise ValueError(f"surplus target t must be > -inf, got {t!r}")
-    return _far_root(rate, _checked_load(q), None, t)[0]
+    return _far_root(rate, _checked_positive(q, "load q"), None, t)[0]
 
 
 def _far_root(rate: RateFunction, q: float, warm: SubproblemResult | None,
@@ -263,12 +257,10 @@ def _far_root(rate: RateFunction, q: float, warm: SubproblemResult | None,
             return _hop_root(r, rate.r0, q, 0.0, hi, r_hi, x,
                              slope - 0.5 * (q - warm.q))
     g0 = rate.r0 / q
-    if t >= g0:
-        if t - g0 <= _CLAMP_REL * max(1.0, abs(g0)):
-            return 0.0, rate.r0, None
+    if t - g0 > _CLAMP_REL * max(1.0, abs(g0)):
         raise OutOfRangeError(f"surplus target {t:.9g} exceeds maximum {g0:.9g}")
     f_lo = rate.r0 - q * t
-    if f_lo <= 0.0:
+    if t >= g0 or f_lo <= 0.0:
         # t is R(0)/q up to roundoff
         return 0.0, rate.r0, None
 
@@ -367,7 +359,7 @@ def critical_length(rate: RateFunction) -> float:
 
 def surplus_slope(rate: RateFunction, q: float, x: float) -> float:
     """Numeric derivative of the surplus: R'(x)/q - 1/2."""
-    return rate.derivative(x) / _checked_load(q) - 0.5
+    return rate.derivative(x) / _checked_positive(q, "load q") - 0.5
 
 
 def decay_factor(rate: RateFunction, q: float) -> float:
@@ -376,7 +368,7 @@ def decay_factor(rate: RateFunction, q: float) -> float:
     Defined as 1 + 1/surplus_slope(0); only meaningful on the chain branch
     (q below the critical load), where the slope at 0 is below -1.
     """
-    if _checked_load(q) >= critical_load(rate):
+    if _checked_positive(q, "load q") >= critical_load(rate):
         raise WrongBranchError("decay factor is defined only below the critical load")
     return _gamma(rate, q)
 
@@ -402,12 +394,12 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     below the per-hop root's ~1e-9 m resolution, down to 0.
 
     `warm` is a recursion already run for n hops.  Within 1e-3 of q,
-    relative, the farthest hop starts from warm's (`_far_root`).  For more
-    than 48 hops on the chain branch within 0.3, Newton sweeps from warm's
-    solve the inner hops (`_newton_sweeps`), and the cold recursion runs if
-    they fail.
+    relative, the farthest hop starts from warm's (`_far_root`).  More than
+    48 hops within 0.3 start Newton sweeps (`_newton_sweeps`) from warm's;
+    more than 128 otherwise from their farthest 16, solved one by one, and a
+    continuum map beyond.  Shorter chains and failed sweeps run hop by hop.
     """
-    q, n = _checked_load(q), _checked_count(n)
+    q, n = _checked_positive(q, "load q"), _checked_count(n)
     d_far, r_hi, s_hi = _far_root(rate, q, warm)
     g0 = rate.r0 / q
     if s_hi is None:
@@ -421,30 +413,56 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
                                 q=q, dcoverage_dlogq=dt)
     if (n > _SWEEP_HOPS and warm is not None and warm.branch == CASE_II
             and warm.distances.size == n and abs(q - warm.q) < _WARM_REL * q):
-        sub = _newton_sweeps(rate, q, warm, d_far, s_hi, dt)
+        z = warm.distances[::-1] + warm.ddistances_dlogq[::-1] * math.log(q / warm.q)
+        z[0] = d_far
+        sub = _newton_sweeps(rate, q, z, warm.hop_slopes[::-1] + 0.5 * warm.q, s_hi, dt)
         if sub is not None:
             return sub
-    d, dd, fs = [0.0] * n, [0.0] * n, [0.0] * n
+    m = 16 if n > _COLD_HOPS else n
+    d, dd, fs = [0.0] * m, [0.0] * m, [0.0] * m
     d[-1], dd[-1], fs[-1] = d_far, dt, s_hi
-    return _inward(rate, q, d, dd, fs, n - 1, r_hi, d_far, dt)
+    sub = _inward(rate, q, d, dd, fs, m - 1, r_hi, d_far, dt)
+    if m < n and sub.distances[0] > _X_TOL:  # else the inner hops collapse
+        swept = _newton_sweeps(rate, q, *_continuum(rate, q, sub, n), s_hi, dt)
+        if swept is not None:
+            return swept
+    return sub if m == n else _extend(rate, sub, n)
 
 
-def _newton_sweeps(rate: RateFunction, q: float, warm: SubproblemResult,
-                   d_far: float, s_far: float, dt: float) -> SubproblemResult | None:
-    """The inner hops at load q by Newton sweeps from warm's, or None.
+def _continuum(rate: RateFunction, q: float, sub: SubproblemResult, n: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Spacings and R' of n hops at load q, from the farthest: sub's, then
+    inner hops predicted by a continuum map of the recursion.
 
-    The hop equations F_i = R(d_i) - q (d_i/2 + T_i) = 0 are triangular: a
-    sweep evaluates R at every hop in one array call, then back-substitutes
-    from the farthest hop inward, delta_i = (q S_i - F_i) / f'_i with S_i
-    the steps beyond hop i, and q dd_i/dq = (d_i/2 + T_i + q dT_i/dq) q / f'_i
-    alongside.  Sweeps start from warm's spacings moved along q dd_i/dq and
-    its R', then take R' from the secant of a hop's last two iterates.  None
-    if a hop leaves (0, inf) or falls out of order, the tail passes R(0)/q,
-    or _MAX_SWEEPS sweeps do not converge to the hop tolerance."""
-    # z[j] is hop n-1-j: from the farthest hop inward; g is R'
-    z = warm.distances[::-1] + warm.ddistances_dlogq[::-1] * math.log(q / warm.q)
-    z[0] = d_far
-    g = warm.hop_slopes[::-1] + 0.5 * warm.q
+    A hop of length x fixes its tail, T(x) = R(x)/q - x/2, and the recursion
+    steps T -> T + x, so hop j inward of sub's innermost lies about where
+    k(x) = j, k = integral of dT / (x (1 - h'/2)) from there, h' = dx/dT =
+    q/f'(x); (1 - h'/2) is the Euler-Maclaurin correction for a unit step.
+    One array R call over a geometric grid down to 1e-12 of that hop gives
+    T, h' and k, by the midpoint rule in log x."""
+    grid = math.log(1e-12) / 511 * np.arange(512)  # log(x / sub's innermost hop)
+    x = sub.distances[0] * np.exp(grid)
+    s = np.diff(rate(x) / q - 0.5 * x) / np.diff(x)  # 1/h' between grid points
+    k = np.concatenate(([0.0], np.cumsum(s * s / (s - 0.5) * grid[1])))
+    j = np.arange(1.0, n - sub.distances.size + 1)
+    z = sub.distances[0] * np.exp(np.interp(j, k, grid))
+    g = q * np.interp(j, 0.5 * (k[1:] + k[:-1]), s)
+    return (np.concatenate((sub.distances[::-1], z)),
+            np.concatenate((sub.hop_slopes[::-1], g)) + 0.5 * q)
+
+
+def _newton_sweeps(rate: RateFunction, q: float, z: np.ndarray, g: np.ndarray,
+                   s_far: float, dt: float) -> SubproblemResult | None:
+    """The hops at load q by Newton sweeps from spacings z with R' g, or None.
+
+    z and g run inward from the farthest hop, solved already with slope s_far
+    and q dd/dq dt.  The hop equations F_i = R(d_i) - q (d_i/2 + T_i) = 0
+    are triangular: a sweep evaluates R at every hop in one array call, then
+    back-substitutes from the farthest hop inward, delta_i = (q S_i - F_i) /
+    f'_i with S_i the steps beyond hop i, and q dd_i/dq = (d_i/2 + T_i +
+    q dT_i/dq) q / f'_i alongside; later sweeps take R' from the secant of a
+    hop's last two iterates.  None if a hop leaves (0, inf) or falls out of
+    order, the tail passes R(0)/q, or _MAX_SWEEPS sweeps do not converge."""
     for sweep in range(_MAX_SWEEPS):
         if not z.min() > 0.0:
             return None
@@ -464,7 +482,7 @@ def _newton_sweeps(rate: RateFunction, q: float, warm: SubproblemResult,
         sums = np.array([load - r, load]) / s
         sums[:, 0] = 0.0, dt
         sums = p * np.cumsum(sums / p, axis=1)
-        delta = np.diff(sums[0], prepend=0.0)
+        delta, dz = sums - np.hstack((np.zeros((2, 1)), sums[:, :-1]))  # np.diff(prepend=0) is slower
         z_old, r_old, z = z, r, z + delta
         small = np.abs(delta) <= _X_TOL + _X_RTOL * z_old
         if small.all():
@@ -479,27 +497,24 @@ def _newton_sweeps(rate: RateFunction, q: float, warm: SubproblemResult,
     s[0] = s_far
     return SubproblemResult(distances=z[::-1], coverage=float(tails[-1]),
                             branch=CASE_II, q=q, dcoverage_dlogq=float(sums[1, -1]),
-                            ddistances_dlogq=np.diff(sums[1], prepend=0.0)[::-1],
-                            hop_slopes=s[::-1])
+                            ddistances_dlogq=dz[::-1], hop_slopes=s[::-1])
 
 
-def _extend(rate: RateFunction, sub: SubproblemResult) -> SubproblemResult:
-    """The recursion for one more hop at sub's load: sub plus a hop at the sink.
-
-    At a fixed load the recursion runs from the farthest hop inward, so its
-    hops beyond the sink's are those of the recursion with one hop fewer.
-    On the chain branch this costs one hop root (and R at sub's innermost
-    hop); on the single-hop branch nothing.
-    """
-    n = sub.distances.size + 1
+def _extend(rate: RateFunction, sub: SubproblemResult, n: int | None = None
+            ) -> SubproblemResult:
+    """The recursion for n hops, by default one more, at sub's load: sub and
+    new hops at the sink, since the recursion runs from the farthest hop
+    inward.  On the chain branch this costs their roots and R at sub's
+    innermost hop; on the single-hop branch nothing."""
+    m = 1 if n is None else n - sub.distances.size  # the new hops
     if sub.branch == CASE_I:
-        d = np.zeros(n)
+        d = np.zeros(m + sub.distances.size)
         d[0] = sub.coverage
         return replace(sub, distances=d)
-    d = [0.0] + sub.distances.tolist()
-    dd = [0.0] + sub.ddistances_dlogq.tolist()
-    fs = [0.0] + sub.hop_slopes.tolist()
-    return _inward(rate, sub.q, d, dd, fs, 1, rate.scalar(d[1]),
+    d = [0.0] * m + sub.distances.tolist()
+    dd = [0.0] * m + sub.ddistances_dlogq.tolist()
+    fs = [0.0] * m + sub.hop_slopes.tolist()
+    return _inward(rate, sub.q, d, dd, fs, m, rate.scalar(d[m]),
                    sub.coverage, sub.dcoverage_dlogq)
 
 
@@ -512,6 +527,7 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
     coverage of hops k.. and its derivative in log q.
     """
     g0 = rate.r0 / q
+    t_max = g0 + _CLAMP_REL * max(1.0, g0)  # R(0)/q up to roundoff
     r, r0 = rate.scalar, rate.r0
     n = len(d)
     # d_{i+1}, d_{i+2}, d_{i+3} of the next hop in (0: none yet)
@@ -522,13 +538,10 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
     # hops from the farthest inward; each root lies in [0, next spacing
     # out], and dt, the tail's derivative in log q, sums the hops' q dd_i/dq
     for i in range(k - 1, -1, -1):
-        t = total
-        if t > g0:
-            if t - g0 <= _CLAMP_REL * max(1.0, g0):
-                t = g0
-            else:
-                raise NumericalInfeasibleError(
-                    f"relayed-tail total {t:.9g} exceeds surplus maximum {g0:.9g}")
+        if total > t_max:
+            raise NumericalInfeasibleError(
+                f"relayed-tail total {total:.9g} exceeds surplus maximum {g0:.9g}")
+        t = total if total < g0 else g0
         if far > 0.0:
             # spacings shrink about geometrically toward the sink, at a
             # ratio that itself drifts: extrapolate both, d_{i+1}^3 d_{i+3}
@@ -563,14 +576,11 @@ def solve(rate: RateFunction, n: int, length: float,
     load is the unique q with coverage(q) = length.  Newton's method on
     log q, with the derivative each recursion carries, finds it from the
     load equal spacing supports, inside a closed bracket built from
-    R(length/n).  A step that would leave the bracket bisects it instead,
-    except that a step onto an end already evaluated first probes just
-    inside that end, once.  Near the root a probe just past the predicted
-    root closes the bracket.  The default tolerance, 2e-10 relative, or a
-    given tol_q, absolute [bit/s per m], bounds the final bracket in q.
-    It does not bound q_sup's error: where coverage is flat in q the hop
-    roots' 5e-10 length resolution dominates (red water, N = 1, L = 2 km:
-    q_sup 1.5e-7 below the exact 2R(L)/L, bracket 5e-11 relative).
+    R(length/n).  The default tolerance, 2e-10 relative, or a given tol_q,
+    absolute [bit/s per m], bounds the final bracket in q.  It does not
+    bound q_sup's error: where coverage is flat in q the hop roots' 5e-10
+    length resolution dominates (red water, N = 1, L = 2 km: q_sup 1.5e-7
+    below the exact 2R(L)/L, bracket 5e-11 relative).
     """
     length = _checked_args(n, length, tol_q)
     return _solve(rate, n, length, tol_q)[0]
@@ -609,11 +619,10 @@ def _sweep(rate: RateFunction, length: float, n_min: int, n_max: int,
 def _checked_args(n: int, length: float, tol_q: float | None) -> float:
     """`length` as a float, once n, length and tol_q are checked."""
     _checked_count(n)
-    if not 0.0 < float(length) < math.inf:
-        raise ValueError(f"length must be finite and > 0, got {length!r}")
-    if tol_q is not None and not (math.isfinite(tol_q) and tol_q > 0):
-        raise ValueError(f"tol_q must be finite and > 0, got {tol_q!r}")
-    return float(length)
+    length = _checked_positive(length, "length")
+    if tol_q is not None:
+        _checked_positive(tol_q, "tol_q")
+    return length
 
 
 def _solve(rate: RateFunction, n: int, length: float, tol_q: float | None,

@@ -17,7 +17,6 @@ binding one and q_y the grid's supportable load.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .channel import RateFunction
 from .evaluate import hop_limits
 from .scalar import NumericalError
-from .solver1d import Placement, _checked_count, solve, solve_n_range
+from .solver1d import Placement, _checked_count, _checked_positive, solve, solve_n_range
 
 __all__ = [
     "Grid2D",
@@ -102,8 +101,8 @@ def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,
     such n_l is returned and the grid supports q_sup = q_y.
     """
     _checked_count(n_h, "n_h")
-    if not (0.0 < length < math.inf and 0.0 < height < math.inf):
-        raise ValueError(f"length and height must be finite and > 0, got {length!r}, {height!r}")
+    _checked_positive(length, "length")
+    _checked_positive(height, "height")
     _checked_count(n_l_max, "n_l_max")
 
     y_rate = rate.scaled(1.0 / length)

@@ -5,6 +5,7 @@ constants were produced with mpmath at 40 digits (independent code path).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -553,8 +554,14 @@ def check_warm_recursion(rate, q, n, rel_dq):
     for i, t in enumerate(tails(d)):
         x = sr.surplus_inverse(rate, q, float(t))
         assert abs(d[i] - x) <= 2.0 * hop_tol(x), (i, d[i], x)
-    cold = sr.solve_subproblem(rate, q, n)
+    cold = hop_by_hop(rate, q, n)
     assert rel(sub.dcoverage_dlogq, cold.dcoverage_dlogq) < 1e-4
+
+
+def hop_by_hop(rate, q, n):
+    """The recursion for n hops at q solved hop by hop, whatever n: the
+    farthest hop's, extended inward one root at a time."""
+    return solver1d._extend(rate, sr.solve_subproblem(rate, q, 1), n)
 
 
 # warm recursions at q_sup of n hops over a length, solved by Newton sweeps
@@ -586,10 +593,105 @@ def test_newton_sweep_invariants_property(name, n, length, rel_dq):
     check_warm_recursion(rate, res.q_sup, n, rel_dq)
 
 
+COLD_HOPS = solver1d._COLD_HOPS
+
+
+def check_cold_recursion(rate, q, n):
+    """The invariants of a recursion at q with no recursion to start from."""
+    sub = sr.solve_subproblem(rate, q, n)
+    assert sub.branch == CASE_II
+    d = sub.distances
+    assert (d >= 0.0).all()
+    assert (np.diff(d) >= 0.0).all()
+    for i, t in enumerate(tails(d)):
+        x = sr.surplus_inverse(rate, q, float(t))
+        assert abs(d[i] - x) <= 2.0 * hop_tol(x), (i, d[i], x)
+    assert rel(sub.dcoverage_dlogq, hop_by_hop(rate, q, n).dcoverage_dlogq) < 1e-4
+
+
+# cold recursions longer than _COLD_HOPS start their sweeps from a continuum
+# map: at about 2 m a hop, and where the sweeps fail and the recursion runs
+# hop by hop (FALLBACK_CASES)
+FALLBACK_CASES = [("fec", 2000, 5.0), ("green", 150, 20.0)]
+COLD_CASES = ([(name, n, 20.0 + 2.0 * n) for name in sorted(ROUNDTRIP_RATES)
+               for n in (300, 2000)] + FALLBACK_CASES)
+
+
+@pytest.mark.parametrize("name,n,length", COLD_CASES)
+def test_cold_recursion_invariants(name, n, length):
+    rate = ROUNDTRIP_RATES[name]
+    q = sr.solve(rate, n, length).q_sup
+    for qf in (0.5, 1.0):
+        check_cold_recursion(rate, qf * q, n)
+
+
+@given(name=st.sampled_from(sorted(ROUNDTRIP_RATES)), n=st.integers(COLD_HOPS + 1, 2000),
+       length=st.floats(5.0, 5000.0))
+@settings(max_examples=25, deadline=None)
+def test_cold_recursion_invariants_property(name, n, length):
+    rate = ROUNDTRIP_RATES[name]
+    assume(rate.scalar(length / n) > 0.0)
+    res = sr.solve(rate, n, length)
+    assume(res.branch == CASE_II)
+    check_cold_recursion(rate, res.q_sup, n)
+
+
+def test_cold_recursion_runs_on_the_array_path(blue_rate):
+    # machine-independent: a cold recursion of 1000 hops makes one array R
+    # call for its continuum start and at most _MAX_SWEEPS for its sweeps,
+    # and its only scalar ones are those of its farthest 16 hops, which a
+    # 16-hop recursion makes; a hop-by-hop recursion would make ~3000
+    n = 1000
+    q = sr.solve(blue_rate, n, 2000.0).q_sup
+    rate = counting_rate(blue_rate)
+    rate.evals[:] = [0, 0]
+    sr.solve_subproblem(rate, q, 16)
+    anchors = list(rate.evals)
+    assert anchors[1] == 0
+    rate.evals[:] = [0, 0]
+    sub = sr.solve_subproblem(rate, q, n)
+    assert sub.branch == CASE_II
+    assert 2 <= rate.evals[1] <= 1 + solver1d._MAX_SWEEPS
+    assert rate.evals[0] == anchors[0]
+
+
+@pytest.mark.parametrize("name,n,length", FALLBACK_CASES)
+def test_failed_cold_sweeps_give_the_hop_by_hop_recursion(name, n, length):
+    # near the capacity ceiling the sweeps fail, and the recursion goes on
+    # from the 16 hops it has, to the hop-by-hop result bit for bit
+    base = ROUNDTRIP_RATES[name]
+    q = sr.solve(base, n, length).q_sup
+    rate = counting_rate(base)
+    sub = sr.solve_subproblem(rate, q, n)
+    assert rate.evals[1] >= 1
+    ref = hop_by_hop(base, q, n)
+    assert sub.branch == ref.branch == CASE_II
+    assert sub.coverage == ref.coverage and sub.dcoverage_dlogq == ref.dcoverage_dlogq
+    assert np.array_equal(sub.distances, ref.distances)
+    assert np.array_equal(sub.ddistances_dlogq, ref.ddistances_dlogq)
+    assert np.array_equal(sub.hop_slopes, ref.hop_slopes)
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+def test_cold_recursion_whose_inner_hops_collapse(name):
+    # just below the critical load spacings shrink so fast that the 16th
+    # hop is 0, or below the hop tolerance: no continuum map can start
+    # there, and the recursion runs hop by hop, without a numpy warning
+    rate = ROUNDTRIP_RATES[name]
+    q = (1.0 - 1e-7) * sr.critical_load(rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sub = sr.solve_subproblem(rate, q, 200)
+    ref = hop_by_hop(rate, q, 200)
+    assert sub.coverage == ref.coverage
+    assert np.array_equal(sub.distances, ref.distances)
+
+
 def test_warm_recursion_runs_on_the_array_path(blue_rate):
     # machine-independent: a warm recursion of 1000 hops makes at most
     # _MAX_SWEEPS array R calls, and its only scalar ones are the farthest
-    # hop's; a silent fallback to the cold recursion would make ~2000
+    # hop's; a silent fallback to a cold recursion would add at least those
+    # of its farthest 16 hops
     n = 1000
     q = sr.solve(blue_rate, n, 2000.0).q_sup
     warm = sr.solve_subproblem(blue_rate, q * (1.0 + 1e-5), n)
