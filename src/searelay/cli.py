@@ -154,6 +154,11 @@ def _read_placement(path: str) -> Placement:
         raise ConfigError(f"placement file {path}: {exc}") from None
 
 
+def comma_separated_numbers(text: str) -> list[float]:
+    """An argparse type: "1,2.5" gives [1.0, 2.5]."""
+    return [float(v) for v in text.split(",")]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -197,7 +202,7 @@ def _cmd_sweep_n(args, rate, meta) -> int:
 
 def _cmd_sweep_l(args, rate, meta) -> int:
     if args.l_values:
-        lengths = [float(v) for v in args.l_values.split(",")]
+        lengths = args.l_values
     else:
         for flag in ("l_min", "l_max", "l_step"):
             value = getattr(args, flag)
@@ -262,7 +267,7 @@ def _cmd_simulate(args, rate, meta) -> int:
     if not 0.0 < B < float("inf"):
         raise ConfigError(f"--data-size must be finite and > 0, got {B!r}")
     if args.probe_factors:
-        factors = sorted(float(v) for v in args.probe_factors.split(","))
+        factors = sorted(args.probe_factors)
         grid = [f * q_ref for f in factors]
         probe = sq.stability_probe(
             placement, rate, grid, mean_data_size=B,
@@ -363,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-min", type=float)
     p.add_argument("--l-max", type=float)
     p.add_argument("--l-step", type=float)
-    p.add_argument("--l-values", help="comma-separated lengths, overrides the range")
+    p.add_argument("--l-values", type=comma_separated_numbers,
+                   help="comma-separated lengths, overrides the range")
     p.set_defaults(func=_cmd_sweep_l)
 
     p = sub.add_parser("solve2d", help="two-stage grid design over a rectangle")
@@ -392,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-size", type=float, default=1e5, help="mean packet size [bit]")
     p.add_argument("--q-factor", type=float, default=0.8,
                    help="single run at this multiple of the supportable load")
-    p.add_argument("--probe-factors",
+    p.add_argument("--probe-factors", type=comma_separated_numbers,
                    help="comma-separated multiples of q_sup; runs a stability probe")
     p.add_argument("--horizon-packets", type=int, default=50_000)
     p.add_argument("--seed", type=int, default=1)

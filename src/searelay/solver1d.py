@@ -18,16 +18,17 @@ then the root, in log q, of log(maximal covered length / L).
 
 The recursion solves a chain's hops one by one, inward, by `_hop_root`, a
 safeguarded secant inside [0, next spacing out] that reuses R there, or,
-for a long chain, all inner hops at once by Newton sweeps that evaluate R
-over every hop in one array call.  The sweeps start from a recursion at a
-nearby load or, cold, from a continuum map of the recursion beyond the
-farthest 16 hops (`_continuum`); where they fail the hop-by-hop recursion
-runs.  The farthest hop, of surplus 0, has no spacing beyond it:
-`_far_root` brackets it, warm from a recursion at a nearby load or cold by
-a doubling walk from 1 m; `surplus_inverse` is its cold path at any
-surplus t.  The recursion also returns q dC/dq, the derivative of its
-coverage in log q, from every tight hop differentiated implicitly with the
-slope its root-find ended on: no analytic R' and no extra R evaluation.
+for a long chain, all hops at once by Newton sweeps that evaluate R over
+every hop in one array call.  The sweeps start from a recursion of the same
+chain at another load or, cold, from a continuum map of the recursion beyond
+the farthest 16 hops (`_continuum`); where they fail the hop-by-hop
+recursion runs.  The farthest hop, of tail 0, has no spacing beyond it: a
+sweep solves it as its first row, and one by one `_far_root` brackets it,
+warm from a recursion at a nearby load or cold by a doubling walk from 1 m;
+`surplus_inverse` is its cold path at any surplus t.  The recursion also
+returns q dC/dq, the derivative of its coverage in log q, from every tight
+hop differentiated implicitly with the slope its root-find ended on: no
+analytic R' and no extra R evaluation.
 
 `solve` finds the load by a safeguarded Newton iteration on log q (as
 `rtsafe`, Press et al., *Numerical Recipes*, section 9.4), and
@@ -79,12 +80,6 @@ _X_RTOL = 5e-10      # ... plus relative tolerance
 _LOG_Q_TOL = 2e-10   # default load tolerance, in log q (i.e. relative)
 _MAX_HOP_ITERS = 200  # hop-root cap; bisection takes a 1e6 m bracket to 1e-9 m in 50
 _MAX_LOAD_ITERS = 100  # load-root cap; bisection takes the bracket to 2e-10 in ~40
-# a recursion within this relative load of one before starts the inner hops'
-# sweeps.  Per long-chain solve (48, seed 77), besides 1 cold start: warm and
-# cold-miss recursions, then failed sweeps and in-process time of the 48
-#   3e-2: 2.52 1.12, 5 of 225, 95.6 ms    0.1: 2.90 0.75, 5 of 225, 90.3 ms
-#   0.3:  3.40 0.25, 5 of 225, 90.2 ms    1.0: 3.65 0,    5 of 225, 89.9 ms
-_WARM_REL = 0.3
 _MAX_SWEEPS = 8        # sweeps before the hop-by-hop recursion takes over
 # only longer chains sweep: a sweep's ~30 numpy calls cost more than the
 # hop-by-hop recursion below 24-32 hops at dq/q = 1e-5 (1 sweep), 32-48 at
@@ -211,7 +206,8 @@ def _checked_count(n, name: str = "n", least: int = 1) -> int:
 def surplus(rate: RateFunction, q: float, x):
     """Chain length a hop of length x can feed at load q: R(x)/q - x/2."""
     q = _checked_positive(q, "load q")
-    return rate(x) / q - 0.5 * (x if isinstance(x, np.ndarray) else float(x))
+    r = rate(x)  # checks x, and takes a list or tuple as an array
+    return r / q - 0.5 * (np.asarray(x, float) if isinstance(r, np.ndarray) else float(x))
 
 
 def surplus_inverse(rate: RateFunction, q: float, t: float) -> float:
@@ -393,37 +389,36 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     q ~ R(0)/L the relayed tail approaches R(0)/q, and inner hops fall
     below the per-hop root's ~1e-9 m resolution, down to 0.
 
-    `warm` is a recursion already run for n hops.  Within 1e-3 of q,
-    relative, the farthest hop starts from warm's (`_far_root`).  More than
-    48 hops within 0.3 start Newton sweeps (`_newton_sweeps`) from warm's;
-    more than 128 otherwise from their farthest 16, solved one by one, and a
-    continuum map beyond.  Shorter chains and failed sweeps run hop by hop.
+    `warm` is a recursion already run for n hops.  More than 48 hops start
+    Newton sweeps over every hop (`_newton_sweeps`) from a chain-branch
+    warm, at any load.  Otherwise the farthest hop is solved alone
+    (`_far_root`, from warm's within 1e-3 of q, relative), and more than
+    128 hops start the sweeps from their farthest 16, solved one by one, and
+    a continuum map beyond.  Shorter chains and failed sweeps run hop by hop.
     """
     q, n = _checked_positive(q, "load q"), _checked_count(n)
+    if (n > _SWEEP_HOPS and warm is not None and warm.branch == CASE_II
+            and warm.distances.size == n):
+        z = warm.distances[::-1] + warm.ddistances_dlogq[::-1] * math.log(q / warm.q)
+        sub = _newton_sweeps(rate, q, z, warm.hop_slopes[::-1] + 0.5 * warm.q)
+        if sub is not None:
+            return sub
     d_far, r_hi, s_hi = _far_root(rate, q, warm)
-    g0 = rate.r0 / q
     if s_hi is None:
         s_hi = -0.5 * q
     dt = 0.5 * d_far * (q / s_hi)
-    if d_far >= g0:
+    if d_far >= rate.r0 / q:
         # case i: the single hop already out-reaches anything a chain could add
         d = np.zeros(n)
         d[0] = d_far
         return SubproblemResult(distances=d, coverage=d_far, branch=CASE_I,
                                 q=q, dcoverage_dlogq=dt)
-    if (n > _SWEEP_HOPS and warm is not None and warm.branch == CASE_II
-            and warm.distances.size == n and abs(q - warm.q) < _WARM_REL * q):
-        z = warm.distances[::-1] + warm.ddistances_dlogq[::-1] * math.log(q / warm.q)
-        z[0] = d_far
-        sub = _newton_sweeps(rate, q, z, warm.hop_slopes[::-1] + 0.5 * warm.q, s_hi, dt)
-        if sub is not None:
-            return sub
     m = 16 if n > _COLD_HOPS else n
     d, dd, fs = [0.0] * m, [0.0] * m, [0.0] * m
     d[-1], dd[-1], fs[-1] = d_far, dt, s_hi
     sub = _inward(rate, q, d, dd, fs, m - 1, r_hi, d_far, dt)
     if m < n and sub.distances[0] > _X_TOL:  # else the inner hops collapse
-        swept = _newton_sweeps(rate, q, *_continuum(rate, q, sub, n), s_hi, dt)
+        swept = _newton_sweeps(rate, q, *_continuum(rate, q, sub, n))
         if swept is not None:
             return swept
     return sub if m == n else _extend(rate, sub, n)
@@ -451,18 +446,18 @@ def _continuum(rate: RateFunction, q: float, sub: SubproblemResult, n: int
             np.concatenate((sub.hop_slopes[::-1], g)) + 0.5 * q)
 
 
-def _newton_sweeps(rate: RateFunction, q: float, z: np.ndarray, g: np.ndarray,
-                   s_far: float, dt: float) -> SubproblemResult | None:
+def _newton_sweeps(rate: RateFunction, q: float, z: np.ndarray, g: np.ndarray
+                   ) -> SubproblemResult | None:
     """The hops at load q by Newton sweeps from spacings z with R' g, or None.
 
-    z and g run inward from the farthest hop, solved already with slope s_far
-    and q dd/dq dt.  The hop equations F_i = R(d_i) - q (d_i/2 + T_i) = 0
-    are triangular: a sweep evaluates R at every hop in one array call, then
-    back-substitutes from the farthest hop inward, delta_i = (q S_i - F_i) /
-    f'_i with S_i the steps beyond hop i, and q dd_i/dq = (d_i/2 + T_i +
-    q dT_i/dq) q / f'_i alongside; later sweeps take R' from the secant of a
-    hop's last two iterates.  None if a hop leaves (0, inf) or falls out of
-    order, the tail passes R(0)/q, or _MAX_SWEEPS sweeps do not converge."""
+    z and g run inward from the farthest hop, whose tail T_0 is 0.  The hop
+    equations F_i = R(d_i) - q (d_i/2 + T_i) = 0 are triangular: a sweep
+    evaluates R at every hop in one array call, then back-substitutes from
+    the farthest hop inward, delta_i = (q S_i - F_i) / f'_i with S_i the
+    steps beyond hop i, and q dd_i/dq = (d_i/2 + T_i + q dT_i/dq) q / f'_i
+    alongside; later sweeps take R' from the secant of a hop's last two
+    iterates.  None if a hop leaves (0, inf) or falls out of order, the
+    tail passes R(0)/q, or _MAX_SWEEPS sweeps do not converge."""
     for sweep in range(_MAX_SWEEPS):
         if not z.min() > 0.0:
             return None
@@ -472,16 +467,14 @@ def _newton_sweeps(rate: RateFunction, q: float, z: np.ndarray, g: np.ndarray,
         load = q * (np.cumsum(z) - 0.5 * z)
         s = np.minimum(g, 0.0) - 0.5 * q
         # x_j = a_j x_{j-1} + b_j is x_j = p_j sum_{k<=j} b_k/p_k, p_j the
-        # product of a_1..a_j, falling in size as |a_j| <= 1; row 0 sums
-        # the steps from 0, row 1 the tails' q dT/dq from dt
+        # product of a_1..a_j, falling in size as |a_j| <= 1; both rows sum
+        # from x_{-1} = 0, the farthest hop's tail, so a_0 plays no part
         a = 1.0 + q / s
         a[0] = 1.0
         p = np.cumprod(a)
         if not abs(p[-1]) > _TINY_PRODUCT:
             return None
-        sums = np.array([load - r, load]) / s
-        sums[:, 0] = 0.0, dt
-        sums = p * np.cumsum(sums / p, axis=1)
+        sums = p * np.cumsum(np.array([load - r, load]) / s / p, axis=1)
         delta, dz = sums - np.hstack((np.zeros((2, 1)), sums[:, :-1]))  # np.diff(prepend=0) is slower
         z_old, r_old, z = z, r, z + delta
         small = np.abs(delta) <= _X_TOL + _X_RTOL * z_old
@@ -494,7 +487,6 @@ def _newton_sweeps(rate: RateFunction, q: float, z: np.ndarray, g: np.ndarray,
     if not (z[-1] > 0.0 and (z[:-1] >= z[1:]).all()
             and tails[-2] - g0 <= _CLAMP_REL * max(1.0, g0)):
         return None
-    s[0] = s_far
     return SubproblemResult(distances=z[::-1], coverage=float(tails[-1]),
                             branch=CASE_II, q=q, dcoverage_dlogq=float(sums[1, -1]),
                             ddistances_dlogq=dz[::-1], hop_slopes=s[::-1])

@@ -243,6 +243,22 @@ def test_sweep_l_non_finite_range_exits_2(capsys, flag, value):
     assert f"{flag} must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep-l", "--preset", "blue", "--n", "2", "--l-values", "200,abc"),
+    ("simulate", "--preset", "blue", "--n", "1", "--l", "100",
+     "--horizon-packets", "500", "--probe-factors", "0.9,abc"),
+])
+def test_non_numeric_list_entry_exits_2(capsys, argv):
+    # rejected as the parser rejects "--l abc", naming the flag
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert not captured.out
+    assert f"argument {argv[-2]}: invalid" in captured.err
+    assert repr(argv[-1]) in captured.err
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     missing = tmp_path / "no_such_dir" / "x.csv"
     code, out, err = run(capsys, "sweep-n", "--preset", "blue", "--n-max", "2",
