@@ -332,26 +332,14 @@ def validate_rate_assumption(rate: RateFunction, d_max: float = 2000.0,
         raise ValueError("d_max must be > 0")
     if n_grid < 3:
         raise ValueError("n_grid must be >= 3")
-    grid = np.linspace(0.0, d_max, n_grid)
-    r = rate(grid)
-    fwd = np.diff(r)
-    sec = np.diff(r, n=2)
-    tol = _CONVEXITY_TOL_REL * rate.r0
-    tail_thr = _TAIL_RATIO * rate.r0
-    max_fwd = float(fwd.max())
-    min_sec = float(sec.min())
+    r = rate(np.linspace(0.0, d_max, n_grid))
+    tol, tail_thr = _CONVEXITY_TOL_REL * rate.r0, _TAIL_RATIO * rate.r0
+    max_fwd, min_sec = float(np.diff(r).max()), float(np.diff(r, n=2).min())
     tail = float(r[-1])
     return ValidationReport(
-        max_forward_diff=max_fwd,
-        min_second_diff=min_sec,
-        tail_value=tail,
-        r0=rate.r0,
-        convexity_tol=tol,
-        tail_threshold=tail_thr,
-        monotone_ok=max_fwd < 0.0,
-        convex_ok=min_sec >= -tol,
-        tail_ok=tail <= tail_thr,
-    )
+        max_forward_diff=max_fwd, min_second_diff=min_sec, tail_value=tail,
+        r0=rate.r0, convexity_tol=tol, tail_threshold=tail_thr,
+        monotone_ok=max_fwd < 0.0, convex_ok=min_sec >= -tol, tail_ok=tail <= tail_thr)
 
 
 # ---------------------------------------------------------------------------

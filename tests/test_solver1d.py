@@ -4,6 +4,7 @@ Grid-scan oracles recompute the thresholds by brute force; the frozen
 constants were produced with mpmath at 40 digits (independent code path).
 """
 
+import copy
 import math
 import warnings
 
@@ -504,11 +505,8 @@ BRACKET_CASES = ([(name, n, 500.0) for name in sorted(ROUNDTRIP_RATES) for n in 
                  + [("blue", 2000, 200.0), ("fec", 2000, 5.0)])
 
 
-@pytest.mark.parametrize("name,n,length", BRACKET_CASES)
-def test_solve_bracket_is_two_recursions_straddling_length(monkeypatch, name, n, length):
-    # both ends of the final bracket are recursions the root-find ran, on
-    # either side of length, no wider than the default tolerance
-    rate = ROUNDTRIP_RATES[name]
+def solve_recording(monkeypatch, rate, n, length):
+    """`solve`, and the recursions its load search ran, by load."""
     inner = solver1d.solve_subproblem
     seen = {}
 
@@ -517,7 +515,15 @@ def test_solve_bracket_is_two_recursions_straddling_length(monkeypatch, name, n,
         return sub
 
     monkeypatch.setattr(solver1d, "solve_subproblem", recording)
-    res = sr.solve(rate, n, length)
+    return sr.solve(rate, n, length), seen
+
+
+@pytest.mark.parametrize("name,n,length", BRACKET_CASES)
+def test_solve_bracket_is_two_recursions_straddling_length(monkeypatch, name, n, length):
+    # both ends of the final bracket are recursions the root-find ran, on
+    # either side of length, no wider than the default tolerance
+    rate = ROUNDTRIP_RATES[name]
+    res, seen = solve_recording(monkeypatch, rate, n, length)
     width = math.log1p(res.bracket_width / res.q_sup)
     assert 0.0 < width <= 2e-10 + 1e-15
     at_sup = seen[res.q_sup].coverage
@@ -726,6 +732,92 @@ def test_warm_recursion_runs_on_the_array_path(blue_rate):
     assert sub.branch == CASE_II
     assert 1 <= rate.evals[1] <= solver1d._MAX_SWEEPS
     assert rate.evals[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# sweeps stopped early by the load search (inexact Newton on the load)
+# ---------------------------------------------------------------------------
+
+def converged_solve(monkeypatch, rate, n, length):
+    """`solve` with every recursion converged: its recursions are run
+    without the target length that lets their sweeps stop early."""
+    inner = solver1d.solve_subproblem
+
+    def converging(rate, q, n, *, warm=None, length=None):
+        return inner(rate, q, n, warm=warm)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver1d, "solve_subproblem", converging)
+        return sr.solve(rate, n, length)
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+@pytest.mark.parametrize("n", [49, 60, 129, 300, 1000, 2000])
+def test_stopped_sweeps_leave_qsup_as_converged_ones_give_it(monkeypatch, name, n):
+    # a recursion far from q_sup stops its sweeps once its coverage can
+    # steer the load step; the search still ends on converged recursions
+    rate = ROUNDTRIP_RATES[name]
+    for length in (50.0, 500.0, 5000.0):
+        res = sr.solve(rate, n, length)
+        ref = converged_solve(monkeypatch, rate, n, length)
+        assert rel(res.q_sup, ref.q_sup) <= 2e-10, (length, res.q_sup, ref.q_sup)
+        assert res.branch == ref.branch
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
+@pytest.mark.parametrize("n,length", [(60, 500.0), (300, 500.0), (300, 5000.0),
+                                      (1000, 2000.0), (2000, 5000.0)])
+def test_bracket_ends_are_converged_recursions(monkeypatch, name, n, length):
+    # a sweep restarted at the load of either end of the final bracket, from
+    # that end's hops, moves no hop by more than the hop tolerance
+    rate = ROUNDTRIP_RATES[name]
+    res, seen = solve_recording(monkeypatch, rate, n, length)
+    width = math.log1p(res.bracket_width / res.q_sup)
+    ends = [sub for q, sub in seen.items()
+            if abs(abs(math.log(q / res.q_sup)) - width) <= 1e-13 or q == res.q_sup]
+    assert len(ends) == 2
+    for sub in ends:
+        z, g = sub.distances[::-1], sub.hop_slopes[::-1] + 0.5 * sub.q
+        again = solver1d._newton_sweeps(rate, sub.q, z, g)
+        assert again is not None
+        moved = np.abs(again.distances - sub.distances)
+        assert (moved <= hop_tol(sub.distances)).all(), (sub.q, moved.max())
+
+
+def test_long_chain_array_calls_budget():
+    # machine-independent: array R calls per long-chain solve.  With every
+    # recursion converged they were 13.3 on average here, and up to 19; with
+    # sweeps stopped once their coverage steers the load step, 9.4 and 12
+    calls = []
+    for base in ROUNDTRIP_RATES.values():
+        for n in (300, 700, 1200, 2000):
+            for length in (200.0, 500.0, 1500.0, 5000.0):
+                rate = counting_rate(base)
+                sr.solve(rate, n, length)
+                calls.append(rate.evals[1])
+    assert sum(calls) / len(calls) <= 10.0
+    assert max(calls) <= 13
+
+
+@pytest.mark.parametrize("length", [None, 1e6])
+def test_sweeps_reject_a_tail_past_r0_over_q(blue_rate, length):
+    # hops that stay positive and in order while the tail beyond the
+    # innermost passes R(0)/q: a rate that states R(0) just below q times
+    # that tail, R elsewhere unchanged.  Converged (no length) and stopped
+    # at the first sweep (a length far beyond the coverage), the sweeps
+    # return the hops for the true R(0) and reject them for the stated one
+    n = 300
+    q = sr.solve(blue_rate, n, 600.0).q_sup
+    warm = sr.solve_subproblem(blue_rate, 1.01 * q, n)
+    z = warm.distances[::-1] + warm.ddistances_dlogq[::-1] * math.log(q / warm.q)
+    g = warm.hop_slopes[::-1] + 0.5 * warm.q
+    rate = counting_rate(blue_rate)
+    sub = solver1d._newton_sweeps(rate, q, z, g.copy(), length)
+    assert sub is not None and sub.distances[0] > 0.0
+    assert (rate.evals[1] == 1) == (length is not None)
+    lying = copy.copy(rate)
+    lying.r0 = q * (sub.coverage - sub.distances[0]) * (1.0 - 1e-6)
+    assert solver1d._newton_sweeps(lying, q, z, g.copy(), length) is None
 
 
 @pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
