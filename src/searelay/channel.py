@@ -42,23 +42,10 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "ChannelParams",
-    "ShannonRateParams",
-    "FecRateParams",
-    "RateFunction",
-    "ValidationReport",
-    "snr_gain",
-    "snr",
-    "shannon_rate",
-    "fec_rate",
-    "shannon_rate_function",
-    "fec_rate_function",
-    "validate_rate_assumption",
-    "preset",
-    "preset_names",
-    "load_channel_config",
-    "load_fec_config",
-    "CONFIG_KEYS",
+    "ChannelParams", "ShannonRateParams", "FecRateParams", "RateFunction",
+    "ValidationReport", "snr_gain", "snr", "shannon_rate", "fec_rate",
+    "shannon_rate_function", "fec_rate_function", "validate_rate_assumption",
+    "preset", "preset_names", "load_channel_config", "load_fec_config", "CONFIG_KEYS",
 ]
 
 

@@ -13,18 +13,11 @@ comparisons below are built on.  ``hop_limits`` is that bound, evaluated for
 a whole (rows, N) array of placements at once; ``qsup_of_placement``,
 ``perturb_eval`` and ``solver2d.grid_qsup`` all go through it.
 
-``perturb_eval`` draws Monte-Carlo trial t from its own substream, the
-stream of ``Generator(PCG64(SeedSequence([seed, t])))``, then repairs and
-evaluates the trials in blocks of rows through ``hop_limits``; the blocks
-change neither the draws nor the result.  Rather than building one
-``SeedSequence`` per trial, ``_substream_states`` runs SeedSequence's fixed
-hash-mix (NEP 19) for a whole block of trials in ``uint32`` array arithmetic
-and applies PCG64's 128-bit seeding step (O'Neill 2014), giving each trial's
-PCG64 ``(state, inc)``; one reused ``PCG64`` and ``Generator`` then draw every
-trial.  ``test_substream_states_match_numpy`` and
-``test_trial_noise_matches_default_rng`` (``tests/test_evaluate.py``) pin
-those states and draws to NumPy's own, so a change of NumPy's stream fails
-loudly instead of drifting the results.
+``perturb_eval`` draws trial t from ``Generator(PCG64(SeedSequence([seed,
+t])))``.  ``_substream_states`` builds those PCG64 states for a block of
+trials at once, running SeedSequence's hash-mix (NEP 19) and PCG64's seeding
+step (O'Neill 2014) in array arithmetic; ``tests/test_evaluate.py`` pins the
+states and draws to NumPy's own, so a change of NumPy's stream fails loudly.
 """
 
 from __future__ import annotations
@@ -38,14 +31,8 @@ from .channel import RateFunction
 from .solver1d import _SUM_TOL, Placement, _checked_count
 
 __all__ = [
-    "PlacementLimit",
-    "PerturbStats",
-    "hop_limits",
-    "qsup_of_placement",
-    "constant_placement",
-    "tradeoff",
-    "vertical_qsup",
-    "perturb_eval",
+    "PlacementLimit", "PerturbStats", "hop_limits", "qsup_of_placement",
+    "constant_placement", "tradeoff", "vertical_qsup", "perturb_eval",
     "PERTURB_CSV_HEADER",
 ]
 

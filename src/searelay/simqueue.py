@@ -227,18 +227,11 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
     drift = _lsq_slope(sample_t[post], samples[post])
 
     return QueueStats(
-        time_avg_queue=time_avg,
-        end_queue=end_queue,
-        drift_slope=drift,
+        time_avg_queue=time_avg, end_queue=end_queue, drift_slope=drift,
         total_drift_slope=float(drift.sum()),  # slope is linear, so totals add
         delivered=int(m - ext_t.size + up_t.size),  # sink's own + node 1's
-        generated=int(m),
-        duration_s=horizon,
-        warmup_s=warmup,
-        sample_times=sample_t,
-        queue_samples=samples,
-        trace=trace,
-    )
+        generated=int(m), duration_s=horizon, warmup_s=warmup,
+        sample_times=sample_t, queue_samples=samples, trace=trace)
 
 
 def is_stable(stats: QueueStats, packet_rate: float) -> bool:

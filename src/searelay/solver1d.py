@@ -19,10 +19,10 @@ then the root, in log q, of log(maximal covered length / L).
 The recursion solves a chain's hops one by one, inward, by `_hop_root`, a
 safeguarded secant inside [0, next spacing out] that reuses R there, or,
 for a long chain, all hops at once by Newton sweeps that evaluate R over
-every hop in one array call (`solve_subproblem` says which).  It also
-returns q dC/dq, the derivative of its coverage in log q, from every tight
-hop differentiated implicitly with the slope its root-find ended on: no
-analytic R' and no extra R evaluation.
+every hop in one array call (`solve_subproblem` says which); hops below the
+roots' 1e-9 m tolerance follow in closed form (`_extend`).  It also returns
+q dC/dq, the derivative of its coverage in log q, from every tight hop
+differentiated implicitly with the slope its root-find ended on.
 
 `solve` finds the load by a safeguarded Newton iteration on log q (as
 `rtsafe`, Press et al., *Numerical Recipes*, section 9.4).  It is an inexact
@@ -47,23 +47,10 @@ from .scalar import (MaxItersError, NumericalError, bisect_monotone,
                      bracket_monotone)
 
 __all__ = [
-    "CASE_I",
-    "CASE_II",
-    "Placement",
-    "SubproblemResult",
-    "SolveResult",
-    "OutOfRangeError",
-    "WrongBranchError",
-    "NumericalInfeasibleError",
-    "surplus",
-    "surplus_inverse",
-    "critical_load",
-    "critical_length",
-    "solve_subproblem",
-    "solve",
-    "solve_n_range",
-    "decay_factor",
-    "surplus_slope",
+    "CASE_I", "CASE_II", "Placement", "SubproblemResult", "SolveResult",
+    "OutOfRangeError", "WrongBranchError", "NumericalInfeasibleError",
+    "surplus", "surplus_inverse", "critical_load", "critical_length",
+    "solve_subproblem", "solve", "solve_n_range", "decay_factor", "surplus_slope",
 ]
 
 CASE_I = "case-i"    # single active hop: load too heavy for a chain to help
@@ -362,11 +349,6 @@ def decay_factor(rate: RateFunction, q: float) -> float:
     """
     if _checked_positive(q, "load q") >= critical_load(rate):
         raise WrongBranchError("decay factor is defined only below the critical load")
-    return _gamma(rate, q)
-
-
-def _gamma(rate: RateFunction, q: float) -> float:
-    """1 + 1/surplus_slope(0): `decay_factor` without its branch check."""
     return 1.0 + 1.0 / surplus_slope(rate, q, 0.0)
 
 
@@ -383,26 +365,31 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     sink, the remaining nodes collapse onto it.  Otherwise every constraint
     is made tight by a backward recursion from the farthest hop inward,
     yielding spacings non-decreasing away from the sink.  Near the ceiling
-    q ~ R(0)/L the relayed tail approaches R(0)/q, and inner hops fall
-    below the per-hop root's ~1e-9 m resolution, down to 0.
+    q ~ R(0)/L the relayed tail approaches R(0)/q, and once a hop falls
+    below the hop tolerance, 1e-9 m, the hops inward of it follow in closed
+    form, a geometric series at the decay factor (`_extend`).
 
-    `warm` is a recursion already run for n hops.  More than 48 hops start
-    Newton sweeps over every hop (`_newton_sweeps`) from a chain-branch
-    warm, at any load.  Otherwise the farthest hop is solved alone
-    (`_far_root`, from warm's within 1e-3 of q, relative), and more than
-    128 hops start the sweeps from their farthest 16, solved one by one, and
-    a continuum map beyond (`_continuum`), unless near the capacity ceiling
-    that map stops short.  Shorter chains and failed sweeps run hop by hop.
+    `warm` is a recursion already run for n hops.  More than 48 of its hops
+    above the hop tolerance start Newton sweeps over those (`_newton_sweeps`)
+    from a chain-branch warm, at any load.  Otherwise the farthest hop is
+    solved alone (`_far_root`, from warm's within 1e-3 of q, relative), and
+    more than 128 hops start the sweeps from their farthest 16, solved one
+    by one, and a continuum map beyond, down to the hop tolerance
+    (`_continuum`).  Shorter chains and failed sweeps run hop by hop.
     `length`, a load search's target coverage, lets sweeps far from it stop
     once their coverage can steer the search's next step.
     """
     q, n = _checked_positive(q, "load q"), _checked_count(n)
     if (n > _SWEEP_HOPS and warm is not None and warm.branch == CASE_II
             and warm.distances.size == n):
-        z = warm.distances[::-1] + warm.ddistances_dlogq[::-1] * math.log(q / warm.q)
-        sub = _newton_sweeps(rate, q, z, warm.hop_slopes[::-1] + 0.5 * warm.q, length)
+        # warm's hops above the hop tolerance, from the farthest: a recursion
+        # on its own, which `_extend` finishes
+        p = n - int(np.searchsorted(warm.distances, _X_TOL))
+        z = warm.distances[:-p - 1:-1] + warm.ddistances_dlogq[:-p - 1:-1] * math.log(q / warm.q)
+        sub = None if p <= _SWEEP_HOPS else _newton_sweeps(
+            rate, q, z, warm.hop_slopes[:-p - 1:-1] + 0.5 * warm.q, length)
         if sub is not None:
-            return sub
+            return sub if p == n else _extend(rate, sub, n)
     d_far, r_hi, s_hi = _far_root(rate, q, warm)
     if s_hi is None:
         s_hi = -0.5 * q
@@ -416,20 +403,22 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     m = 16 if n > _COLD_HOPS else n
     d, dd, fs = [0.0] * m, [0.0] * m, [0.0] * m
     d[-1], dd[-1], fs[-1] = d_far, dt, s_hi
-    sub = _inward(rate, q, d, dd, fs, m - 1, r_hi, d_far, dt)
+    i, total, dt = _inward(rate, q, d, dd, fs, m - 1, r_hi, d_far, dt)
+    sub = SubproblemResult(distances=np.array(d[i:]), coverage=total, branch=CASE_II, q=q,
+                           dcoverage_dlogq=dt, ddistances_dlogq=np.array(dd[i:]),
+                           hop_slopes=np.array(fs[i:]))
     if m < n and sub.distances[0] > _X_TOL:  # else the inner hops collapse
-        start = _continuum(rate, q, sub, n)
-        swept = None if start is None else _newton_sweeps(rate, q, *start, length)
+        swept = _newton_sweeps(rate, q, *_continuum(rate, q, sub, n), length)
         if swept is not None:
-            return swept
-    return sub if m == n else _extend(rate, sub, n)
+            sub = swept
+    return sub if sub.distances.size == n else _extend(rate, sub, n)
 
 
 def _continuum(rate: RateFunction, q: float, sub: SubproblemResult, n: int
-               ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Spacings and R' of n hops at load q, from the farthest: sub's, then
-    inner hops predicted by a continuum map of the recursion, or None where
-    that map reaches under 80% of them.
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Spacings and R' of up to n hops at load q, from the farthest: sub's,
+    then the inner hops a continuum map of the recursion predicts down to
+    the hop tolerance, below which `_extend` closes the recursion.
 
     A hop of length x fixes its tail, T(x) = R(x)/q - x/2, and the recursion
     steps T -> T + x, so hop j inward of sub's innermost lies about where
@@ -441,11 +430,8 @@ def _continuum(rate: RateFunction, q: float, sub: SubproblemResult, n: int
     x = sub.distances[0] * np.exp(grid)
     s = np.diff(rate(x) / q - 0.5 * x) / np.diff(x)  # 1/h' between grid points
     k = np.concatenate(([0.0], np.cumsum(s * s / (s - 0.5) * grid[1])))
-    if k[-1] < 0.8 * (n - sub.distances.size):
-        # near the capacity ceiling: of 800 sampled maps short of hop n, the
-        # sweeps converged from 0 of 734 reaching under 80% of it, 44 of 66 beyond
-        return None
-    j = np.arange(1.0, n - sub.distances.size + 1)
+    reach = np.interp(math.log(_X_TOL / sub.distances[0]), grid[::-1], k[::-1])
+    j = np.arange(1.0, min(n - sub.distances.size, math.floor(reach)) + 1)
     z = sub.distances[0] * np.exp(np.interp(j, k, grid))
     g = q * np.interp(j, 0.5 * (k[1:] + k[:-1]), s)
     return (np.concatenate((sub.distances[::-1], z)),
@@ -512,26 +498,65 @@ def _extend(rate: RateFunction, sub: SubproblemResult, n: int | None = None
     """The recursion for n hops, by default one more, at sub's load: sub and
     new hops at the sink, since the recursion runs from the farthest hop
     inward.  On the chain branch this costs their roots and R at sub's
-    innermost hop; on the single-hop branch nothing."""
-    m = 1 if n is None else n - sub.distances.size  # the new hops
+    innermost hop; on the single-hop branch nothing.
+
+    Once a hop a falls below the hop tolerance (see `_inward`), R is linear
+    in d to roundoff, and so is the recursion: each hop inward of a is gamma
+    = `decay_factor` times the one beyond, with f' = R'(0) - q/2.  Summed as
+    a series, the implicit derivative of hop m inward of a is q dd_m/dq =
+    (1 - 1/gamma) gamma^m (dd_a (f'_a/q + 1) + m d_a (1 + gamma)/2).  These
+    depend only on hop a and m, and the sums run on from sub's, so a
+    recursion extended across the tail is the one solved whole, bit for bit.
+    """
+    n = sub.distances.size + 1 if n is None else n
     if sub.branch == CASE_I:
-        d = np.zeros(m + sub.distances.size)
+        d = np.zeros(n)
         d[0] = sub.coverage
         return replace(sub, distances=d)
-    d = [0.0] * m + sub.distances.tolist()
-    dd = [0.0] * m + sub.ddistances_dlogq.tolist()
-    fs = [0.0] * m + sub.hop_slopes.tolist()
-    return _inward(rate, sub.q, d, dd, fs, m, rate.scalar(d[m]),
-                   sub.coverage, sub.dcoverage_dlogq)
+    q, total, dt = sub.q, sub.coverage, sub.dcoverage_dlogq
+    old = [sub.distances, sub.ddistances_dlogq, sub.hop_slopes]
+    k, new = n - old[0].size, [[], [], []]  # the new hops, and those solved by root
+    if old[0][0] >= _X_TOL:
+        # their roots, from sub's innermost three hops on, stop at a tail's hop a
+        d, dd, fs = ([0.0] * k + x[:3].tolist() for x in old)
+        i, total, dt = _inward(rate, q, d, dd, fs, k, rate.scalar(d[k]), total, dt)
+        new, k = [x[i:k] for x in (d, dd, fs)], i  # k: the hops left to the tail
+    if k:
+        # hop a: the first new one, or sub's outermost below the tolerance, b hops out
+        src, b = (new, 0) if new[0] else (old, int(np.searchsorted(old[0], _X_TOL)) - 1)
+        d_a, dd_a, f_a = (float(x[b]) for x in src)
+        slope = surplus_slope(rate, q, 0.0)  # f'(0) / q
+        gamma = 1.0 + 1.0 / slope
+        m = np.arange(b + k, b, -1.0)
+        # gamma^m as products from m = 1, alike wherever the tail is cut
+        # (numpy's pow may round an element by its place in the array)
+        p = np.cumprod(np.full(b + k, gamma))[b:][::-1]
+        tail = (d_a * p, (1.0 - 1.0 / gamma) * p * (dd_a * (f_a / q + 1.0)
+                                                    + m * (0.5 * d_a * (1.0 + gamma))),
+                np.full(k, q * slope))
+        sums = np.empty((2, k + 1))
+        sums[:, 0] = total, dt
+        sums[0, 1:], sums[1, 1:] = tail[0][::-1], tail[1][::-1]
+        total, dt = sums.cumsum(axis=1)[:, -1].tolist()
+        new = [np.concatenate(x) for x in zip(tail, new)]
+    d, dd, fs = (np.concatenate(x) for x in zip(new, old))
+    return SubproblemResult(distances=d, coverage=total, branch=CASE_II, q=q,
+                            dcoverage_dlogq=dt, ddistances_dlogq=dd, hop_slopes=fs)
 
 
 def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
-            r_hi: float, total: float, dt: float) -> SubproblemResult:
-    """Finish a chain-branch recursion at load q: solve hops k-1, ..., 0.
+            r_hi: float, total: float, dt: float) -> tuple[int, float, float]:
+    """Continue a chain-branch recursion at load q: solve hops k-1, ..., i,
+    where i is 0 or the first hop of a collapsed tail, which `_extend` goes
+    on with.  Return i and the coverage of hops i.. and its derivative.
 
     d, dd and fs hold the spacings, their q dd_i/dq and their slopes f',
-    filled from hop k outward; r_hi is R(d[k]), and total and dt are the
-    coverage of hops k.. and its derivative in log q.
+    filled from hop k outward, and from hop i on return; r_hi is R(d[k]),
+    and total and dt are the coverage of hops k.. and its derivative in
+    log q.  A root below the hop tolerance is replaced by the linear root,
+    (T - R(0)/q) q/f'(0) for its tail T, as R is linear in d there.  Capped
+    at the hop beyond, it may pass the tolerance; else it is the first hop
+    of a collapsed tail.
     """
     g0 = rate.r0 / q
     t_max = g0 + _CLAMP_REL * max(1.0, g0)  # R(0)/q up to roundoff
@@ -542,6 +567,7 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
     far = d[k + 1] if k + 1 < n else 0.0
     far2 = d[k + 2] if k + 2 < n else 0.0
     s_hi = fs[k]
+    i, slope = k, None  # slope: f'(0) / q, once a root falls below the tolerance
     # hops from the farthest inward; each root lies in [0, next spacing
     # out], and dt, the tail's derivative in log q, sums the hops' q dd_i/dq
     for i in range(k - 1, -1, -1):
@@ -562,13 +588,19 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
         hi, r_hi, s = _hop_root(r, r0, q, t, hi, r_hi, x)
         if s is not None:
             s_hi = s
-        ddi = (0.5 * hi + t + dt) * (q / s_hi) if hi > 0.0 else 0.0
+        if hi < _X_TOL:
+            slope = surplus_slope(rate, q, 0.0) if slope is None else slope
+            hi, s_hi = min((t - g0) / slope, far), q * slope
+            if hi < _X_TOL:
+                d[i], dd[i], fs[i] = hi, (0.5 * hi + t + dt) * (q / s_hi) if hi else 0.0, s_hi
+                total, dt = total + hi, dt + dd[i]
+                break
+            r_hi = r(hi)
+        ddi = (0.5 * hi + t + dt) * (q / s_hi)
         d[i], dd[i], fs[i] = hi, ddi, s_hi
         total += hi
         dt += ddi
-    return SubproblemResult(distances=np.array(d), coverage=total,
-                            branch=CASE_II, q=q, dcoverage_dlogq=dt,
-                            ddistances_dlogq=np.array(dd), hop_slopes=np.array(fs))
+    return i, total, dt
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +746,7 @@ def _solve(rate: RateFunction, n: int, length: float, tol_q: float | None,
     res = SolveResult(
         q_sup=q_sup, placement=Placement(distances=distances, length=length),
         q0=thresholds[0], L0=thresholds[1], branch=sub.branch,
-        gamma=_gamma(rate, q_sup) if sub.branch == CASE_II else None,
+        gamma=1.0 + 1.0 / surplus_slope(rate, q_sup, 0.0) if sub.branch == CASE_II else None,
         iterations=iterations, bracket_width=q_sup * math.expm1(hi - lo),
         coverage_residual=abs(sub.coverage - length))
     return res, sub

@@ -377,8 +377,9 @@ def test_solve_roundtrip_relative(name):
 
 
 def test_case_ii_spacings_near_capacity_ceiling(blue_rate):
-    # at q ~ R(0)/L the inner hops fall below the inner root's resolution
-    # and collapse to 0; spacings stay non-decreasing and q_sup round-trips
+    # at q ~ R(0)/L the inner hops fall below the hop tolerance and follow
+    # in closed form, a geometric series at the decay factor; spacings stay
+    # non-decreasing and q_sup round-trips
     res = sr.solve(blue_rate, 2000, 200.0)
     d = res.placement.distances
     assert res.branch == CASE_II
@@ -473,9 +474,17 @@ def test_solve_recursion_budget():
 @pytest.mark.parametrize("name", sorted(ROUNDTRIP_RATES))
 @pytest.mark.parametrize("n", [1, 10, 300])
 def test_carried_derivative_matches_central_difference(name, n):
-    # the recursion's q dC/dq against a central difference in q
-    rate = ROUNDTRIP_RATES[name]
-    q_sup = sr.solve(rate, n, 500.0).q_sup
+    check_carried_derivative(ROUNDTRIP_RATES[name], n, 500.0)
+
+
+def test_carried_derivative_of_a_collapsed_tail_matches_central_difference():
+    # near the capacity ceiling most of q dC/dq comes from the closed-form tail
+    check_carried_derivative(ROUNDTRIP_RATES["blue"], 1659, 208.758)
+
+
+def check_carried_derivative(rate, n, length):
+    """The recursion's q dC/dq against a central difference in q."""
+    q_sup = sr.solve(rate, n, length).q_sup
     for qf in (0.2, 0.9, 0.99):
         q = qf * q_sup
         sub = sr.solve_subproblem(rate, q, n)
@@ -641,8 +650,9 @@ def check_cold_recursion(rate, q, n):
 
 
 # cold recursions longer than _COLD_HOPS start their sweeps from a continuum
-# map: at about 2 m a hop, and where the sweeps fail and the recursion runs
-# hop by hop (FALLBACK_CASES)
+# map: at about 2 m a hop, and near the capacity ceiling, where the sweeps
+# cover the hops above the hop tolerance and the closed-form tail the rest
+# (FALLBACK_CASES, where the hop-by-hop fallback is also tested)
 FALLBACK_CASES = [("fec", 2000, 5.0), ("green", 150, 20.0)]
 COLD_CASES = ([(name, n, 20.0 + 2.0 * n) for name in sorted(ROUNDTRIP_RATES)
                for n in (300, 2000)] + FALLBACK_CASES)
@@ -687,12 +697,15 @@ def test_cold_recursion_runs_on_the_array_path(blue_rate):
 
 
 @pytest.mark.parametrize("name,n,length", FALLBACK_CASES)
-def test_failed_cold_sweeps_give_the_hop_by_hop_recursion(name, n, length):
-    # near the capacity ceiling the sweeps fail, and the recursion goes on
-    # from the 16 hops it has, to the hop-by-hop result bit for bit
+def test_failed_cold_sweeps_give_the_hop_by_hop_recursion(monkeypatch, name, n, length):
+    # where the sweeps fail, the recursion goes on from the 16 hops it has,
+    # to the hop-by-hop result bit for bit.  Near the capacity ceiling the
+    # sweeps cover only the hops above the hop tolerance and converge, so
+    # their failure is forced here
     base = ROUNDTRIP_RATES[name]
     q = sr.solve(base, n, length).q_sup
     rate = counting_rate(base)
+    monkeypatch.setattr(solver1d, "_newton_sweeps", lambda *args: None)
     sub = sr.solve_subproblem(rate, q, n)
     assert rate.evals[1] >= 1
     ref = hop_by_hop(base, q, n)
@@ -716,6 +729,51 @@ def test_cold_recursion_whose_inner_hops_collapse(name):
     ref = hop_by_hop(rate, q, 200)
     assert sub.coverage == ref.coverage
     assert np.array_equal(sub.distances, ref.distances)
+
+
+# ---------------------------------------------------------------------------
+# the collapsed tail near the capacity ceiling
+# ---------------------------------------------------------------------------
+
+CEILING_CASES = [("blue", 1659, 208.758), ("red", 1862, 226.585), ("fec", 2000, 5.0)]
+
+
+def test_ceiling_solve_rate_call_budget():
+    # machine-independent: once a hop falls below the hop tolerance the rest
+    # follow in closed form, so these solves no longer run hop by hop
+    # (5753, 6823 and 1627 scalar R calls when every collapsed hop took a root)
+    for name, n, length in CEILING_CASES:
+        rate = counting_rate(ROUNDTRIP_RATES[name])
+        sr.solve(rate, n, length)
+        assert rate.evals[0] <= 600, (name, rate.evals)
+        assert rate.evals[1] <= 13, (name, rate.evals)
+
+
+def test_collapsed_tail_is_geometric(blue_rate):
+    # inward of its first hop below the hop tolerance, each hop of the
+    # recursion at q_sup is the decay factor times the one beyond, solved
+    # by sweeps or hop by hop, and the coverage stays within R(0)/q
+    n = 2000
+    q = sr.solve(blue_rate, n, 200.0).q_sup
+    gamma = sr.decay_factor(blue_rate, q)
+    for sub in (sr.solve_subproblem(blue_rate, q, n), hop_by_hop(blue_rate, q, n)):
+        d = sub.distances
+        a = int(np.searchsorted(d, solver1d._X_TOL)) - 1
+        assert a > 100
+        assert (np.abs(d[:a] - gamma * d[1:a + 1]) <= 1e-12 * d[:a]).all()
+        assert sub.coverage <= blue_rate.r0 / q
+
+
+@given(name=st.sampled_from(["blue", "green", "red"]), n=st.integers(1000, 2000),
+       length=st.floats(200.0, 260.0), rel_dq=st.floats(-0.15, 0.15))
+@settings(max_examples=25, deadline=None)
+def test_recursions_near_the_capacity_ceiling_property(name, n, length, rel_dq):
+    # the band where long chains have more nodes than they can use
+    rate = ROUNDTRIP_RATES[name]
+    res = sr.solve(rate, n, length)
+    assume(res.branch == CASE_II)
+    check_cold_recursion(rate, res.q_sup, n)
+    check_warm_recursion(rate, res.q_sup, n, rel_dq)
 
 
 def test_warm_recursion_runs_on_the_array_path(blue_rate):
