@@ -2,11 +2,10 @@
 
 The critical load reduces to "find the sign change of a monotone f" with
 no good start point.  Two pieces serve it: `bracket_monotone`, a doubling
-walk that finds a bracket when no closed one is known (it also brackets
-a recursion's farthest hop, or a surplus inverse, when no recursion at a
-load within 1e-3 gives it a start), and `bisect_monotone`, Brent's method
-(Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4):
-inverse quadratic interpolation and secant steps, safeguarded by bisection,
+walk that finds a bracket when no closed one is known, and
+`bisect_monotone`, Brent's method (Brent 1973, *Algorithms for Minimization
+without Derivatives*, ch. 4): inverse quadratic interpolation and secant
+steps, safeguarded by bisection,
 so it converges superlinearly on the smooth rate models yet never needs
 more steps than about the square of plain bisection's.  Their errors, and
 every other numeric failure in the package, derive from `NumericalError`.
@@ -42,29 +41,24 @@ class MaxItersError(NumericalError):
 
 
 def bracket_monotone(f: Callable[[float], float], lo: float, f_lo: float,
-                     step: float, limit: float = math.inf
-                     ) -> tuple[float, float, float, float]:
+                     step: float) -> tuple[float, float, float, float]:
     """Walk b = lo + step, lo + 2 step, lo + 4 step, ... until f(b) leaves the sign of f_lo.
 
     Returns (a, f(a), b, f(b)) with a the last point still of f_lo's sign
     (lo itself if the first probe already crossed; f(lo) is taken as f_lo,
-    not evaluated).  The walk never passes `limit`: the caller states that
-    the root lies at or below it, so the walk stops there whatever the sign
-    of f(limit), and a sign left there by roundoff means the root is the
-    limit.  Raises NoBracketError when 60 doublings find no crossing.
+    not evaluated).  Raises NoBracketError when 60 doublings find no
+    crossing.
     """
     if step <= 0.0:
         raise ValueError("step must be > 0")
-    if not limit > lo:
-        raise ValueError("limit must exceed lo")
     if f_lo == 0.0:
         raise ValueError("f_lo must be nonzero: lo is already the root")
     positive = f_lo > 0.0
     a, fa = lo, f_lo
     for _ in range(_MAX_WALK_STEPS):
-        b = min(lo + step, limit)
+        b = lo + step
         fb = f(b)
-        if fb == 0.0 or (fb > 0.0) != positive or b == limit:
+        if fb == 0.0 or (fb > 0.0) != positive:
             return a, fa, b, fb
         a, fa = b, fb
         step *= 2.0

@@ -27,9 +27,9 @@ differentiated implicitly with the slope its root-find ended on.
 `solve` finds the load by a safeguarded Newton iteration on log q (as
 `rtsafe`, Press et al., *Numerical Recipes*, section 9.4).  It is an inexact
 Newton method (Dembo, Eisenstat & Steihaug 1982): far from the root a
-recursion's sweeps stop once its coverage can steer the next load step.
-`solve_n_range` runs it over a range of hop counts.  Brent's method
-(`scalar.bisect_monotone`) serves only `critical_load`.
+recursion's sweeps, or a short chain's hops, stop once it can steer the
+next load step.  `solve_n_range` runs it over a range of hop counts.
+Brent's method (`scalar.bisect_monotone`) serves only `critical_load`.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ _SWEEP_HOPS = 48
 # 1.11-1.45, 192: 1.52-1.99, 256: 1.92-2.47
 _COLD_HOPS = 128
 _TINY_PRODUCT = 1e-250  # smallest back-substitution product an array sweep takes
-# the farthest hop's cold start is a doubling walk from 1 m, 12-22 R
-# evaluations, so it warm-starts from ten times farther out
-_FAR_REL = 1e-3
+# a recursion within _WARM_REL of the one before, in log q, starts each hop
+# from that one's, and keeps its f' within _NEAR_REL, where R' moves < 1e-5
+_WARM_REL, _NEAR_REL = 0.1, 1e-5
+_TIGHT, _LOOSE_FIRST, _LOOSE_FAR = 0.01, 2e5, 4e4  # hop tolerance multiples: `_hop_tol`
 
 
 class OutOfRangeError(ValueError):
@@ -164,7 +165,7 @@ class SolveResult:
     branch: str
     gamma: Optional[float]       # spacing decay factor, only on the chain branch
     iterations: int              # backward recursions of the load root-find
-    bracket_width: float         # final q bracket [bit/s per m]; not q_sup's error
+    bracket_width: float         # final q bracket [bit/s per m]; see `solve` on q_sup's error
     coverage_residual: float = field(default=0.0)  # |coverage - L| before rescaling
 
 
@@ -196,120 +197,83 @@ def surplus(rate: RateFunction, q: float, x):
 def surplus_inverse(rate: RateFunction, q: float, t: float) -> float:
     """Hop length x >= 0 with surplus(x) = t; t may not exceed R(0)/q.
 
-    Solved as a cold farthest hop is, by `_far_root`.
+    Found by `_hop_root` from 1 m in [0, 2 (R(0)/q - t)], where surplus < t.
     """
-    t = float(t)
+    t, q = float(t), _checked_positive(q, "load q")
     if not t > -math.inf:
         raise ValueError(f"surplus target t must be > -inf, got {t!r}")
-    return _far_root(rate, _checked_positive(q, "load q"), None, t)[0]
-
-
-def _far_root(rate: RateFunction, q: float, warm: SubproblemResult | None,
-              t: float = 0.0) -> tuple[float, float, float | None]:
-    """Hop x >= 0 with surplus(x) = t at load q, R(x), and f' there, as `_hop_root`.
-
-    t = 0 gives a recursion's farthest hop.  For it, a recursion `warm` at
-    a load within 1e-3 of q, relative, gives a start: warm's farthest hop
-    moved along its dd/d(log q), with warm's slope for a Newton first step.
-    The bracket's far end is one predicted move beyond that start, plus one
-    hop tolerance: warm's hop lies within a tolerance below its root, so
-    above warm's load that end lies beyond the root, and below it too while
-    the prediction errs by less than its move.  Otherwise a doubling walk
-    from 1 m brackets the root, capped at 2 (R(0)/q - t), where the surplus
-    is already below t, and `_hop_root` starts from the walk's last secant.
-    """
-    r = rate.scalar
-    if warm is not None and abs(q - warm.q) < _FAR_REL * q:
-        if warm.branch == CASE_II:
-            d = float(warm.distances[-1])
-            dd = float(warm.ddistances_dlogq[-1])
-            slope = float(warm.hop_slopes[-1])
-        else:
-            # the single hop: its q dd/dq is the coverage's, 0.5 d q / f'
-            d, dd = warm.coverage, warm.dcoverage_dlogq
-            slope = 0.5 * d * warm.q / dd if dd else -0.5 * warm.q
-        x = d + dd * math.log(q / warm.q)
-        hi = max(x, d) + abs(x - d) + _X_TOL + _X_RTOL * d
-        r_hi = r(hi)
-        if r_hi - 0.5 * q * hi < 0.0:
-            # f' = R' - q/2 moves by -dq/2 through its q term alone
-            return _hop_root(r, rate.r0, q, 0.0, hi, r_hi, x,
-                             slope - 0.5 * (q - warm.q))
     g0 = rate.r0 / q
     if t - g0 > _CLAMP_REL * max(1.0, abs(g0)):
         raise OutOfRangeError(f"surplus target {t:.9g} exceeds maximum {g0:.9g}")
-    f_lo = rate.r0 - q * t
-    if t >= g0 or f_lo <= 0.0:
-        # t is R(0)/q up to roundoff
-        return 0.0, rate.r0, None
-
-    def f(x: float) -> float:
-        return r(x) - q * (0.5 * x + t)
-
-    lo, f_lo, hi, f_hi = bracket_monotone(f, 0.0, f_lo, 1.0, limit=2.0 * (g0 - t))
-    # start from the secant through the walk's last two points
-    x = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi < 0.0 else hi
-    return _hop_root(r, rate.r0, q, t, hi, r(hi), x)
+    hi = min(2.0 * (g0 - t), sys.float_info.max)  # 2 R(0)/q overflows at tiny q
+    return _hop_root(rate.scalar, rate.r0, q, t, hi, rate.scalar(hi), 1.0)[0] if hi > 0.0 else 0.0
 
 
 def _hop_root(r, r0: float, q: float, t: float, hi: float, r_hi: float,
-              x: float, slope: float | None = None
-              ) -> tuple[float, float, float | None]:
+              x: float, slope: float | None = None, tol: float = _TIGHT,
+              warm: bool = False) -> tuple[float, float, float | None]:
     """Root in [0, hi] of f(x) = R(x) - q (x/2 + t), R there, and f' there.
 
-    r is R's float path and r_hi = R(hi), so f(hi) costs no evaluation.
-    f is q (surplus(x) - t): the same root, and finite even where R(0)/q
-    overflows at tiny loads; it is convex and decreasing, with
-    f' = R' - q/2 <= -q/2.  A safeguarded secant runs from the start point
-    x; `slope`, if given, estimates f' near x and makes the first step a
-    Newton step (a warm start), else that step is the secant through hi.
-    A step that leaves the bracket, or is longer than half the step before
-    last, bisects instead, and a step shorter than half the tolerance is
-    lengthened to it, so that the bracket closes.  Once the bracket is
-    narrower than the tolerance, 1e-9 m + 5e-10 x, its end where f >= 0 is
-    returned: that end never lies beyond the root, so a relayed tail
-    summed from these lengths cannot creep past R(0)/q.  The slope
-    returned is the secant through the last two points evaluated, capped
-    at -q/2; it is None when the root is taken at 0 or hi unevaluated.
+    r is R's float path and r_hi = R(hi).  f is q (surplus(x) - t), finite
+    where R(0)/q overflows, convex and decreasing: f' = R' - q/2 <= -q/2.  A
+    safeguarded secant runs from x, its first step Newton's with `slope` if
+    given; each step aims a quarter tolerance, `tol` times 1e-9 m + 5e-10 x,
+    below the root it predicts, and goes half a tolerance if shorter than
+    one.  As f is convex, the chord from a point where f >= 0 to the
+    bracket's upper end crosses zero at or beyond the root: once that is
+    within the tolerance, the point is returned, never beyond the root.
+    f' there, capped at -q/2, is `slope` if `warm` and x is returned; else
+    the secant of the last two points if closer than 1e-6 (x + t), or 100
+    tolerances, and their f differ by more than 1e-10 of its terms (closer,
+    f is roundoff); else one over a step made for it.  It is None when the
+    root is taken at 0 or hi unevaluated.
     """
     lo, r_lo = 0.0, r0
-    if r0 - q * t <= 0.0:
+    f_lo = r0 - q * t
+    if f_lo <= 0.0:
         # t is R(0)/q up to roundoff
         return lo, r_lo, None
     f_hi = r_hi - q * (0.5 * hi + t)
     if f_hi >= 0.0:
         # the upper bound is the root up to roundoff
         return hi, r_hi, None
-    # the secant's second point, and the last two steps taken
-    xp, fp = hi, f_hi
+    # the start, the point before x, and the last two steps' lengths
+    x0, xp, fp = x, hi, f_hi
     step = step_old = hi
-    cap = -0.5 * q
+    a, b = tol * _X_TOL, tol * _X_RTOL
+    newton = slope
     for _ in range(_MAX_HOP_ITERS):
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        if not lo < x < hi:  # bisect, in log x across a bracket wider than 4:1
+            x = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo > 0.0 else 0.5 * (lo + hi)
         r_x = r(x)
         fx = r_x - q * (0.5 * x + t)
         if fx >= 0.0:
-            lo, r_lo = x, r_x
+            lo, r_lo, f_lo = x, r_x, fx
         else:
-            hi = x
-        tol = _X_TOL + _X_RTOL * x
-        if fx == 0.0 or hi - lo < tol:
-            slope = (fx - fp) / (x - xp) if x != xp else cap
-            return lo, r_lo, slope if slope < cap else cap
+            hi, f_hi = x, fx
+        eps = a + b * lo
+        if f_lo * (hi - lo) <= eps * (f_lo - f_hi):
+            if not (warm and lo == x0):
+                near = 1e-6 * (x + t) if 1e-6 * (x + t) > 100.0 * eps else 100.0 * eps
+                noise = 1e-10 * (r_x + q * (0.5 * x + t))
+                if -near < x - xp < near and not -noise < fx - fp < noise:
+                    slope = (fx - fp) / (x - xp)
+                else:
+                    h = 1e-8 * (x + t) + _X_TOL
+                    slope = (r(x + h) - r_x) / h - 0.5 * q
+            return lo, r_lo, slope if slope < -0.5 * q else -0.5 * q
         try:
-            if slope is None:
-                s = fx * (xp - x) / (fx - fp)
-            else:
-                s, slope = -fx / slope, None
+            # the slope first: at subnormal loads fx (xp - x) underflows
+            s = -fx / ((fx - fp) / (x - xp) if newton is None else newton) - 0.25 * eps
         except ZeroDivisionError:  # flat secant: bisect
             s = math.inf
-        xp, fp = x, fx
-        if not (lo < x + s < hi and abs(s) <= 0.5 * abs(step_old)):
-            s = 0.5 * (lo + hi) - x
-        elif abs(s) < 0.5 * tol:
-            s = math.copysign(0.5 * tol, s)
-        step_old, step = step, s
+        xp, fp, newton = x, fx, None
+        if -eps < s < eps:
+            # toward the root, by half a tolerance
+            s = math.copysign(0.5 * eps, fx)
+        elif not (lo < x + s < hi and abs(s) <= 0.5 * step_old) or x + s > 4.0 * lo > 0.0:
+            s = hi - x  # bisect at the loop's head
+        step_old, step = step, abs(s)
         x += s
     raise MaxItersError(f"hop root did not converge in {_MAX_HOP_ITERS} iterations")
 
@@ -372,25 +336,32 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     `warm` is a recursion already run for n hops.  More than 48 of its hops
     above the hop tolerance start Newton sweeps over those (`_newton_sweeps`)
     from a chain-branch warm, at any load.  Otherwise the farthest hop is
-    solved alone (`_far_root`, from warm's within 1e-3 of q, relative), and
-    more than 128 hops start the sweeps from their farthest 16, solved one
-    by one, and a continuum map beyond, down to the hop tolerance
-    (`_continuum`).  Shorter chains and failed sweeps run hop by hop.
-    `length`, a load search's target coverage, lets sweeps far from it stop
-    once their coverage can steer the search's next step.
+    solved alone (as `surplus_inverse` is), and more than 128 hops start the sweeps from
+    their farthest 16, solved one by one, and a continuum map beyond, down
+    to the hop tolerance (`_continuum`).  Shorter chains and failed sweeps
+    run hop by hop, from warm's hops if within 0.1 in log q.  `length`, a
+    load search's target coverage, lets sweeps, or hops (`_hop_tol`), far
+    from it be solved loosely, as far as the search's next step allows.
     """
     q, n = _checked_positive(q, "load q"), _checked_count(n)
-    if (n > _SWEEP_HOPS and warm is not None and warm.branch == CASE_II
-            and warm.distances.size == n):
-        # warm's hops above the hop tolerance, from the farthest: a recursion
-        # on its own, which `_extend` finishes
-        p = n - int(np.searchsorted(warm.distances, _X_TOL))
-        z = warm.distances[:-p - 1:-1] + warm.ddistances_dlogq[:-p - 1:-1] * math.log(q / warm.q)
-        sub = None if p <= _SWEEP_HOPS else _newton_sweeps(
-            rate, q, z, warm.hop_slopes[:-p - 1:-1] + 0.5 * warm.q, length)
+    lq = math.inf if warm is None else abs(math.log(q / warm.q))
+    chain = warm is not None and warm.branch == CASE_II and warm.distances.size == n
+    # warm's hops above the hop tolerance, from the farthest: a recursion on
+    # its own, which `_extend` finishes
+    p = n - int(np.searchsorted(warm.distances, _X_TOL)) if chain and n > _SWEEP_HOPS else 0
+    if p > _SWEEP_HOPS:
+        z, g = _moved(warm, math.log(q / warm.q))
+        sub = _newton_sweeps(rate, q, z[:-p - 1:-1].copy(), g[:-p - 1:-1].copy(), length)
         if sub is not None:
             return sub if p == n else _extend(rate, sub, n)
-    d_far, r_hi, s_hi = _far_root(rate, q, warm)
+    tol = _TIGHT if length is None else _hop_tol(q, n, warm)
+    z, g = [1.0 if length is None else length / n], [None]
+    if chain and lq < _WARM_REL:  # each hop starts from warm's, with f' there
+        z, g = _moved(warm, math.log(q / warm.q))
+        z, g = z.tolist(), (g - 0.5 * q).tolist()
+    hi = min(2.0 * rate.r0 / q, sys.float_info.max)
+    d_far, r_hi, s_hi = _hop_root(rate.scalar, rate.r0, q, 0.0, hi, rate.scalar(hi),
+                                  z[-1], g[-1], tol, chain and lq < _NEAR_REL)
     if s_hi is None:
         s_hi = -0.5 * q
     dt = 0.5 * d_far * (q / s_hi)
@@ -403,7 +374,8 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     m = 16 if n > _COLD_HOPS else n
     d, dd, fs = [0.0] * m, [0.0] * m, [0.0] * m
     d[-1], dd[-1], fs[-1] = d_far, dt, s_hi
-    i, total, dt = _inward(rate, q, d, dd, fs, m - 1, r_hi, d_far, dt)
+    start = (z[-m:], g[-m:], lq < _NEAR_REL) if g[-1] is not None else None
+    i, total, dt = _inward(rate, q, d, dd, fs, m - 1, r_hi, d_far, dt, tol, start)
     sub = SubproblemResult(distances=np.array(d[i:]), coverage=total, branch=CASE_II, q=q,
                            dcoverage_dlogq=dt, ddistances_dlogq=np.array(dd[i:]),
                            hop_slopes=np.array(fs[i:]))
@@ -412,6 +384,29 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
         if swept is not None:
             sub = swept
     return sub if sub.distances.size == n else _extend(rate, sub, n)
+
+
+def _hop_tol(q: float, n: int, warm: SubproblemResult | None) -> float:
+    """The hop tolerance's multiple for a load search's recursion of n hops
+    at q after `warm`: 1/100, or 1e-4 of a hop (first) or 2e-5 for a short
+    chain's one a step over 0.1 away, whose next Newton step errs by about
+    that step squared.  Coverage errs by at most it times n 1e-9 m + 5e-10 C."""
+    if n > _SWEEP_HOPS or warm is not None and abs(math.log(q / warm.q)) < _WARM_REL:
+        return _TIGHT
+    return _LOOSE_FIRST if warm is None else _LOOSE_FAR
+
+
+def _moved(warm: SubproblemResult, lq: float) -> tuple[np.ndarray, np.ndarray]:
+    """warm's hops moved by lq in log q along their q dd/dq, and R' there,
+    by R'' from each hop to the next, for up to 128 hops (below 1e-6, R'
+    moves less than its error; beyond _WARM_REL, R'' does not carry)."""
+    d, dz = warm.distances, warm.ddistances_dlogq * lq
+    g = warm.hop_slopes + 0.5 * warm.q
+    if 1 < d.size <= _COLD_HOPS and 1e-6 < abs(lq) < _WARM_REL:
+        step = d[1:] - d[:-1]
+        curv = (g[1:] - g[:-1]) / np.where(step > 0.0, step, np.inf)
+        g += np.append(curv, curv[-1]) * dz
+    return d + dz, g
 
 
 def _continuum(rate: RateFunction, q: float, sub: SubproblemResult, n: int
@@ -545,7 +540,8 @@ def _extend(rate: RateFunction, sub: SubproblemResult, n: int | None = None
 
 
 def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
-            r_hi: float, total: float, dt: float) -> tuple[int, float, float]:
+            r_hi: float, total: float, dt: float, tol: float = _TIGHT,
+            start: tuple[list, list] | None = None) -> tuple[int, float, float]:
     """Continue a chain-branch recursion at load q: solve hops k-1, ..., i,
     where i is 0 or the first hop of a collapsed tail, which `_extend` goes
     on with.  Return i and the coverage of hops i.. and its derivative.
@@ -553,7 +549,9 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
     d, dd and fs hold the spacings, their q dd_i/dq and their slopes f',
     filled from hop k outward, and from hop i on return; r_hi is R(d[k]),
     and total and dt are the coverage of hops k.. and its derivative in
-    log q.  A root below the hop tolerance is replaced by the linear root,
+    log q.  Roots are found as `_hop_root` does at `tol`, from the starts
+    and f' that `start` lists (its third item: `warm`), else from the hops
+    beyond.  A root below the hop tolerance is replaced by the linear root,
     (T - R(0)/q) q/f'(0) for its tail T, as R is linear in d there.  Capped
     at the hop beyond, it may pass the tolerance; else it is the first hop
     of a collapsed tail.
@@ -575,7 +573,10 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
             raise NumericalInfeasibleError(
                 f"relayed-tail total {total:.9g} exceeds surplus maximum {g0:.9g}")
         t = total if total < g0 else g0
-        if far > 0.0:
+        s0 = None
+        if start is not None:
+            x, s0 = start[0][i], start[1][i]
+        elif far > 0.0:
             # spacings shrink about geometrically toward the sink, at a
             # ratio that itself drifts: extrapolate both, d_{i+1}^3 d_{i+3}
             # / d_{i+2}^3 (d_{i+1}^2 / d_{i+2} while d_{i+3} is unknown)
@@ -585,7 +586,7 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
         else:
             x = 0.5 * hi
         far2, far = far, hi
-        hi, r_hi, s = _hop_root(r, r0, q, t, hi, r_hi, x)
+        hi, r_hi, s = _hop_root(r, r0, q, t, hi, r_hi, x, s0, tol, start is not None and start[2])
         if s is not None:
             s_hi = s
         if hi < _X_TOL:
@@ -616,11 +617,12 @@ def solve(rate: RateFunction, n: int, length: float,
     log q, with the derivative each recursion carries, finds it from the
     load equal spacing supports, inside a closed bracket built from
     R(length/n); recursions far from the root stop their sweeps early
-    (`_newton_sweeps`).  The default tolerance, 2e-10 relative, or a given
-    tol_q, absolute [bit/s per m], bounds the final bracket in q.  It does not
-    bound q_sup's error: where coverage is flat in q the hop roots' 5e-10
-    length resolution dominates (red water, N = 1, L = 2 km: q_sup 1.5e-7
-    below the exact 2R(L)/L, bracket 5e-11 relative).
+    (`_newton_sweeps`) or solve their hops loosely (`_hop_tol`).  The
+    default tolerance, 2e-10 relative, or a given tol_q, absolute [bit/s
+    per m], bounds the final bracket in q.  It does not bound q_sup's
+    error: where coverage is flat in q the hop roots' 5e-12 length
+    resolution dominates (red water, N = 1, L = 2 km: q_sup 8e-10 below
+    the exact 2R(L)/L, bracket 5e-11 relative).
     """
     length = _checked_args(n, length, tol_q)
     return _solve(rate, n, length, tol_q)[0]
@@ -701,9 +703,12 @@ def _solve(rate: RateFunction, n: int, length: float, tol_q: float | None,
     sub = first
     u = math.log(2.0 * q_lo if first is None else first.q)
     for iterations in range(1, _MAX_LOAD_ITERS + 1):
+        tol_k = _TIGHT if iterations == 1 and first is not None else _hop_tol(math.exp(u), n, sub)
         if sub is None or iterations > 1:
             sub = solve_subproblem(rate, math.exp(u), n, warm=sub, length=length)
         g = math.log(sub.coverage / length)
+        if tol_k > _TIGHT and abs(g) * sub.coverage <= tol_k * (n * _X_TOL + _X_RTOL * sub.coverage):
+            continue  # too loose to tell the sign of g: solve it again, from itself
         # a recursion that hits length exactly is a lower end: the probe
         # below then steps up, so the bracket keeps a width
         if g >= 0.0:

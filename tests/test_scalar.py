@@ -56,14 +56,6 @@ def test_bracket_straddles_and_result_inside():
     assert abs(f(x)) <= 1e-6
 
 
-def test_walk_stops_at_limit():
-    # root at 3, limit at 2.5: the walk ends on the limit, sign unchanged
-    f = lambda x: 3.0 - x
-    a, fa, b, fb = bracket_monotone(f, 0.0, 3.0, 1.0, limit=2.5)
-    assert (a, b) == (2.0, 2.5)
-    assert fa == 1.0 and fb == 0.5
-
-
 def test_closed_lower_bound_target():
     # decreasing from f(0)=10; target 10 attained only at the bound itself
     f = lambda x: (10.0 - 3.0 * x) - 10.0
@@ -99,8 +91,6 @@ def test_validation_errors():
     f = lambda x: x - 5.0
     with pytest.raises(ValueError):
         bracket_monotone(f, 0.0, -5.0, 0.0)  # step must be > 0
-    with pytest.raises(ValueError):
-        bracket_monotone(f, 2.0, -3.0, 1.0, limit=1.0)  # limit below lo
     with pytest.raises(ValueError):
         bracket_monotone(f, 5.0, 0.0, 1.0)  # lo is already the root
     with pytest.raises(ValueError):

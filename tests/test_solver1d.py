@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import searelay as sr
@@ -457,6 +457,32 @@ def test_solve_matches_frozen_qsup():
             assert res.branch == branch, (name, n, length)
 
 
+def test_single_hop_matches_closed_form():
+    # one hop carries its whole length, so q_sup = 2 R(L)/L exactly; flat
+    # coverage (red water, 2 km) magnifies a hop's error in the load by ~150
+    for name, rate in ROUNDTRIP_RATES.items():
+        for length in (5.0, 50.0, 500.0, 2000.0):
+            if rate.scalar(length) > 0.0:
+                exact = 2.0 * rate.scalar(length) / length
+                q_sup = sr.solve(rate, 1, length).q_sup
+                assert rel(q_sup, exact) <= 1e-8, (name, length, q_sup, exact)
+
+
+def test_short_chain_rate_call_budget():
+    # machine-independent: scalar R calls per solve of a short chain, whose
+    # recursions run hop by hop (192 on average here; 381 when every hop
+    # root was solved to one tolerance, a cold one after a doubling walk)
+    calls = []
+    for base in ROUNDTRIP_RATES.values():
+        for n in (1, 2, 3, 10, 30, 48):
+            for length in (5.0, 50.0, 500.0, 2000.0):
+                if base.scalar(length / n) > 0.0:
+                    rate = counting_rate(base)
+                    sr.solve(rate, n, length)
+                    calls.append(rate.evals[0])
+    assert sum(calls) / len(calls) <= 250, sum(calls) / len(calls)
+
+
 def test_solve_recursion_budget():
     # machine-independent: recursions per solve of the safeguarded Newton
     # (Brent spent 7.1 on average here, and up to 10)
@@ -607,6 +633,9 @@ def test_newton_sweep_invariants(name, n, length):
 @given(name=st.sampled_from(sorted(ROUNDTRIP_RATES)), n=st.integers(2, 2000),
        length=st.floats(5.0, 5000.0), rel_dq=st.floats(-0.15, 0.15))
 @settings(max_examples=25, deadline=None)
+# warm sweeps keep R' for hops they do not move: moved by warm's curvature,
+# it no longer lags the load (q dC/dq was 1.011e-4 off here)
+@example("red", 49, 2899.0, 0.001953125)
 def test_newton_sweep_invariants_property(name, n, length, rel_dq):
     rate = ROUNDTRIP_RATES[name]
     assume(rate.scalar(length / n) > 0.0)
@@ -1051,6 +1080,46 @@ def test_hop_root_independent_of_start(name, qf, tf, hf, start):
     assert r_x == rate.scalar(x)
     # the returned end never lies beyond the root
     assert r_x >= q * (0.5 * x + t)
+
+
+def bisected_root(rate, q, t, hi):
+    """The root of R(x) - q (x/2 + t) in [0, hi] by plain bisection, to the
+    last bit: the reference for `_hop_root`."""
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if rate.scalar(mid) - q * (0.5 * mid + t) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@given(name=st.sampled_from(sorted(ROUNDTRIP_RATES)),
+       qf=st.floats(0.001, 0.95), tf=st.floats(0.0, 0.99), hf=st.floats(1.0, 4.0),
+       start=st.floats(0.5, 1.5), err=st.one_of(st.none(), st.floats(-0.2, 0.2)),
+       tol=st.sampled_from([0.01, 1.0, 2e5]))
+@settings(max_examples=200, deadline=None)
+def test_hop_root_stops_one_sided_within_its_tolerance(name, qf, tf, hf, start, err, tol):
+    # cold starts, and warm ones whose slope errs by `err`: the point
+    # returned has f >= 0 and lies at most the tolerance below the root
+    rate = ROUNDTRIP_RATES[name]
+    q = qf * sr.critical_load(rate)
+    t = tf * rate.r0 / q
+    hi = hf * sr.surplus_inverse(rate, q, t)
+    assume(hi > 0.0)
+    root = bisected_root(rate, q, t, hi)
+    x0 = start * root
+    slope = None
+    if err is not None:
+        slope = (rate.derivative(root) - 0.5 * q) * (1.0 + err)
+    x, r_x, _ = _hop_root(rate.scalar, rate.r0, q, t, hi, rate.scalar(hi), x0, slope, tol)
+    assert r_x == rate.scalar(x)
+    assert r_x - q * (0.5 * x + t) >= 0.0
+    # f >= 0 at both, and f is monotone only to roundoff: x may pass the
+    # bisected root by an ulp or two
+    assert -4e-16 * root <= root - x <= tol * hop_tol(x), (root, x)
 
 
 # ---------------------------------------------------------------------------
