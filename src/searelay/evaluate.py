@@ -1,27 +1,13 @@
 """Evaluating placements: supportable load, baselines, localization noise.
 
-Traffic is generated uniformly along [0, L] at q bit/s per meter; each point
-is collected by the nearest node, so node i's catchment runs between the
-midpoints toward its neighbors.  Hop i (length d_i) must then carry all
-traffic generated beyond the midpoint between nodes i-1 and i, which caps
-the supportable load at
-
-    q <= R(d_i) / (L - (x_{i-1} + x_i) / 2)        for every hop i.
-
-The minimum over hops is the placement's supportable load, the quantity all
-comparisons below are built on.  ``hop_limits`` is that bound, evaluated for
-a whole (rows, N) array of placements at once; ``qsup_of_placement``,
-``perturb_eval`` and ``solver2d.grid_qsup`` all go through it.
-
-``perturb_eval`` draws trial t from ``Generator(PCG64(SeedSequence([seed,
-t])))``.  ``_substream_states`` builds those PCG64 states for a block of
-trials at once, running SeedSequence's hash-mix (NEP 19) and PCG64's seeding
-step (O'Neill 2014) in array arithmetic; ``tests/test_evaluate.py`` pins the
-states and draws to NumPy's own, so a change of NumPy's stream fails loudly.
+Every evaluation, ``solver2d.grid_qsup`` too, goes through one hop-load
+bound, ``hop_limits``; the README derives it and says how ``perturb_eval``
+draws its noise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,20 +22,20 @@ __all__ = [
     "PERTURB_CSV_HEADER",
 ]
 
-# trial t draws from Generator(PCG64(SeedSequence([seed, t]))), its PCG64
-# state built by _substream_states
+# trial t draws from default_rng([seed, t]), to the bit
 RNG_ALGORITHM = "numpy-pcg64"
 _BLOCK_VALUES = 1 << 13        # spacings per perturb_eval block: bounds memory
 
 # SeedSequence's hash-mix constants (NEP 19) and PCG64's 128-bit multiplier
 _MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MASK52, _MASK128 = (1 << 52) - 1, (1 << 128) - 1
+_ZIG_R = 3.6541528853610088    # where NumPy's normal sampler's tail starts
+_ROW_LIMIT = 40     # draws a trial past which the per-row path is as cheap
 
 
 @dataclass(frozen=True)
@@ -59,13 +45,9 @@ class PlacementLimit:
 
 
 def hop_limits(rate: RateFunction, D: np.ndarray, length: float) -> np.ndarray:
-    """Per-hop load limits R(d_i) / (L - (x_{i-1} + x_i) / 2) of placements.
-
-    ``D`` is a (rows, N) array of spacings, each row a placement over
-    [0, length]; the result has the same shape.  Hops whose catchment
-    midpoint already sits at L carry no traffic and get ``inf`` (stacked
-    nodes at the far end).
-    """
+    """Per-hop load limits R(d_i) / (L - (x_{i-1} + x_i) / 2) of the (rows,
+    N) placements ``D`` over [0, length]; a hop that carries no traffic
+    (nodes stacked at the far end) gets ``inf``."""
     D = np.asarray(D, dtype=float)
     X = np.zeros((D.shape[0], D.shape[1] + 1))
     np.cumsum(D, axis=1, out=X[:, 1:])    # node positions, x_0 = 0
@@ -99,12 +81,9 @@ def tradeoff(q_sup: float, n: int) -> float:
 
 def vertical_qsup(rate: RateFunction, n_l: int, n_v: int, depth: float,
                   length: float) -> float:
-    """Supportable load of the vertical-riser alternative.
-
-    n_l surface-reaching risers, each a vertical chain of n_v equally spaced
-    hops over the water column of the given depth, jointly drain the segment:
-    q = n_l * R(depth / n_v) / length.
-    """
+    """Supportable load n_l * R(depth / n_v) / length of n_l risers, each a
+    vertical chain of n_v equal hops up the water column, draining the
+    segment jointly."""
     _checked_count(n_l, "n_l")
     _checked_count(n_v, "n_v")
     if not (0 < depth < math.inf and 0 < length < math.inf):
@@ -112,9 +91,7 @@ def vertical_qsup(rate: RateFunction, n_l: int, n_v: int, depth: float,
     return n_l * rate.scalar(depth / n_v) / length
 
 
-# ---------------------------------------------------------------------------
-# localization uncertainty
-# ---------------------------------------------------------------------------
+# --- localization uncertainty ----------------------------------------------
 
 @dataclass(frozen=True)
 class PerturbStats:
@@ -129,18 +106,16 @@ class PerturbStats:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def _hash_consts(init: int, mult: int):
-    """SeedSequence's running hash constant, stepped once per hashed word."""
-    while True:
-        nxt = (init * mult) & _MASK32
-        yield np.uint32(init), np.uint32(nxt)
-        init = nxt
-
-
-def _hashmix(value: np.ndarray, consts) -> np.ndarray:
-    xor, mult = next(consts)
-    value = (value ^ xor) * mult
-    return value ^ (value >> _XSHIFT)
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix: ``hashmix(value, n)`` hashes value with each
+    of the next n steps of the running hash constant, one per row."""
+    const = [init]
+    def hashmix(value: np.ndarray, n: int) -> np.ndarray:
+        c = np.array([const[0] * pow(mult, i, 1 << 32) & _MASK32 for i in range(n + 1)], np.uint32)
+        const[0] = int(c[-1])
+        value = (value ^ c[:-1, None]) * c[1:, None]
+        return value ^ (value >> _XSHIFT)
+    return hashmix
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -148,117 +123,142 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence([seed, t]))`` for each
-    t in range(start, stop), 0 <= t < 2**64.
-
-    SeedSequence's entropy is the little-endian ``uint32`` words of seed,
-    then of t; its pool mix and ``generate_state(4, uint64)`` run here for
-    all trials at once on ``uint32`` columns, which wrap as its C code does.
-    PCG64 then seeds from those four words: ``state = 0``,
-    ``inc = (initseq << 1) | 1``, step, ``state += initstate``, step.
-    """
+def _substream_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """Column t - start holds the PCG64 state of ``PCG64(SeedSequence([seed,
+    t]))`` as ``uint64`` words (state high, low, inc high, low), for t in
+    range(start, stop), 0 <= t < 2**64; the README says how."""
     t = np.arange(start, stop, dtype=np.uint64)
-    words = []
-    while True:     # seed's words, low first; 0 is one word
-        words.append(np.full(t.size, seed & _MASK32, dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    hi = (t >> np.uint64(32)).astype(np.uint32)
-    words += [(t & np.uint64(_MASK32)).astype(np.uint32), hi]
-    # t < 2**32 has no high word; inside the pool a missing word hashes as
-    # a zero one, past the pool it must mix nothing
-    long_t = hi > 0
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    zero = np.zeros(t.size, dtype=np.uint32)
-    pool = [_hashmix(words[i] if i < len(words) else zero, consts)
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for i in range(_POOL_SIZE, len(words)):
-        for dst in range(_POOL_SIZE):
-            mixed = _mix(pool[dst], _hashmix(words[i], consts))
-            pool[dst] = (mixed if i < len(words) - 1
-                         else np.where(long_t, mixed, pool[dst]))
-    consts = _hash_consts(_INIT_B, _MULT_B)
-    out = [_hashmix(pool[i % _POOL_SIZE], consts).astype(np.uint64)
-           for i in range(2 * _POOL_SIZE)]
-    seeds = [(out[2 * k] | (out[2 * k + 1] << np.uint64(32))).tolist()
-             for k in range(_POOL_SIZE)]
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*seeds):
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    hi = (t >> 32).astype(np.uint32)
+    words = [np.full(t.size, seed >> 32 * i & _MASK32, dtype=np.uint32)   # seed's, low first
+             for i in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [t.astype(np.uint32), hi]      # low word of t, then high
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    # SeedSequence's pool of 4 words; a missing word hashes as a zero one
+    pool = hashmix(np.stack((words + [0 * hi])[:4]), 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], 3))
+    for i in range(4, len(words)):
+        mixed = _mix(pool, hashmix(words[i], 4))
+        # past the pool, t < 2**32 has no high word to mix
+        pool = mixed if i < len(words) - 1 else np.where(hi > 0, mixed, pool)
+    out = _hasher(_INIT_B, _MULT_B)(pool[[0, 1, 2, 3] * 2], 8).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    state = _mul_add(_mul_add(inc, _limbs(1), (init_hi, init_lo)), _limbs(_PCG64_MULT), inc)
+    return np.stack([*state, *inc])
 
 
-def _trial_noise(seed: int, start: int, stop: int, sigma: float,
-                 k: int) -> np.ndarray:
-    """Row t - start holds the first k ``normal(0, sigma)`` draws of trial
-    t's substream, for t in range(start, stop)."""
-    bit_generator = np.random.PCG64()
-    gen = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg,
-            "has_uint32": 0, "uinteger": 0}
-    noise = np.empty((stop - start, k))
-    for row, (state, inc) in zip(noise, _substream_states(seed, start, stop)):
-        pcg["state"], pcg["inc"] = state, inc
-        bit_generator.state = full
-        gen.standard_normal(out=row)
+def _limbs(*values: int) -> np.ndarray:
+    """(high, low) ``uint64`` words of integers mod 2**128."""
+    return np.array([divmod(v & _MASK128, 1 << 64) for v in values], dtype=np.uint64).T
+
+
+def _mul_add(a, b, c):
+    """a * b + c mod 2**128 on (high, low) pairs of ``uint64`` arrays, which
+    broadcast; the low words' full product is summed from 32-bit halves."""
+    (ah, al), (bh, bl), (ch, cl) = a, b, c
+    a1, a0, b1, b0 = al >> 32, al & _MASK32, bl >> 32, bl & _MASK32
+    p01, p10, lo = a0 * b1, a1 * b0, al * bl + cl
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+            + ah * bl + al * bh + ch + (lo < cl)), lo
+
+
+@functools.cache
+def _jump(k: int):
+    """Words of C_j = (M**j - 1) / (M - 1), j = 1..k: PCG64's draw j from
+    state s uses state M**j s + C_j inc = s + C_j (inc + (M - 1) s)."""
+    return _limbs(*((_PCG64_MULT**j - 1) // (_PCG64_MULT - 1) for j in range(1, k + 1)))
+
+
+def _set_state(gen: np.random.Generator, state: int, inc: int) -> None:
+    gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """Per layer of NumPy's normal sampler, its width ``wi`` and a proven bound on the
+    magnitudes that take its one-word fast path, read back on first use."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    inverse = pow(_PCG64_MULT, -1, 1 << 128)
+
+    def draw(layer: int, rabs: int):    # the value; was one word used?
+        word = rabs << 9 | layer        # inc 1: the state after is the word
+        _set_state(gen, (word - 1) * inverse & _MASK128, 1)
+        return gen.standard_normal(), gen.bit_generator.state["state"]["state"] == word
+
+    wi = [draw(i, 1)[0] for i in range(256)]
+    # the table's bounds, guessed from the widths to within 2 and proven by
+    # one draw each; layer 1, and a layer whose proof fails, always go slow
+    guess = [_ZIG_R / wi[0], 0.0] + [2.0**52 * wi[i - 1] / wi[i] for i in range(2, 256)]
+    bound = [g if 0 < g <= 1 << 52 and draw(i, g - 1)[1] else 0
+             for i, g in enumerate(int(g) - 2 for g in guess)]
+    return np.array(wi), np.array(bound, dtype=np.uint64)
+
+
+def _trial_noise(words: np.ndarray, sigma: float, k: int) -> np.ndarray:
+    """Row i holds the first k ``normal(0, sigma)`` draws of the PCG64
+    stream whose words (``_substream_states``) are column i."""
+    noise = np.empty((words.shape[1], k))
+    rows = np.arange(words.shape[1])    # the rows drawn one at a time
+    if k <= _ROW_LIMIT:
+        wi, bound = _ziggurat()
+        state = words[0, :, None], words[1, :, None]
+        step = _mul_add(state, _limbs(_PCG64_MULT - 1), (words[2, :, None], words[3, :, None]))
+        hi, lo = _mul_add(step, _jump(k), state)
+        word, rot = hi ^ lo, hi >> 58       # XSL-RR output
+        word = word >> rot | word << ((64 - rot) & 63)
+        layer, rabs = (word & 255).astype(np.intp), word >> 9 & _MASK52
+        np.multiply(rabs, wi[layer], out=noise)
+        np.negative(noise, out=noise, where=(word & 256) > 0)
+        rows = np.flatnonzero((rabs >= bound[layer]).any(axis=1))
+    gen = np.random.Generator(np.random.PCG64(0))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(rows.tolist(), words[:, rows].T.tolist()):
+        _set_state(gen, s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+        gen.standard_normal(out=noise[row])
     noise *= sigma      # normal(0, sigma) is 0 + sigma * z, to the bit
     return noise
 
 
 def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
                  trials: int = 10_000, seed: int = 0) -> PerturbStats:
-    """Gaussian position noise on the interior nodes, repaired by sort + clamp.
-
-    Only positions x_2 .. x_{N-1} are perturbed (the node next to the sink
-    and the end node are assumed surveyed exactly).  Trial t draws from the
-    stream of ``Generator(PCG64(SeedSequence([seed, t])))``, so results are
-    reproducible and independent of trial order and count; the PCG64 states
-    of a block of trials are built at once by ``_substream_states``, and one
-    reused ``Generator`` draws them.  Trials are evaluated in blocks of rows
-    through ``hop_limits``, so memory stays bounded for any trial count.
-    ``seed`` must be a non-negative integer, not a bool.
-    """
+    """Gaussian position noise on x_2 .. x_{N-1} (the nodes next to the sink
+    and at the end are surveyed exactly), repaired by sort + clamp.  Trial t
+    draws from ``default_rng([seed, t])``, whatever the trial order and
+    count; blocks of trials bound memory.  ``seed`` is an int >= 0."""
     seed = _checked_count(seed, "seed", 0)
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     _checked_count(trials, "trials")
-    n = placement.n
-    length = placement.length
+    n, length = placement.n, placement.length
     exact = qsup_of_placement(placement, rate).q_sup
     if n < 3 or sigma == 0.0:
-        return PerturbStats(sigma=sigma, trials=trials, seed=seed,
-                            mean_q_sup=exact, std_q_sup=0.0,
-                            mean_delta=exact / n)
+        return PerturbStats(sigma=sigma, trials=trials, seed=seed, mean_q_sup=exact,
+                            std_q_sup=0.0, mean_delta=exact / n)
     base = placement.positions
     block = max(1, _BLOCK_VALUES // n)
+    seeded = block * (_BLOCK_VALUES // block)   # trials seeded at once
     samples = np.empty(trials)
     for start in range(0, trials, block):
-        rows = range(start, min(start + block, trials))
-        X = np.tile(base, (len(rows), 1))
-        # interior positions x_2..x_{N-1}
-        X[:, 2:n] += _trial_noise(seed, rows.start, rows.stop, sigma, n - 2)
+        stop = min(start + block, trials)
+        if start % seeded == 0:
+            words = _substream_states(seed, start, min(start + seeded, trials))
+        X = np.tile(base, (stop - start, 1))
+        at = start % seeded     # interior positions x_2..x_{N-1}
+        X[:, 2:n] += _trial_noise(words[:, at:at + stop - start], sigma, n - 2)
         np.clip(X[:, 1:], 0.0, length, out=X[:, 1:])
         X.sort(axis=1)
         D = np.diff(X, axis=1)
         # the checks Placement makes, once per block
         if not (np.isfinite(D).all() and D.min() >= 0.0
                 and (np.abs(D.sum(axis=1) - length) <= _SUM_TOL * length).all()):
-            raise ValueError("perturbed spacings must be finite, >= 0 and sum "
-                             f"to {length:.9g}")
-        samples[rows.start:rows.stop] = hop_limits(rate, D, length).min(axis=1)
+            raise ValueError(f"perturbed spacings must be finite, >= 0 and sum to {length:.9g}")
+        samples[start:stop] = hop_limits(rate, D, length).min(axis=1)
     mean = float(samples.mean())
-    return PerturbStats(sigma=sigma, trials=trials, seed=seed,
-                        mean_q_sup=mean, std_q_sup=float(samples.std()),
-                        mean_delta=mean / n)
+    return PerturbStats(sigma=sigma, trials=trials, seed=seed, mean_q_sup=mean,
+                        std_q_sup=float(samples.std()), mean_delta=mean / n)
 
 
 # columns of the CLI's perturb rows

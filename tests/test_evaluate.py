@@ -1,9 +1,15 @@
 """Placement evaluation, node-count tradeoff, vertical chains, jitter."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import qsup_of_rows
 from perturb_oracle import perturb_trials
 
@@ -254,12 +260,30 @@ def test_perturb_blocks_match_per_trial_loop(blue_rate):
                                  trials=trials, seed=4)
 
 
+@pytest.mark.parametrize("sigma_frac", [0.05, 0.2])
+@pytest.mark.parametrize("n", [8, 12])
+def test_perturb_matches_per_trial_loop_at_scale(n, sigma_frac):
+    # the verify benchmark's shapes: 10k trials cross a seeding chunk and
+    # hold every kind of slow row
+    placement = sr.solve(model_rate("blue"), n, 500.0).placement
+    args = (placement, model_rate("blue"), sigma_frac * 500.0 / n)
+    assert (sr.perturb_eval(*args, trials=10_000, seed=2**31 - 1)
+            == perturb_trials(*args, trials=10_000, seed=2**31 - 1))
+
+
 # seeds of 1, 2 and 3 entropy words; trials at perturb_eval's block edge
 # (N = 10) and where t grows a second word
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**70]
 STREAM_BLOCK = evaluate._BLOCK_VALUES // 10
 STREAM_TRIALS = [0, 1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1,
                  2**32 - 1, 2**32, 2**32 + 1]
+# per seed, trials whose first draw leaves the normal sampler's one-word
+# fast path: into the tail of layer 0, in layer 1, and in a wedge of a
+# higher layer that rejects the draw and that accepts it
+SLOW_TRIALS = {0: (4832, 566, 39, 105), 1: (12962, 666, 192, 59),
+               2**32 - 1: (695, 781, 16, 128), 2**32: (3243, 122, 155, 192),
+               2**63: (1770, 191, 206, 109), 2**70: (336, 1, 259, 382)}
+SLOW_KINDS = ("tail", "layer 1", "rejected", "accepted")
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
@@ -270,25 +294,80 @@ def test_substream_states_match_numpy(seed):
     blocks = [(0, STREAM_BLOCK + 2), (2**32 - 1, 2**32 + 2)]
     got = {}
     for start, stop in blocks:
-        got.update(zip(range(start, stop),
-                       evaluate._substream_states(seed, start, stop)))
+        words = evaluate._substream_states(seed, start, stop)
+        assert words.dtype == np.uint64 and words.shape == (4, stop - start)
+        got.update((t, (s_hi << 64 | s_lo, i_hi << 64 | i_lo))
+                   for t, (s_hi, s_lo, i_hi, i_lo)
+                   in zip(range(start, stop), words.T.tolist()))
     for t in STREAM_TRIALS:
         want = np.random.PCG64([seed, t]).state["state"]
         assert got[t] == (want["state"], want["inc"]), \
             f"PCG64([{seed}, {t}]) state differs from NumPy's"
 
 
-@pytest.mark.parametrize("k", [1, 8, 1998])
+def trial_noise(seed, start, stop, sigma, k):
+    words = evaluate._substream_states(seed, start, stop)
+    return evaluate._trial_noise(words, sigma, k)
+
+
+def first_draw_kind(seed, t):
+    """How NumPy's normal sampler takes trial t's first draw."""
+    wi, bound = evaluate._ziggurat()
+    word = int(np.random.PCG64([seed, t]).random_raw())
+    layer, rabs = word & 255, word >> 9 & (2**52 - 1)
+    if rabs < bound[layer]:
+        return "fast"
+    if layer < 2:
+        return ("tail", "layer 1")[layer]
+    z = np.random.default_rng([seed, t]).standard_normal()
+    return "accepted" if abs(z) == rabs * wi[layer] else "rejected"
+
+
+@pytest.mark.parametrize("k", [1, 8, evaluate._ROW_LIMIT,
+                               evaluate._ROW_LIMIT + 1, 1998])
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_trial_noise_matches_default_rng(seed, k):
     sigma = 3.7
+    slow = [(t, t + 2) for t in SLOW_TRIALS[seed]]
     for start, stop in [(0, 3), (STREAM_BLOCK - 1, STREAM_BLOCK + 2),
-                        (2**32 - 1, 2**32 + 2)]:
-        got = evaluate._trial_noise(seed, start, stop, sigma, k)
+                        (2**32 - 1, 2**32 + 2), *slow]:
+        got = trial_noise(seed, start, stop, sigma, k)
         want = [np.random.default_rng([seed, t]).normal(0.0, sigma, k)
                 for t in range(start, stop)]
         assert np.array_equal(got, want), \
             f"draws of trials {start}..{stop - 1}, seed {seed}, differ from NumPy's"
+    # the slow rows really are slow, each in its own way
+    assert [first_draw_kind(seed, t) for t in SLOW_TRIALS[seed]] == list(SLOW_KINDS)
+
+
+def test_fast_path_bounds():
+    # layer 1 always goes slow; elsewhere the proven bounds keep 98% of
+    # draws on the array path
+    wi, bound = evaluate._ziggurat()
+    assert bound[1] == 0 and np.delete(bound, 1).all()
+    assert bound.astype(float).mean() > 0.98 * 2**52
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**70 - 1), rows=st.integers(1, 8),
+       start=st.integers(0, 2**64 - 9),
+       k=st.integers(1, evaluate._ROW_LIMIT + 8))
+def test_trial_noise_property(seed, rows, start, k):
+    got = trial_noise(seed, start, start + rows, 0.5, k)
+    want = [np.random.default_rng([seed, t]).normal(0.0, 0.5, k)
+            for t in range(start, start + rows)]
+    assert np.array_equal(got, want)
+
+
+def test_import_reads_no_sampler_tables():
+    # the tables are read on the first draw, so importing stays cheap
+    code = ("import searelay; from searelay import evaluate as e; "
+            "print(e._ziggurat.cache_info().currsize, "
+            "e._jump.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(evaluate.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["0", "0"]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
