@@ -24,12 +24,13 @@ wrapped in :class:`RateFunction`.
 
 Each model is written once, over a namespace ``xp`` (``math`` for floats,
 ``numpy`` for arrays): ``_budget`` for SNR and FEC, ``_shannon_model`` for
-Shannon.  Both ``RateFunction`` paths and the public ``snr``,
-``shannon_rate`` and ``fec_rate`` are built from them, so each public function
-equals the matching path bit for bit.  Shannon is one closure with the budget
-inlined: calling the budget closure from it cost 5-7% of solver throughput.
-beta = 1, alpha = 2 (every preset) selects a ``1/(t*t)`` form, ~25% cheaper
-per float call than the power.
+Shannon.  A rate model is evaluated only through its ``RateFunction``
+(``shannon_rate_function``, ``fec_rate_function``), whose scalar and array
+paths are the model over ``math`` and over ``numpy``.  ``snr`` evaluates the
+budget itself.  Shannon is one closure with the budget inlined: calling the
+budget closure from it cost 5-7% of solver throughput.  beta = 1, alpha = 2
+(every preset) selects a ``1/(t*t)`` form, ~25% cheaper per float call than
+the power.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 
 __all__ = [
     "ChannelParams", "ShannonRateParams", "FecRateParams", "RateFunction",
-    "ValidationReport", "snr_gain", "snr", "shannon_rate", "fec_rate",
-    "shannon_rate_function", "fec_rate_function", "validate_rate_assumption",
+    "ValidationReport", "snr_gain", "snr", "shannon_rate_function",
+    "fec_rate_function", "validate_rate_assumption",
     "preset", "preset_names", "load_channel_config", "load_fec_config", "CONFIG_KEYS",
 ]
 
@@ -52,6 +53,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
+
+def _checked_positive(x, name: str) -> float:
+    """x as a float, once checked to be finite and > 0."""
+    if not 0.0 < float(x) < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+    return float(x)
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -70,8 +78,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name in ("transmit_power_W", "noise_power_W", "aperture_diameter_m",
                      "epsilon_m", "attenuation_per_m", "geometric_exponent"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+            _checked_positive(getattr(self, name), name)
         # cos(phi) must stay positive and tan(theta) finite
         if not 0.0 <= self.misalignment_deg < 90.0:
             raise ValueError("misalignment_deg must lie in [0, 90)")
@@ -89,8 +96,7 @@ class ShannonRateParams:
     bandwidth_Hz: float = 5e8
 
     def __post_init__(self) -> None:
-        if self.bandwidth_Hz <= 0:
-            raise ValueError("bandwidth_Hz must be > 0")
+        _checked_positive(self.bandwidth_Hz, "bandwidth_Hz")
 
 
 @dataclass(frozen=True)
@@ -111,14 +117,11 @@ class FecRateParams:
             raise ValueError("modulation_bits_per_symbol must be an integer >= 1")
         if not 0.0 < self.code_rate < 1.0:
             raise ValueError("code_rate must lie in (0, 1)")
-        if self.snr_threshold <= 0:
-            raise ValueError("snr_threshold must be > 0")
-        if self.scaled_gain <= 0:
-            raise ValueError("scaled_gain must be > 0")
-        if self.attenuation_per_m < 0:
-            raise ValueError("attenuation_per_m must be >= 0")
-        if self.epsilon_m <= 0 or self.geometric_exponent <= 0:
-            raise ValueError("epsilon_m and geometric_exponent must be > 0")
+        for name in ("snr_threshold", "scaled_gain", "epsilon_m", "geometric_exponent"):
+            _checked_positive(getattr(self, name), name)
+        if not 0.0 <= self.attenuation_per_m < math.inf:
+            raise ValueError("attenuation_per_m must be finite and >= 0, "
+                             f"got {self.attenuation_per_m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +169,6 @@ def _budget(gain, k, beta, alpha, eps, xp):
     return budget
 
 
-def _snr_model(params: ChannelParams, xp):
-    return _budget(*_link_terms(params), xp)
-
-
 def _fec_model(params: FecRateParams, xp):
     """The link budget with gain eta * M * A' / zeta and beta = 1."""
     gain = (params.code_rate * params.modulation_bits_per_symbol
@@ -192,25 +191,10 @@ def _shannon_model(params: ShannonRateParams, xp):
     return rate
 
 
-def _evaluate(model, params, d):
-    """``model`` at a checked distance: over math for a scalar, numpy for an array."""
-    dd, scalar = _checked_distance(d)
-    return model(params, math if scalar else np)(dd)
-
-
 def snr(params: ChannelParams, d):
     """Signal-to-noise ratio at hop length d [m]. Scalar in, scalar out."""
-    return _evaluate(_snr_model, params, d)
-
-
-def shannon_rate(params: ShannonRateParams, d):
-    """Effective rate W * ln(1 + SNR(d)) [bit/s], natural logarithm."""
-    return _evaluate(_shannon_model, params, d)
-
-
-def fec_rate(params: FecRateParams, d):
-    """Highest bit rate sustaining the decoding threshold at hop length d."""
-    return _evaluate(_fec_model, params, d)
+    dd, scalar = _checked_distance(d)
+    return _budget(*_link_terms(params), math if scalar else np)(dd)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +238,6 @@ class RateFunction:
         if dd >= h:
             return (f(dd + h) - f(dd - h)) / (2.0 * h)
         return (-3.0 * f(dd) + 4.0 * f(dd + h) - f(dd + 2.0 * h)) / (2.0 * h)
-
-    def scaled(self, factor: float) -> "RateFunction":
-        """New RateFunction equal to factor * R(d)."""
-        if not 0.0 < factor < math.inf:
-            raise ValueError(f"scale factor must be finite and > 0, got {factor!r}")
-        fn = self.scalar
-        arr = self._array
-        return RateFunction(lambda d: factor * fn(d),
-                            lambda d: factor * arr(d),
-                            label=f"{self.label}*{factor:g}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RateFunction({self.label}, r0={self.r0:.6g})"

@@ -54,6 +54,7 @@ SIZE_FIXED = "fixed"
 SIZE_EXPONENTIAL = "exponential"
 
 N_SAMPLES = 2048              # queue-length snapshots along each run
+WARMUP_FRAC = 0.1             # share of the horizon left out of the statistics
 DRIFT_SLOPE_FRACTION = 0.01   # stable iff total slope < fraction * packet rate
 END_QUEUE_FACTOR = 100.0      # ... and end backlog <= factor * early average
 
@@ -70,7 +71,7 @@ class InconclusiveProbeError(NumericalError):
 class SimConfig:
     """One run: ``placement`` carrying ``q`` bit/s per meter in packets of
     mean size ``mean_data_size`` bits, for ``horizon_packets`` mean
-    inter-arrival times, of which the first ``warmup_frac`` is warmup."""
+    inter-arrival times, of which the first ``WARMUP_FRAC`` is warmup."""
 
     placement: Placement
     q: float                          # offered load [bit/s per m]
@@ -78,7 +79,6 @@ class SimConfig:
     arrival_process: str = ARRIVAL_POISSON
     packet_size: str = SIZE_FIXED
     horizon_packets: float = 50_000
-    warmup_frac: float = 0.1
     seed: int | tuple = 0
     record_trace: bool = False        # per-node arrival/departure id lists
 
@@ -92,8 +92,6 @@ class SimConfig:
                              f"got {self.q!r}")
         for name in ("mean_data_size", "horizon_packets"):
             _checked_positive(getattr(self, name), name)
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ValueError(f"warmup_frac must be in [0, 1), got {self.warmup_frac!r}")
         lam = self.packet_rate
         if not (lam > 0.0 and self.horizon_s < math.inf):
             raise ValueError(f"load {self.q!r} is too small: packet_rate {lam!r} "
@@ -118,7 +116,7 @@ class SimConfig:
 
     @property
     def warmup_s(self) -> float:
-        return self.warmup_frac * self.horizon_s
+        return WARMUP_FRAC * self.horizon_s
 
 
 @dataclass(frozen=True)
@@ -263,8 +261,7 @@ class ProbeResult:
 
 
 def stability_probe(placement: Placement, rate: RateFunction, q_grid,
-                    *, mean_data_size: float = 1e5,
-                    horizon_packets: int = 50_000, warmup_frac: float = 0.1,
+                    *, mean_data_size: float = 1e5, horizon_packets: int = 50_000,
                     seed: int = 1, arrival_process: str = ARRIVAL_POISSON,
                     packet_size: str = SIZE_FIXED) -> ProbeResult:
     """Simulate each load in an ascending grid and locate the empirical boundary."""
@@ -279,7 +276,7 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
     for i, q in enumerate(q_grid):
         # the grid ascends, so a load too small for a horizon fails first
         cfg = SimConfig(placement, q, mean_data_size, arrival_process, packet_size,
-                        horizon_packets, warmup_frac, seed=(seed, i))
+                        horizon_packets, seed=(seed, i))
         stats = simulate(cfg, rate)
         points.append(ProbePoint(q=q, stable=is_stable(stats, cfg.packet_rate),
                                  total_drift_slope=stats.total_drift_slope,

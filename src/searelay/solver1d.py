@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .channel import RateFunction
+from .channel import RateFunction, _checked_positive
 from .scalar import (MaxItersError, NumericalError, bisect_monotone,
                      bracket_monotone)
 
@@ -172,13 +172,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # surplus machinery
 # ---------------------------------------------------------------------------
-
-def _checked_positive(x, name: str) -> float:
-    """x as a float, once checked to be finite and > 0."""
-    if not 0.0 < float(x) < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
-    return float(x)
-
 
 def _checked_count(n, name: str = "n", least: int = 1) -> int:
     """n as an int, once checked to be an integer (not a bool) >= least."""
@@ -698,7 +691,6 @@ def _solve(rate: RateFunction, n: int, length: float, tol_q: float | None,
     lo, hi = math.log(q_lo), math.log(q_up)
     sub_lo = sub_hi = None
     g_lo = g_hi = 0.0
-    probed = False
     # start at the load equal spacing supports, a lower bound, or at `first`
     sub = first
     u = math.log(2.0 * q_lo if first is None else first.q)
@@ -727,17 +719,8 @@ def _solve(rate: RateFunction, n: int, length: float, tol_q: float | None,
             # u is within the tolerance of the predicted root: probe just
             # past it, so that u and the probe close the bracket
             s += math.copysign(0.25 * eps, s)
-        u_next = u + s
-        if not lo < u_next < hi:
-            # a step onto or beyond an evaluated end probes just inside it
-            # once, in case the root sits there; after that, bisect
-            if not probed and u_next >= hi and sub_hi is not None:
-                probed, u_next = True, hi - 0.25 * eps
-            elif not probed and u_next <= lo and sub_lo is not None:
-                probed, u_next = True, lo + 0.25 * eps
-            else:
-                u_next = 0.5 * (lo + hi)
-        u = u_next
+        # a step onto or beyond an end of the bracket bisects it
+        u = u + s if lo < u + s < hi else 0.5 * (lo + hi)
     else:
         raise MaxItersError(
             f"load root did not converge in {_MAX_LOAD_ITERS} recursions")

@@ -5,10 +5,11 @@ first travel along their row to column 0, then down column 0 to the sink at
 the origin.  Row j's strip of seafloor is (h_j + h_{j+1})/2 high (sentinel 0
 beyond the top row), so every x-hop in the worst row relays its strip height
 times the usual line load, and the column-0 y-hops relay entire strips of
-width L.  Both constraint families are the 1-D problem with a rescaled rate:
+width L.  Both constraint families are the 1-D problem, its supportable load
+divided by the strip each hop drains:
 
-    y-hops:  R(.) / L       over [0, H]   -> q_y
-    x-hops:  R(.) / c_max   over [0, L]   -> q_x,  c_max = tallest strip
+    y-hops:  q_sup(R over [0, H]) / L       -> q_y
+    x-hops:  q_sup(R over [0, L]) / c_max   -> q_x,  c_max = tallest strip
 
 The y-solve fixes the row spacings and q_y; the x-solve is repeated with a
 growing column count until q_x exceeds q_y, which makes the y-family the
@@ -94,30 +95,30 @@ def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,
              tol_q: float | None = None, n_l_max: int = 64) -> Grid2DResult:
     """Two-stage grid design: fix the column spacings, then grow the row count.
 
-    Stage 1 solves the 1-D problem with rate R(.)/length over [0, height]
-    (n_h hops), fixing the row spacings and the y-family limit q_y.  Stage 2
-    sweeps the column count n_l = 1, 2, ... and solves with rate
-    R(.)/c_max over [0, length] until its limit q_x exceeds q_y; the smallest
-    such n_l is returned and the grid supports q_sup = q_y.
+    Stage 1 solves the 1-D problem over [0, height] (n_h hops), fixing the
+    row spacings and the y-family limit q_y = q_sup / length.  Stage 2
+    sweeps the column count n_l = 1, 2, ... over [0, length] until the
+    x-family limit q_x = q_sup / c_max exceeds q_y; the smallest such n_l is
+    returned and the grid supports q_sup = q_y.  tol_q bounds q_y and q_x.
     """
     _checked_count(n_h, "n_h")
     _checked_positive(length, "length")
     _checked_positive(height, "height")
     _checked_count(n_l_max, "n_l_max")
 
-    y_rate = rate.scaled(1.0 / length)
-    sol_y = solve(y_rate, n_h, height, tol_q=tol_q)
+    sol_y = solve(rate, n_h, height, tol_q=None if tol_q is None else tol_q * length)
     h_spacings = sol_y.placement.distances
-    q_y = sol_y.q_sup
+    q_y = sol_y.q_sup / length
     c_max = float(strip_heights(h_spacings).max())
 
-    x_rate = rate.scaled(1.0 / c_max)
-    sols = solve_n_range(x_rate, length, 1, n_l_max, tol_q=tol_q)
+    sols = solve_n_range(rate, length, 1, n_l_max,
+                         tol_q=None if tol_q is None else tol_q * c_max)
     for n_l, sol_x in enumerate(sols, start=1):
-        if q_y < sol_x.q_sup:
+        q_x = sol_x.q_sup / c_max
+        if q_y < q_x:
             grid = Grid2D(l_spacings=sol_x.placement.distances,
                           h_spacings=h_spacings, length=length, height=height)
-            return Grid2DResult(grid=grid, q_sup=q_y, q_x=sol_x.q_sup, q_y=q_y,
+            return Grid2DResult(grid=grid, q_sup=q_y, q_x=q_x, q_y=q_y,
                                 n_l=n_l, n_h=n_h,
                                 total_nodes=(n_l + 1) * (n_h + 1) - 1)
     raise NoFeasibleGridError(

@@ -6,6 +6,7 @@ independently of the package code.
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,11 +84,11 @@ def test_negative_distance_rejected():
 
 NAN_DISTANCE_CALLS = {
     "snr": lambda d: sr.snr(ChannelParams(), d),
-    "shannon_rate": lambda d: sr.shannon_rate(sr.preset("blue"), d),
-    "fec_rate": lambda d: sr.fec_rate(sr.FecRateParams(
+    "shannon_rate": sr.shannon_rate_function(sr.preset("blue")),
+    "fec_rate": sr.fec_rate_function(sr.FecRateParams(
         modulation_bits_per_symbol=2, code_rate=0.5, snr_threshold=10.0,
         scaled_gain=1e9, attenuation_per_m=2e-2, epsilon_m=1.0,
-        geometric_exponent=2.0), d),
+        geometric_exponent=2.0)),
     "rate_function": sr.shannon_rate_function(sr.preset("green")),
 }
 
@@ -131,7 +132,7 @@ def test_fec_scale_collapses_to_one():
     p = sr.FecRateParams(modulation_bits_per_symbol=2, code_rate=0.5,
                          snr_threshold=7.0, scaled_gain=7.0,
                          attenuation_per_m=0.0)
-    assert sr.fec_rate(p, 0.0) == 1.0
+    assert sr.fec_rate_function(p)(0.0) == 1.0
 
 
 def test_fec_ratio_identity():
@@ -139,23 +140,26 @@ def test_fec_ratio_identity():
                          snr_threshold=3.0, scaled_gain=1e9,
                          attenuation_per_m=0.05, epsilon_m=2.0,
                          geometric_exponent=2.0)
-    r0 = sr.fec_rate(p, 0.0)
+    rate = sr.fec_rate_function(p)
     for d in (0.5, 10.0, 80.0):
         expected = math.exp(-p.attenuation_per_m * d) * (p.epsilon_m / (p.epsilon_m + d)) ** 2
-        assert rel(sr.fec_rate(p, d) / r0, expected) < 1e-12
+        assert rel(rate(d) / rate.r0, expected) < 1e-12
 
 
 def test_fec_linear_in_gain():
     kw = dict(modulation_bits_per_symbol=2, code_rate=0.5, snr_threshold=5.0,
               attenuation_per_m=0.02)
-    a = sr.fec_rate(sr.FecRateParams(scaled_gain=1e8, **kw), 42.0)
-    b = sr.fec_rate(sr.FecRateParams(scaled_gain=2e8, **kw), 42.0)
+    a = sr.fec_rate_function(sr.FecRateParams(scaled_gain=1e8, **kw))(42.0)
+    b = sr.fec_rate_function(sr.FecRateParams(scaled_gain=2e8, **kw))(42.0)
     assert rel(b, 2.0 * a) < 1e-12
 
 
+FEC_REQUIRED = dict(modulation_bits_per_symbol=2, code_rate=0.5, snr_threshold=5.0,
+                    scaled_gain=1e8)
+
+
 def test_fec_param_validation():
-    good = dict(modulation_bits_per_symbol=2, code_rate=0.5, snr_threshold=5.0,
-                scaled_gain=1e8)
+    good = FEC_REQUIRED
     sr.FecRateParams(**good)
     with pytest.raises(ValueError):
         sr.FecRateParams(**{**good, "modulation_bits_per_symbol": 0})
@@ -163,6 +167,25 @@ def test_fec_param_validation():
         sr.FecRateParams(**{**good, "code_rate": 1.0})
     with pytest.raises(ValueError):
         sr.FecRateParams(**{**good, "attenuation_per_m": -0.1})
+
+
+PARAM_BUILDERS = {
+    # class -> build(**one field); channel fields go through a preset
+    ChannelParams: lambda **kw: sr.preset("blue", **kw),
+    sr.ShannonRateParams: lambda **kw: sr.ShannonRateParams(channel=ChannelParams(), **kw),
+    sr.FecRateParams: lambda **kw: sr.FecRateParams(**{**FEC_REQUIRED, **kw}),
+}
+FLOAT_FIELDS = [(cls, f.name) for cls in PARAM_BUILDERS for f in fields(cls)
+                if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_param_rejects_non_finite(cls, name, value):
+    # NaN and inf fail at construction, naming the field, not later in a solve
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        PARAM_BUILDERS[cls](**{name: value})
 
 
 @pytest.mark.parametrize("name", ["red", "green", "blue"])
@@ -215,43 +238,30 @@ def test_derivative_matches_closed_form():
 FEC_KW = dict(modulation_bits_per_symbol=2, code_rate=0.5, snr_threshold=5.0,
               scaled_gain=1e9, attenuation_per_m=0.02)
 RATE_MODELS = {
-    # id -> (params, public rate function, RateFunction builder)
-    "shannon-green": (sr.preset("green"), sr.shannon_rate, sr.shannon_rate_function),
+    # id -> (params, RateFunction builder)
+    "shannon-green": (sr.preset("green"), sr.shannon_rate_function),
     "shannon-general": (sr.preset("blue", attenuation_exponent=0.8, geometric_exponent=1.5),
-                        sr.shannon_rate, sr.shannon_rate_function),
-    "fec-alpha2": (sr.FecRateParams(**FEC_KW), sr.fec_rate, sr.fec_rate_function),
+                        sr.shannon_rate_function),
+    "fec-alpha2": (sr.FecRateParams(**FEC_KW), sr.fec_rate_function),
     "fec-alpha1.5": (sr.FecRateParams(**FEC_KW, geometric_exponent=1.5),
-                     sr.fec_rate, sr.fec_rate_function),
+                     sr.fec_rate_function),
 }
 
 
 @pytest.mark.parametrize("model", sorted(RATE_MODELS))
 def test_scalar_and_array_paths_agree(model):
-    params, public, build = RATE_MODELS[model]
+    params, build = RATE_MODELS[model]
     rate = build(params)
     d = np.array([0.0, 0.7, 13.0, 210.0, 999.5, 2000.0])
     arr = rate(d)
     scalars = np.array([rate.scalar(float(di)) for di in d])
     np.testing.assert_array_max_ulp(arr, scalars, maxulp=4)
-    # the public functions are views of the same expression, bit for bit
-    assert np.array_equal(public(params, d), arr)
     for di, want in zip(d, scalars):
-        assert public(params, float(di)) == want
-        if public is sr.shannon_rate:
+        # a checked float call is the scalar path, bit for bit
+        assert rate(float(di)) == want
+        if build is sr.shannon_rate_function:
             snr = sr.snr(params.channel, float(di))
             assert params.bandwidth_Hz * math.log1p(snr) == want
-
-
-def test_rate_function_scaled():
-    rate = sr.shannon_rate_function(sr.preset("blue"))
-    half = rate.scaled(0.5)
-    assert rel(half(33.0), 0.5 * rate(33.0)) < 1e-12
-    assert rel(half.r0, 0.5 * rate.r0) < 1e-12
-    with pytest.raises(ValueError):
-        rate.scaled(0.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="factor"):
-            rate.scaled(bad)
 
 
 def test_rate_function_rejects_bad_origin():
@@ -360,4 +370,5 @@ def test_snr_power_scaling(params, d, c):
 @settings(max_examples=100, deadline=None)
 def test_rate_bounded_by_origin(params, d):
     rp = sr.ShannonRateParams(channel=params, bandwidth_Hz=5e8)
-    assert sr.shannon_rate(rp, d) <= sr.shannon_rate(rp, 0.0)
+    rate = sr.shannon_rate_function(rp)
+    assert rate(d) <= rate.r0

@@ -10,7 +10,7 @@ import pytest
 
 import searelay as sr
 from searelay.simqueue import (ARRIVAL_DETERMINISTIC, ARRIVAL_POISSON,
-                               SIZE_EXPONENTIAL, SIZE_FIXED, _lsq_slope)
+                               SIZE_EXPONENTIAL, SIZE_FIXED, WARMUP_FRAC, _lsq_slope)
 from simqueue_oracle import simulate_events
 
 LENGTH = 200.0
@@ -145,11 +145,11 @@ def test_sim_config_validation():
 
 def test_sim_config_derives_rate_then_horizon_then_warmup():
     cfg = sr.SimConfig(single_hop(), 3.7e3, mean_data_size=2e4,
-                       horizon_packets=1234, warmup_frac=0.25)
+                       horizon_packets=1234)
     lam = 3.7e3 * LENGTH / 2e4
     assert cfg.packet_rate == lam
     assert cfg.horizon_s == 1234 / lam
-    assert cfg.warmup_s == 0.25 * (1234 / lam)
+    assert cfg.warmup_s == WARMUP_FRAC * (1234 / lam)
 
 
 @pytest.mark.parametrize("arrival,size_model", [
@@ -253,9 +253,6 @@ def test_traffic_model_rejects_non_finite(field, value):
 @pytest.mark.parametrize("window,field", [
     (dict(horizon_packets=0), "horizon_packets"),
     (dict(horizon_packets=-5.0), "horizon_packets"),
-    (dict(warmup_frac=math.nan), "warmup_frac"),
-    (dict(warmup_frac=1.0), "warmup_frac"),
-    (dict(warmup_frac=-0.1), "warmup_frac"),
 ])
 def test_sim_config_rejects_bad_window(window, field):
     with pytest.raises(ValueError, match=field):
@@ -267,7 +264,7 @@ def test_sim_config_rejects_bad_window(window, field):
     (dict(q_grid=[math.nan]), "q_grid"),
     (dict(q_grid=[1e6, math.inf]), "q_grid"),
     (dict(q_grid=[1e6], horizon_packets=math.inf), "horizon_packets"),
-    (dict(q_grid=[1e6], warmup_frac=math.nan), "warmup_frac"),
+    (dict(q_grid=[1e6], horizon_packets=math.nan), "horizon_packets"),
     (dict(q_grid=[1e6], mean_data_size=math.nan), "mean_data_size"),
 ])
 def test_probe_rejects_non_finite(blue_rate, kw, field):
