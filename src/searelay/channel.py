@@ -230,9 +230,7 @@ class RateFunction:
         Central difference away from the boundary; a second-order one-sided
         difference below d = h, where a central stencil would leave the domain.
         """
-        dd = float(d)
-        if not dd >= 0.0:
-            raise ValueError("distance must be >= 0")
+        dd = _checked_distance(float(d))[0]
         h = max(1e-6, 1e-6 * dd)
         f = self.scalar
         if dd >= h:
@@ -326,18 +324,7 @@ def preset(name: str, **channel_overrides) -> ShannonRateParams:
 
 
 # exact key set of the flat JSON channel-config format
-CONFIG_KEYS = (
-    "transmit_power_W",
-    "noise_power_W",
-    "aperture_diameter_m",
-    "misalignment_deg",
-    "half_beamwidth_deg",
-    "attenuation_per_m",
-    "epsilon_m",
-    "bandwidth_Hz",
-    "attenuation_exponent",
-    "geometric_exponent",
-)
+CONFIG_KEYS = tuple(f.name for f in fields(ChannelParams)) + ("bandwidth_Hz",)
 
 _OPTIONAL_CONFIG_KEYS = ("attenuation_exponent", "geometric_exponent")
 

@@ -67,9 +67,9 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-def _emit(args, rows, obj=None) -> None:
-    """Write rows (dicts keyed by the CSV header) as CSV, or as JSON: obj
-    where the subcommand's JSON shape differs from its CSV, else the rows."""
+def _emit(args, rows, obj) -> None:
+    """Write what a subcommand returns, its rows (dicts keyed by the CSV header)
+    and JSON object (None: the rows), as CSV or as JSON."""
     if args.format == "json":
         text = json.dumps(_rounded(rows if obj is None else obj), indent=2) + "\n"
     else:
@@ -163,7 +163,7 @@ def comma_separated_numbers(text: str) -> list[float]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(args, rate, meta) -> int:
+def _cmd_solve(args, rate, meta):
     res = solve(rate, args.n, args.l, tol_q=args.tol_q)
     p = res.placement
     shared = {"q_sup": res.q_sup, "q0": res.q0, "L0": res.L0,
@@ -175,32 +175,29 @@ def _cmd_solve(args, rate, meta) -> int:
            "coverage_residual": res.coverage_residual,
            "delta": res.q_sup / args.n, "distances": p.distances,
            "positions": p.positions}
-    _emit(args, rows, obj)
-    return 0
+    return rows, obj
 
 
-def _cmd_eval(args, rate, meta) -> int:
+def _cmd_eval(args, rate, meta):
     placement = _read_placement(args.placement)
     limit = ev.qsup_of_placement(placement, rate)
     row = {"n": placement.n, "l": placement.length, "q_sup": limit.q_sup,
            "delta": ev.tradeoff(limit.q_sup, placement.n),
            "bottleneck_hop": limit.bottleneck + 1}
-    _emit(args, [row], row)
-    return 0
+    return [row], row
 
 
-def _cmd_sweep_n(args, rate, meta) -> int:
+def _cmd_sweep_n(args, rate, meta):
     rows = []
     results = solve_n_range(rate, args.l, args.n_min, args.n_max, tol_q=args.tol_q)
     for n, res in enumerate(results, start=args.n_min):
         qc = ev.qsup_of_placement(ev.constant_placement(n, args.l), rate).q_sup
         rows.append({"n": n, "l": args.l, "q_sup": res.q_sup, "delta": res.q_sup / n,
                      "q_sup_constant": qc, "delta_constant": qc / n})
-    _emit(args, rows)
-    return 0
+    return rows, None
 
 
-def _cmd_sweep_l(args, rate, meta) -> int:
+def _cmd_sweep_l(args, rate, meta):
     if args.l_values:
         lengths = args.l_values
     else:
@@ -218,11 +215,10 @@ def _cmd_sweep_l(args, rate, meta) -> int:
     for length in lengths:
         q = solve(rate, args.n, length, tol_q=args.tol_q).q_sup
         rows.append({"n": args.n, "l": length, "q_sup": q, "delta": q / args.n})
-    _emit(args, rows)
-    return 0
+    return rows, None
 
 
-def _cmd_solve2d(args, rate, meta) -> int:
+def _cmd_solve2d(args, rate, meta):
     res = solve_2d(rate, args.n_h, args.l, args.h, tol_q=args.tol_q,
                    n_l_max=args.n_l_max)
     l = res.grid.l_spacings
@@ -234,11 +230,10 @@ def _cmd_solve2d(args, rate, meta) -> int:
             for i in range(max(l.size, h.size))]
     obj = {**counts, "l": args.l, "h": args.h, **loads,
            "l_spacings": l, "h_spacings": h}
-    _emit(args, rows, obj)
-    return 0
+    return rows, obj
 
 
-def _cmd_perturb(args, rate, meta) -> int:
+def _cmd_perturb(args, rate, meta):
     res = solve(rate, args.n, args.l, tol_q=args.tol_q)
     chash = hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()[:12]
     k = float(meta["attenuation_per_m"])
@@ -251,11 +246,10 @@ def _cmd_perturb(args, rate, meta) -> int:
             stats.mean_q_sup, stats.std_q_sup, stats.mean_delta))))
         objs.append({**asdict(stats), "config_hash": chash, "n": args.n,
                      "l": args.l, "q_sup_exact": res.q_sup})
-    _emit(args, rows, objs)
-    return 0
+    return rows, objs
 
 
-def _cmd_simulate(args, rate, meta) -> int:
+def _cmd_simulate(args, rate, meta):
     if args.placement:
         placement = _read_placement(args.placement)
         q_ref = ev.qsup_of_placement(placement, rate).q_sup
@@ -263,12 +257,9 @@ def _cmd_simulate(args, rate, meta) -> int:
         res = solve(rate, args.n, args.l, tol_q=args.tol_q)
         placement = res.placement
         q_ref = res.q_sup
-    B = args.data_size
-    if not 0.0 < B < float("inf"):
-        raise ConfigError(f"--data-size must be finite and > 0, got {B!r}")
+    B = ch._checked_positive(args.data_size, "--data-size")
     if args.probe_factors:
-        factors = sorted(args.probe_factors)
-        grid = [f * q_ref for f in factors]
+        grid = [f * q_ref for f in sorted(args.probe_factors)]
         probe = sq.stability_probe(
             placement, rate, grid, mean_data_size=B,
             horizon_packets=args.horizon_packets, seed=args.seed,
@@ -279,8 +270,7 @@ def _cmd_simulate(args, rate, meta) -> int:
         obj = {"q_sup_analytic": q_ref, "q_stable": probe.q_stable,
                "q_unstable": probe.q_unstable,
                "points": [asdict(p) for p in probe.points]}
-        _emit(args, rows, obj)
-        return 0
+        return rows, obj
     cfg = sq.SimConfig(placement, args.q_factor * q_ref, B, args.arrival,
                        args.size_dist, args.horizon_packets, seed=args.seed)
     stats = sq.simulate(cfg, rate)
@@ -301,11 +291,10 @@ def _cmd_simulate(args, rate, meta) -> int:
         samples = [{"time_s": t, **{f"node_{i + 1}": v for i, v in enumerate(row)}}
                    for t, row in zip(stats.sample_times, stats.queue_samples)]
         _write(args.timeseries, _csv(samples))
-    _emit(args, rows, obj)
-    return 0
+    return rows, obj
 
 
-def _cmd_compare(args, rate, meta) -> int:
+def _cmd_compare(args, rate, meta):
     res = solve(rate, args.n, args.l, tol_q=args.tol_q)
     qc = ev.qsup_of_placement(ev.constant_placement(args.n, args.l), rate).q_sup
     n_v = args.n if args.vertical_nv is None else args.vertical_nv
@@ -315,15 +304,24 @@ def _cmd_compare(args, rate, meta) -> int:
             for name, nodes, q in (("optimal", args.n, res.q_sup),
                                    ("constant", args.n, qc),
                                    ("vertical", n_vert_total, qv))]
-    _emit(args, rows)
-    return 0
+    return rows, None
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(sub, name: str, summary: str, func, **shared) -> argparse.ArgumentParser:
+    """Subcommand ``name`` run by ``func``, with the flags all subcommands take, and
+    --n/--l/--seed for each key of ``shared``: its default, or None if required."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
+    for flag, kind, what in (("n", int, "number of relay nodes"),
+                             ("l", float, "segment length [m]"),
+                             ("seed", int, "random seed")):
+        if flag in shared:
+            p.add_argument(f"--{flag}", type=kind, default=shared[flag],
+                           required=shared[flag] is None, help=what)
     src = p.add_mutually_exclusive_group()
     src.add_argument("--preset", help="built-in water preset (red, green, blue)")
     src.add_argument("--config", help="flat JSON channel config file")
@@ -336,6 +334,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "(red, N = 1, L = 2000: 8e-10 relative)")
     p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,57 +343,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal relay placement for seafloor optical wireless networks")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="optimal spacings and supportable load")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True, help="number of relay nodes")
-    p.add_argument("--l", type=float, required=True, help="segment length [m]")
-    p.set_defaults(func=_cmd_solve)
+    _add_common(sub, "solve", "optimal spacings and supportable load", _cmd_solve, n=None, l=None)
 
-    p = sub.add_parser("eval", help="supportable load of a stored placement")
-    _add_common(p)
+    p = _add_common(sub, "eval", "supportable load of a stored placement", _cmd_eval)
     p.add_argument("--placement", required=True,
                    help="CSV (index,distance_m) or solve JSON output")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep-n", help="q_sup and per-node efficiency vs node count")
-    _add_common(p)
+    p = _add_common(sub, "sweep-n", "q_sup and per-node efficiency vs node count",
+                    _cmd_sweep_n, l=None)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--l", type=float, required=True)
-    p.set_defaults(func=_cmd_sweep_n)
 
-    p = sub.add_parser("sweep-l", help="q_sup vs segment length at fixed n")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l-min", type=float)
-    p.add_argument("--l-max", type=float)
-    p.add_argument("--l-step", type=float)
+    p = _add_common(sub, "sweep-l", "q_sup vs segment length at fixed n", _cmd_sweep_l, n=None)
+    for flag in ("--l-min", "--l-max", "--l-step"):
+        p.add_argument(flag, type=float)
     p.add_argument("--l-values", type=comma_separated_numbers,
                    help="comma-separated lengths, overrides the range")
-    p.set_defaults(func=_cmd_sweep_l)
 
-    p = sub.add_parser("solve2d", help="two-stage grid design over a rectangle")
-    _add_common(p)
+    p = _add_common(sub, "solve2d", "two-stage grid design over a rectangle", _cmd_solve2d)
     p.add_argument("--n-h", type=int, required=True, help="relay rows beyond the sink's")
     p.add_argument("--l", type=float, required=True, help="row extent [m]")
     p.add_argument("--h", type=float, required=True, help="column extent [m]")
     p.add_argument("--n-l-max", type=int, default=64)
-    p.set_defaults(func=_cmd_solve2d)
 
-    p = sub.add_parser("perturb", help="supportable load under position noise")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=float, required=True)
+    p = _add_common(sub, "perturb", "supportable load under position noise",
+                    _cmd_perturb, n=None, l=None, seed=0)
     p.add_argument("--sigma", type=float, nargs="+", required=True,
                    help="one or more noise standard deviations [m]")
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser("simulate", help="tandem-queue simulation / stability probe")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--l", type=float, default=500.0)
+    p = _add_common(sub, "simulate", "tandem-queue simulation / stability probe",
+                    _cmd_simulate, n=10, l=500.0, seed=1)
     p.add_argument("--placement", help="evaluate a stored placement instead of solving")
     p.add_argument("--data-size", type=float, default=1e5, help="mean packet size [bit]")
     p.add_argument("--q-factor", type=float, default=0.8,
@@ -402,40 +381,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-factors", type=comma_separated_numbers,
                    help="comma-separated multiples of q_sup; runs a stability probe")
     p.add_argument("--horizon-packets", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--arrival", choices=(sq.ARRIVAL_POISSON, sq.ARRIVAL_DETERMINISTIC),
                    default=sq.ARRIVAL_POISSON)
     p.add_argument("--size-dist", choices=(sq.SIZE_FIXED, sq.SIZE_EXPONENTIAL),
                    default=sq.SIZE_FIXED)
     p.add_argument("--timeseries", help="also write per-node backlog samples (CSV)")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="optimal vs constant vs vertical risers")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=float, required=True)
+    p = _add_common(sub, "compare", "optimal vs constant vs vertical risers",
+                    _cmd_compare, n=None, l=None)
     p.add_argument("--vertical-depth", type=float, required=True,
                    help="water column height V [m]")
     p.add_argument("--vertical-nl", type=int, required=True,
                    help="number of risers")
     p.add_argument("--vertical-nv", type=int, default=None,
                    help="hops per riser (default: same as --n)")
-    p.set_defaults(func=_cmd_compare)
 
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and kept for the process."""
-    return build_parser()
+_parser = functools.cache(build_parser)   # built on the first `main` call, kept for the process
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         rate, meta = _build_rate(args)
-        return args.func(args, rate, meta)
+        _emit(args, *args.func(args, rate, meta))
+        return 0
     except ConfigError as exc:
         print(f"searelay: {exc}", file=sys.stderr)
         return 2

