@@ -378,14 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-size", type=float, default=1e5, help="mean packet size [bit]")
     p.add_argument("--q-factor", type=float, default=0.8,
                    help="single run at this multiple of the supportable load")
-    p.add_argument("--probe-factors", type=comma_separated_numbers,
-                   help="comma-separated multiples of q_sup; runs a stability probe")
+    runs = p.add_mutually_exclusive_group()   # a probe makes many runs, a timeseries is one's
+    runs.add_argument("--probe-factors", type=comma_separated_numbers,
+                      help="comma-separated multiples of q_sup; runs a stability probe")
+    runs.add_argument("--timeseries", help="also write per-node backlog samples (CSV)")
     p.add_argument("--horizon-packets", type=int, default=50_000)
     p.add_argument("--arrival", choices=(sq.ARRIVAL_POISSON, sq.ARRIVAL_DETERMINISTIC),
                    default=sq.ARRIVAL_POISSON)
     p.add_argument("--size-dist", choices=(sq.SIZE_FIXED, sq.SIZE_EXPONENTIAL),
                    default=sq.SIZE_FIXED)
-    p.add_argument("--timeseries", help="also write per-node backlog samples (CSV)")
 
     p = _add_common(sub, "compare", "optimal vs constant vs vertical risers",
                     _cmd_compare, n=None, l=None)

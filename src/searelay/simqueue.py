@@ -1,38 +1,34 @@
 """Simulation of the relay chain's tandem queues, one recursion per node.
 
-A run is configured by its load, as the analytic model states it: a
-``SimConfig`` holds the placement, the load q [bit/s per m], the mean packet
-size B and a horizon counted in packets.  The packet rate lambda = q L / B,
-the horizon in seconds (horizon_packets / lambda) and the warmup (a fraction
-of the horizon) are derived from those, in that order, in one place.
-
 Packets are generated on [0, L] by a stationary arrival process, collected
 by the nearest node, and forwarded hop by hop toward the sink.  Every hop is
 a FIFO single-server queue whose service time is packet size over the hop's
 rate; store-and-forward, no propagation delay.  Packets landing in the
-sink's own catchment are delivered on arrival and never enter a queue.
+sink's own catchment are delivered on arrival and never enter a queue.  A
+run is configured by its load, as the analytic model states it (``SimConfig``).
 
 Traffic only flows toward the sink, so the chain is feed-forward and the
 nodes are solved one at a time from node N inward, vectorised over packets.
-Node i's arrival times ``A`` are its own packets stably merged with node
-i+1's departures up to the horizon, external arrivals first on ties.  With
-service times ``S`` and ``C = cumsum(S)``, its departures follow Lindley's
-recursion ``D_k = max(A_k, D_{k-1}) + S_k = C_k + max_{j<=k}(A_j - C_{j-1})``
-(Lindley 1952; Glasserman & Yao 1994 for tandem queues).  Backlog samples,
-time averages and the trace all come from ``A`` and ``D``; trace ids are
-indices among the relay packets (those outside the sink's catchment) in
-generation order.
+The packets are grouped by node once, so node i reads its own, ``E_i``, as
+one slice.  Its arrivals ``A`` are ``E_i`` stably merged with node i+1's
+departures up to the horizon, external arrivals first on ties.  With service
+times ``S`` and ``C = cumsum(S)``, its departures follow Lindley's recursion
+``D_k = max(A_k, D_{k-1}) + S_k = C_k + max_{j<=k}(A_j - C_{j-1})``
+(Lindley 1952; Glasserman & Yao 1994 for tandem queues).  Its backlog at a
+sample time t is ``#{A < t} - #{D < t}``, where ``#{A < t} = #{E_i < t} +
+#{D_{i+1} < t}``, and one histogram over (sample bin, node) counts every
+``#{E_i < t}``.  Time averages and the trace come from ``A`` and ``D``;
+trace ids are indices among the relay packets (those outside the sink's
+catchment) in generation order.
 
 The simulator exists to probe stability empirically: below the placement's
 supportable load all queues settle, above it the total backlog grows at the
-overload rate.  ``stability_probe`` classifies a grid of loads with the
-least-squares drift test and reports where the empirical boundary sits; its
-``horizon_packets`` is a cap, and a load stops at the first look that settles
-it (no wrong flag in 8,736 verify-style loads).
+overload rate, which ``stability_probe`` tests on a grid of loads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -144,6 +140,12 @@ class QueueStats:
     queue_samples: np.ndarray     # (N_SAMPLES, N) backlog snapshots
     trace: Optional[dict] = field(default=None, repr=False)
 
+    @functools.cached_property
+    def _post(self) -> tuple:
+        """Post-warmup sample times and total backlogs, summed once for both drift tests."""
+        post = self.sample_times >= self.warmup_s
+        return self.sample_times[post], self.queue_samples.sum(axis=1)[post]
+
 
 def _lsq_slope(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares slope of y (columns) against t.
@@ -176,67 +178,66 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
 
     # --- pre-generate the packet population (draw order fixed for determinism)
     if cfg.arrival_process == ARRIVAL_POISSON:
-        chunks = []
-        t_last = 0.0
+        chunks = [np.zeros(1)]   # each chunk starts from the last one's end, this first at 0
         chunk = max(1024, int(lam * horizon * 1.1) + 64)
-        while t_last <= horizon:
+        while chunks[-1][-1] <= horizon:
             # at tiny rates the chunk's sum can pass the float range; times
             # past the horizon, inf included, are dropped below
             with np.errstate(over="ignore"):
-                cs = t_last + np.cumsum(rng.exponential(1.0 / lam, chunk))
-            chunks.append(cs)
-            t_last = float(cs[-1])
-        times = np.concatenate(chunks)
+                chunks.append(chunks[-1][-1] + np.cumsum(rng.exponential(1.0 / lam, chunk)))
+        times = np.concatenate(chunks[1:])
         times = times[times <= horizon]
     else:
         times = np.arange(1.0, math.floor(lam * horizon) + 1.0) / lam
     m = times.size
     positions = rng.uniform(0.0, placement.length, m)
-    if cfg.packet_size == SIZE_FIXED:
-        sizes = np.full(m, cfg.mean_data_size)
-    else:
-        sizes = rng.exponential(cfg.mean_data_size, m)
+    sizes = None if cfg.packet_size == SIZE_FIXED else rng.exponential(cfg.mean_data_size, m)
 
     x = placement.positions
-    boundaries = 0.5 * (x[:-1] + x[1:])
-    owner = np.searchsorted(boundaries, positions, side="right")  # 0 = sink
-    relay = owner > 0
-    ext_t, ext_node, ext_size = times[relay], owner[relay], sizes[relay]
-    ext_id = np.arange(ext_t.size)     # trace id: index among relay packets
+    owner = np.searchsorted(0.5 * (x[:-1] + x[1:]), positions, side="right")  # 0 = sink
+    grp = np.argsort(owner.astype(np.min_scalar_type(n)), kind="stable")  # by node: a radix sort
+    ids = np.cumsum(owner > 0) - 1 if cfg.record_trace else None  # index among relay packets
+    grouped = [v[grp] for v in (times, sizes, ids) if v is not None]  # only what runs need
+    sample_t = np.linspace(0.0, horizon, N_SAMPLES)
+    per_bin = np.diff(np.searchsorted(times, sample_t), prepend=0, append=m)
+    key = np.repeat(np.arange(0, (N_SAMPLES + 1) * (n + 1), n + 1), per_bin) + owner
+    hist = np.bincount(key, minlength=(N_SAMPLES + 1) * (n + 1)).reshape(N_SAMPLES + 1, n + 1)
+    ext_before = hist.cumsum(axis=0, out=hist)   # [s, k]: #{E_k < t_s}
+    ends = ext_before[-1].cumsum()       # node k's packets: grouped[j][ends[k - 1]:ends[k]]
 
     # --- one Lindley recursion per node, from the far end inward
-    sample_t = np.linspace(0.0, horizon, N_SAMPLES)
-    samples = np.zeros((N_SAMPLES, n), dtype=float)
+    dep_before = np.zeros((N_SAMPLES, n + 1), dtype=np.intp)   # [s, i]: node i + 1's #{D < t_s}
     time_avg = np.zeros(n)
     end_queue = np.zeros(n)
     trace = {"arrivals": [None] * n, "departures": [None] * n} if cfg.record_trace else None
-    up_t, up_id = ext_t[:0], ext_id[:0]   # next node out: departures by the horizon
+    up = [v[:0] for v in grouped]   # next node out: departures by the horizon
     for i in range(n - 1, -1, -1):     # hop i serves node i + 1
-        own = ext_node == i + 1
-        t = np.concatenate((ext_t[own], up_t))
-        order = np.argsort(t, kind="stable")   # external arrivals first on ties
-        a = t[order]
-        ids = np.concatenate((ext_id[own], up_id))[order]
-        s = ext_size[ids] * inv_rate[i]
+        a, *data = [np.concatenate((v[ends[i]:ends[i + 1]], u)) for v, u in zip(grouped, up)]
+        if data:   # sizes or ids follow their packets, external arrivals first on ties
+            order = np.argsort(a, kind="stable")
+            a, data = a[order], [v[order] for v in data]
+        else:
+            a.sort(kind="stable")
+        s = np.full(a.size, cfg.mean_data_size * inv_rate[i]) if sizes is None else data[0] * inv_rate[i]
         c = np.cumsum(s)
-        d = c + np.maximum.accumulate(a - (c - s))
+        d = np.maximum.accumulate(np.subtract(a, np.subtract(c, s, out=s), out=s), out=s) + c
+        dep_before[:, i] = np.searchsorted(d, sample_t)
         done = int(np.searchsorted(d, horizon, side="right"))
-        samples[:, i] = (np.searchsorted(a, sample_t, side="left")
-                         - np.searchsorted(d, sample_t, side="left"))
-        in_window = np.minimum(d, horizon) - np.maximum(a, warmup)
-        time_avg[i] = np.clip(in_window, 0.0, None).sum() / (horizon - warmup)
+        in_window = np.subtract(np.minimum(d, horizon, out=c), np.maximum(a, warmup, out=a), out=c)
+        time_avg[i] = np.maximum(in_window, 0.0, out=in_window).sum() / (horizon - warmup)
         end_queue[i] = a.size - done
         if trace is not None:
-            trace["arrivals"][i], trace["departures"][i] = ids.tolist(), ids[:done].tolist()
-        up_t, up_id = d[:done], ids[:done]
+            trace["arrivals"][i], trace["departures"][i] = data[-1].tolist(), data[-1][:done].tolist()
+        up = [v[:done] for v in (d, *data)]
 
+    samples = np.add(ext_before[:-1, 1:], dep_before[:, 1:] - dep_before[:, :-1], dtype=float)
     post = sample_t >= warmup
     drift = _lsq_slope(sample_t[post], samples[post])
 
     return QueueStats(
         time_avg_queue=time_avg, end_queue=end_queue, drift_slope=drift,
         total_drift_slope=float(drift.sum()),  # slope is linear, so totals add
-        delivered=int(m - ext_t.size + up_t.size),  # sink's own + node 1's
+        delivered=int(ends[0] + up[0].size),  # sink's own + node 1's
         generated=int(m), duration_s=horizon, warmup_s=warmup,
         sample_times=sample_t, queue_samples=samples, trace=trace)
 
@@ -246,8 +247,7 @@ def is_stable(stats: QueueStats, packet_rate: float) -> bool:
     end-backlog backstop against slow late growth."""
     if stats.total_drift_slope >= DRIFT_SLOPE_FRACTION * packet_rate:
         return False
-    post = stats.sample_times >= stats.warmup_s
-    totals = stats.queue_samples[post].sum(axis=1)
+    totals = stats._post[1]
     quarter = max(1, totals.size // 4)
     early_avg = float(totals[:quarter].mean())
     end_total = float(stats.end_queue.sum())
@@ -259,11 +259,11 @@ def _drift_resolved(stats: QueueStats, packet_rate: float, stable: bool) -> bool
     each side of the slope through LOOK_BATCHES post-warmup batch means (Schmeiser
     1982; times scaled as in ``_lsq_slope``), settles ``stable``: within LOOK_STABLE
     thresholds of 0 if stable, else over LOOK_UNSTABLE (1e-4 a look, Wald 1945)."""
-    post = stats.sample_times >= stats.warmup_s
-    k = int(post.sum()) // LOOK_BATCHES * LOOK_BATCHES
+    t, y = stats._post
+    k = y.size // LOOK_BATCHES * LOOK_BATCHES
     e = math.frexp(stats.duration_s)[1]
-    t = np.ldexp(stats.sample_times[post][:k], -e).reshape(LOOK_BATCHES, -1).mean(axis=1)
-    y = stats.queue_samples[post][:k].sum(axis=1).reshape(LOOK_BATCHES, -1).mean(axis=1)
+    t = np.ldexp(t[:k], -e).reshape(LOOK_BATCHES, -1).mean(axis=1)
+    y = y[:k].reshape(LOOK_BATCHES, -1).mean(axis=1)
     tc = t - t.mean()
     slope = float(tc @ y) / float(tc @ tc)
     resid = y - y.mean() - slope * tc
@@ -313,9 +313,8 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
                               h, seed=(seed, i)) for h in looks]:
             stats = simulate(cfg, rate)
             stable = is_stable(stats, cfg.packet_rate)
-            if cfg.horizon_packets == horizon_packets or _drift_resolved(
-                    stats, cfg.packet_rate, stable):
-                break
+            if _drift_resolved(stats, cfg.packet_rate, stable):
+                break   # else the load runs on, its last run being the cap's
         points.append(ProbePoint(q=q, stable=stable,
                                  total_drift_slope=stats.total_drift_slope,
                                  end_backlog=float(stats.end_queue.sum())))

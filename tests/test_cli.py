@@ -273,6 +273,19 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
     assert f"cannot write output {missing}: " in err
 
 
+def test_probe_with_timeseries_exits_2(capsys, tmp_path):
+    # a probe makes many runs, and --timeseries writes one run's samples
+    series = tmp_path / "series.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--preset", "blue", "--n", "4", "--l", "200",
+              "--probe-factors", "0.8,1.2", "--timeseries", str(series)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert not captured.out
+    assert "--timeseries" in captured.err and "--probe-factors" in captured.err
+    assert not series.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "--config", "{dir}", "--n", "2", "--l", "10"),
     ("solve", "--rate-model", "fec", "--fec-config", "{dir}", "--n", "2", "--l", "10"),

@@ -3,6 +3,7 @@ and agreement with the event-by-event reference simulator."""
 
 import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -334,6 +335,130 @@ def test_trace_is_a_by_product(blue_rate, arrival, size_model):
         if f.name != "trace":
             a, b = getattr(with_trace, f.name), getattr(without, f.name)
             assert np.array_equal(a, b), f.name
+
+
+def assert_matches_event_loop(cfg, rate):
+    """simulate(cfg) against the event-loop oracle, field by field."""
+    got, ref = sr.simulate(cfg, rate), simulate_events(cfg, rate)
+    assert got.generated == ref.generated
+    assert got.delivered == ref.delivered
+    assert np.array_equal(got.end_queue, ref.end_queue)
+    assert np.array_equal(got.queue_samples, ref.queue_samples)
+    assert np.array_equal(got.drift_slope, ref.drift_slope)
+    assert got.trace == ref.trace
+    np.testing.assert_allclose(got.time_avg_queue, ref.time_avg_queue,
+                               rtol=1e-9, atol=0.0)
+    return got
+
+
+@pytest.mark.parametrize("mode", range(len(MODES)))
+@pytest.mark.parametrize("factor", [0.8, 1.1, 1.5])
+@pytest.mark.parametrize("n", [1, 3, 10, 12])
+@pytest.mark.parametrize("preset", ["blue", "green", "red"])
+def test_untraced_recursion_matches_event_loop(preset, n, factor, mode):
+    # the runs probes make: no trace ids carried, and fixed sizes not carried
+    # at all (merged times sorted by value)
+    rate, res = solved(preset, n)
+    arrival, size_model = MODES[mode]
+    assert_matches_event_loop(cfg_for(
+        res.placement, factor * res.q_sup, horizon_packets=2_000, arrival=arrival,
+        size_model=size_model, seed=(n, mode)), rate)
+
+
+@functools.lru_cache(maxsize=None)
+def sparse_or_long(kind):
+    """(rate, placement, q_sup) of a chain whose last relay collects no packet
+    (its catchment is half a 1 um hop) or of a solved 60-hop chain."""
+    rate = sr.shannon_rate_function(sr.preset("green"))
+    if kind == "empty-catchment":
+        placement = sr.Placement(distances=np.array([50.0, 50.0, 50.0, 1e-6]),
+                                 length=150.000001)
+        return rate, placement, sr.qsup_of_placement(placement, rate).q_sup
+    res = sr.solve(rate, 60, LENGTH)
+    return rate, res.placement, res.q_sup
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("mode", range(len(MODES)))
+@pytest.mark.parametrize("factor", [0.8, 1.2])
+@pytest.mark.parametrize("kind", ["empty-catchment", "n60"])
+def test_recursion_matches_event_loop_on_sparse_and_long_chains(kind, factor, mode,
+                                                                 record_trace):
+    rate, placement, q_sup = sparse_or_long(kind)
+    arrival, size_model = MODES[mode]
+    got = assert_matches_event_loop(cfg_for(
+        placement, factor * q_sup, horizon_packets=2_000, arrival=arrival,
+        size_model=size_model, seed=(placement.n, mode), record_trace=record_trace), rate)
+    if kind == "empty-catchment":   # no packet reaches the last node; the rest queue
+        assert not got.queue_samples[:, -1].any() and got.end_queue[-1] == 0.0
+        assert got.queue_samples[:, :-1].any()
+
+
+def frozen_rate(d):
+    # plain arithmetic, so the pinned bits hang on no platform's exp or log
+    return 2e8 / (1.0 + d * d / 400.0)
+
+
+# verify-style runs (N = 8-12, early looks and caps, both verify modes) at a
+# load q near 0.8-1.2 of the placement's q_sup; sha256 digests (first 16 hex
+# digits) of every field but the trace and the drift slopes, recorded with the
+# simulator that gathered each node's packets by a mask over all of them
+FROZEN = [
+    (10, 500.0, 82138.89455397286, 6_250, ARRIVAL_POISSON, SIZE_FIXED,
+     {"time_avg_queue": "cc9b806d30e90edf", "end_queue": "3beabfcf929ca1ca",
+      "delivered": "9011ac3ebbf5daf0", "generated": "72f9e9785f5da410",
+      "duration_s": "d73b2cf12d6e7c8d", "warmup_s": "4a1f298abe32e2a5",
+      "sample_times": "a7d46009616ee19c", "queue_samples": "27a05f1f1fb624b7"}),
+    (12, 150.0, 1275524.00270453, 50_000, ARRIVAL_DETERMINISTIC, SIZE_EXPONENTIAL,
+     {"time_avg_queue": "55da29ea3f48829e", "end_queue": "d1f71212def26cba",
+      "delivered": "8fb932e82b1531f1", "generated": "64e3f87a25ba6067",
+      "duration_s": "036b334e74c81af1", "warmup_s": "b0ee0a5ac35f05b3",
+      "sample_times": "4c041866d168e03c", "queue_samples": "71117ce1001b77da"}),
+    (8, 300.0, 287407.6808090501, 6_250, ARRIVAL_DETERMINISTIC, SIZE_EXPONENTIAL,
+     {"time_avg_queue": "84e8f5a0e82eb957", "end_queue": "7b832922b8af0935",
+      "delivered": "be1beb6053f52870", "generated": "f8632ca2f237a113",
+      "duration_s": "ddd0d5635ade15b4", "warmup_s": "8c6152442f35d9ac",
+      "sample_times": "9718e31129d68450", "queue_samples": "12f8ef1f6cc36183"}),
+    (11, 800.0, 23534.205947785413, 50_000, ARRIVAL_POISSON, SIZE_FIXED,
+     {"time_avg_queue": "9427ff2ef757ccc4", "end_queue": "75c2b06a19b0130e",
+      "delivered": "421cc13e21a3d2a7", "generated": "aed38c633366b4dc",
+      "duration_s": "4fd5570bd0fcf669", "warmup_s": "a1c030cb6950efb5",
+      "sample_times": "c8bce3c0bc71f83c", "queue_samples": "ed0b67e19c205158"}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FROZEN)))
+def test_simulate_matches_frozen_digests(case):
+    # pins runs too long for the oracle bit for bit; the drift slopes go
+    # through BLAS dot products, whose summation order may differ between
+    # machines, so they are checked against the pinned samples instead
+    n, length, q, horizon, arrival, size_model, digests = FROZEN[case]
+    w = np.arange(n, 2.0 * n)     # hops lengthen away from the sink, as solved ones do
+    placement = sr.Placement(distances=length * w / w.sum(), length=length)
+    stats = sr.simulate(sr.SimConfig(placement, q, SIZE, arrival, size_model, horizon,
+                                     seed=(31, case)), frozen_rate)
+    got = {f: hashlib.sha256(np.ascontiguousarray(getattr(stats, f), dtype="<f8")
+                             .tobytes()).hexdigest()[:16] for f in digests}
+    assert got == digests
+    assert set(digests) | {"drift_slope", "total_drift_slope", "trace"} == {
+        f.name for f in dataclasses.fields(sr.QueueStats)}
+    post = stats.sample_times >= stats.warmup_s
+    assert np.array_equal(stats.drift_slope,
+                          _lsq_slope(stats.sample_times[post], stats.queue_samples[post]))
+    assert stats.total_drift_slope == float(stats.drift_slope.sum())
+
+
+def test_drift_tests_share_one_post_warmup_total(blue_rate):
+    # is_stable and a probe look's slope band read the same post-warmup
+    # total backlog, summed once a run
+    res = sr.solve(blue_rate, 3, LENGTH)
+    stats = sr.simulate(cfg_for(res.placement, 0.9 * res.q_sup, horizon_packets=5_000,
+                                seed=2), blue_rate)
+    post = stats.sample_times >= stats.warmup_s
+    t, totals = stats._post
+    assert np.array_equal(t, stats.sample_times[post])
+    assert np.array_equal(totals, stats.queue_samples[post].sum(axis=1))
+    assert stats._post is stats._post
 
 
 # ---------------------------------------------------------------------------
