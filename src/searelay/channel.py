@@ -237,9 +237,6 @@ class RateFunction:
             return (f(dd + h) - f(dd - h)) / (2.0 * h)
         return (-3.0 * f(dd) + 4.0 * f(dd + h) - f(dd + 2.0 * h)) / (2.0 * h)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RateFunction({self.label}, r0={self.r0:.6g})"
-
 
 def shannon_rate_function(params: ShannonRateParams) -> RateFunction:
     """Wrap a Shannon-rate channel as a RateFunction."""

@@ -146,8 +146,6 @@ def _read_placement(path: str) -> Placement:
         d = np.asarray([float(v) for v in values])
     except (TypeError, ValueError):
         raise ConfigError(f"placement file {path}: distances must be numbers") from None
-    if d.size == 0:
-        raise ConfigError(f"placement file {path}: no hops")
     try:
         return Placement(distances=d, length=float(d.sum()))
     except ValueError as exc:
@@ -188,13 +186,13 @@ def _cmd_eval(args, rate, meta):
 
 
 def _cmd_sweep_n(args, rate, meta):
-    rows = []
     results = solve_n_range(rate, args.l, args.n_min, args.n_max, tol_q=args.tol_q)
-    for n, res in enumerate(results, start=args.n_min):
-        qc = ev.qsup_of_placement(ev.constant_placement(n, args.l), rate).q_sup
-        rows.append({"n": n, "l": args.l, "q_sup": res.q_sup, "delta": res.q_sup / n,
-                     "q_sup_constant": qc, "delta_constant": qc / n})
-    return rows, None
+    ns = range(args.n_min, args.n_max + 1)
+    # equal spacing's limit is its first hop's, which carries the most
+    qcs = ev.hop_limits(rate, (args.l / np.array(ns))[:, None], args.l)[:, 0].tolist()
+    return [{"n": n, "l": args.l, "q_sup": res.q_sup, "delta": res.q_sup / n,
+             "q_sup_constant": qc, "delta_constant": qc / n}
+            for n, res, qc in zip(ns, results, qcs)], None
 
 
 def _cmd_sweep_l(args, rate, meta):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import RateFunction
-from .solver1d import _SUM_TOL, Placement, _checked_count
+from .solver1d import Placement, _checked_count
 
 __all__ = [
     "PlacementLimit", "PerturbStats", "hop_limits", "qsup_of_placement",
@@ -22,8 +22,7 @@ __all__ = [
     "PERTURB_CSV_HEADER",
 ]
 
-# trial t draws from default_rng([seed, t]), to the bit
-RNG_ALGORITHM = "numpy-pcg64"
+RNG_ALGORITHM = "numpy-pcg64"  # trial t draws from default_rng([seed, t]), to the bit
 _BLOCK_VALUES = 1 << 13        # spacings per perturb_eval block: bounds memory
 
 # SeedSequence's hash-mix constants (NEP 19) and PCG64's 128-bit multiplier
@@ -34,8 +33,8 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK52, _MASK128 = (1 << 52) - 1, (1 << 128) - 1
-_ZIG_R = 3.6541528853610088    # where NumPy's normal sampler's tail starts
 _ROW_LIMIT = 40     # draws a trial past which the per-row path is as cheap
+_SETTLE_LIMIT = 32  # ... and past which settling its slow rows in arrays does not pay
 
 
 @dataclass(frozen=True)
@@ -177,25 +176,50 @@ def _set_state(gen: np.random.Generator, state: int, inc: int) -> None:
                                "state": {"state": state, "inc": inc}}
 
 
+def _crafted_draw(gen: np.random.Generator, layer: int, rabs: int) -> tuple[float, bool]:
+    """NumPy's normal draw from the word ``rabs << 9 | layer``, and whether it took no other."""
+    word = rabs << 9 | layer
+    _set_state(gen, 0, word)    # from state 0 the next state is inc; below 2**64, it is the output
+    return gen.standard_normal(), gen.bit_generator.state["state"]["state"] == word
+
+
 @functools.cache
 def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     """Per layer of NumPy's normal sampler, its width ``wi`` and a proven bound on the
     magnitudes that take its one-word fast path, read back on first use."""
     gen = np.random.Generator(np.random.PCG64(0))
-    inverse = pow(_PCG64_MULT, -1, 1 << 128)
-
-    def draw(layer: int, rabs: int):    # the value; was one word used?
-        word = rabs << 9 | layer        # inc 1: the state after is the word
-        _set_state(gen, (word - 1) * inverse & _MASK128, 1)
-        return gen.standard_normal(), gen.bit_generator.state["state"]["state"] == word
-
-    wi = [draw(i, 1)[0] for i in range(256)]
-    # the table's bounds, guessed from the widths to within 2 and proven by
-    # one draw each; layer 1, and a layer whose proof fails, always go slow
-    guess = [_ZIG_R / wi[0], 0.0] + [2.0**52 * wi[i - 1] / wi[i] for i in range(2, 256)]
-    bound = [g if 0 < g <= 1 << 52 and draw(i, g - 1)[1] else 0
-             for i, g in enumerate(int(g) - 2 for g in guess)]
+    wi = [_crafted_draw(gen, i, 1)[0] for i in range(256)]
+    # the table's bounds, guessed from the widths (layer 0's from wi[255]) to within 2 and
+    # proven by one draw each; layer 1 (guess past 2**52), and a failed proof, go slow
+    bound = [g if 0 < g <= 1 << 52 and _crafted_draw(gen, i, g - 1)[1] else 0
+             for i, g in enumerate(int(2.0**52 * w / v) - 2 for w, v in zip(wi[-1:] + wi, wi))]
     return np.array(wi), np.array(bound, dtype=np.uint64)
+
+
+@functools.cache
+def _wedges() -> tuple[np.ndarray, np.ndarray]:
+    """Per layer, f = exp(-x**2 / 2) at its edge x = 2**52 wi (f[0] = 1), and a bound,
+    proven by a draw that took two words, on the magnitudes taking the wedge test."""
+    wi, bound = _ziggurat()
+    gen = np.random.Generator(np.random.PCG64(0))
+    slow = [s if i and s < 1 << 52 and not _crafted_draw(gen, i, s)[1] else 1 << 52
+            for i, s in enumerate(int(b) + 4 if b else 0 for b in bound)]
+    return np.append(1.0, np.exp(-0.5 * (2.0**52 * wi[1:]) ** 2)), np.array(slow, dtype=np.uint64)
+
+
+def _draws(words: np.ndarray, jumps: np.ndarray, out: np.ndarray | None = None):
+    """Per stream (column of ``words``), its XSL-RR outputs at the draws ``jumps``, their
+    one-word fast path's normals, their layers and magnitudes, and where they leave it."""
+    wi, bound = _ziggurat()
+    state = words[0, :, None], words[1, :, None]
+    step = _mul_add(state, _limbs(_PCG64_MULT - 1), (words[2, :, None], words[3, :, None]))
+    hi, lo = _mul_add(step, jumps, state)
+    word, rot = hi ^ lo, hi >> 58
+    word = word >> rot | word << ((64 - rot) & 63)
+    layer, rabs = (word & 255).astype(np.intp), word >> 9 & _MASK52
+    out = np.multiply(rabs, wi[layer], out=out)
+    np.negative(out, out=out, where=(word & 256) > 0)
+    return word, out, layer, rabs, rabs >= bound[layer]
 
 
 def _trial_noise(words: np.ndarray, sigma: float, k: int) -> np.ndarray:
@@ -204,16 +228,22 @@ def _trial_noise(words: np.ndarray, sigma: float, k: int) -> np.ndarray:
     noise = np.empty((words.shape[1], k))
     rows = np.arange(words.shape[1])    # the rows drawn one at a time
     if k <= _ROW_LIMIT:
-        wi, bound = _ziggurat()
-        state = words[0, :, None], words[1, :, None]
-        step = _mul_add(state, _limbs(_PCG64_MULT - 1), (words[2, :, None], words[3, :, None]))
-        hi, lo = _mul_add(step, _jump(k), state)
-        word, rot = hi ^ lo, hi >> 58       # XSL-RR output
-        word = word >> rot | word << ((64 - rot) & 63)
-        layer, rabs = (word & 255).astype(np.intp), word >> 9 & _MASK52
-        np.multiply(rabs, wi[layer], out=noise)
-        np.negative(noise, out=noise, where=(word & 256) > 0)
-        rows = np.flatnonzero((rabs >= bound[layer]).any(axis=1))
+        step = max(1, _BLOCK_VALUES // k)     # rows a piece, as many values as a block: in cache
+        rows = np.flatnonzero(np.concatenate([
+            _draws(words[:, at:at + step], _jump(k), noise[at:at + step])[-1].any(axis=1)
+            for at in range(0, rows.size, step)]))
+    if k <= _SETTLE_LIMIT:     # settle the slow rows whose one slow draw read is a wedge draw
+        f, wedge = _wedges()
+        word, value, layer, rabs, slow = _draws(words[:, rows], _jump(k + 2))
+        at, j = np.arange(rows.size), slow.argmax(axis=1)
+        i, x = layer[at, j], value[at, j]
+        lhs, rhs = (f[i - 1] - f[i]) * ((word[at, j + 1] >> 11) * 2.0**-53) + f[i], np.exp(-0.5 * x * x)
+        accept, j, col = (lhs < rhs)[:, None], j[:, None], np.arange(k + 2)
+        ok = ((rabs[at, j[:, 0]] >= wedge[i]) & (np.abs(lhs - rhs) > 1e-12 * rhs)    # no near-tie
+              & ~(slow & (col > j + 1) & (col <= k + 1 - accept)).any(axis=1))
+        col = col[:k] + (col[:k] >= j) * (2 - accept) - (col[:k] == j) * accept
+        noise[rows[ok]] = np.take_along_axis(value[ok], col[ok], axis=1)
+        rows = rows[~ok]
     gen = np.random.Generator(np.random.PCG64(0))
     for row, (s_hi, s_lo, i_hi, i_lo) in zip(rows.tolist(), words[:, rows].T.tolist()):
         _set_state(gen, s_hi << 64 | s_lo, i_hi << 64 | i_lo)
@@ -237,25 +267,21 @@ def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
     if n < 3 or sigma == 0.0:
         return PerturbStats(sigma=sigma, trials=trials, seed=seed, mean_q_sup=exact,
                             std_q_sup=0.0, mean_delta=exact / n)
-    base = placement.positions
     block = max(1, _BLOCK_VALUES // n)
     seeded = block * (_BLOCK_VALUES // block)   # trials seeded at once
+    drawn = seeded if n - 2 <= _SETTLE_LIMIT else block    # trials whose noise is drawn at once
     samples = np.empty(trials)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         if start % seeded == 0:
             words = _substream_states(seed, start, min(start + seeded, trials))
-        X = np.tile(base, (stop - start, 1))
-        at = start % seeded     # interior positions x_2..x_{N-1}
-        X[:, 2:n] += _trial_noise(words[:, at:at + stop - start], sigma, n - 2)
+        if start % drawn == 0:
+            noise = _trial_noise(words[:, start % seeded:][:, :drawn], sigma, n - 2)
+        X = np.tile(placement.positions, (stop - start, 1))
+        X[:, 2:n] += noise[start % drawn:][:stop - start]   # interior positions x_2..x_{N-1}
         np.clip(X[:, 1:], 0.0, length, out=X[:, 1:])
         X.sort(axis=1)
-        D = np.diff(X, axis=1)
-        # the checks Placement makes, once per block
-        if not (np.isfinite(D).all() and D.min() >= 0.0
-                and (np.abs(D.sum(axis=1) - length) <= _SUM_TOL * length).all()):
-            raise ValueError(f"perturbed spacings must be finite, >= 0 and sum to {length:.9g}")
-        samples[start:stop] = hop_limits(rate, D, length).min(axis=1)
+        samples[start:stop] = hop_limits(rate, np.diff(X, axis=1), length).min(axis=1)
     mean = float(samples.mean())
     return PerturbStats(sigma=sigma, trials=trials, seed=seed, mean_q_sup=mean,
                         std_q_sup=float(samples.std()), mean_delta=mean / n)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from .channel import RateFunction
 from .scalar import NumericalError
-from .solver1d import Placement, _checked_positive
+from .solver1d import Placement, _checked_count, _checked_positive
 
 __all__ = [
     "ARRIVAL_POISSON", "ARRIVAL_DETERMINISTIC", "SIZE_FIXED", "SIZE_EXPONENTIAL",
@@ -58,8 +57,7 @@ END_QUEUE_FACTOR = 100.0      # ... and end backlog <= factor * early average
 MIN_LOOK_PACKETS = 6_250      # shortest early look of a stability probe
 LOOK_BATCHES = 16             # batch means an early look regresses on
 LOOK_T = 4.99                 # one-sided t quantile, 14 dof, 1e-4 a look
-# a look settles a load whose slope band lies within LOOK_STABLE thresholds of 0
-# or beyond LOOK_UNSTABLE: at 0.99 q_sup, queues still filling reached 2.7
+# `_drift_resolved`'s bands; at 0.99 q_sup, queues still filling reached 2.7
 LOOK_STABLE = 0.5
 LOOK_UNSTABLE = 4.0
 
@@ -104,11 +102,8 @@ class SimConfig:
         if not self.horizon_s > self.warmup_s:
             raise ValueError(f"load {self.q!r} is too large: packet_rate {lam!r} "
                              "leaves no time after the warmup")
-        words = self.seed if isinstance(self.seed, tuple) else (self.seed,)
-        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
-                   and w >= 0 for w in words):
-            raise ValueError("seed must be a non-negative integer or a tuple "
-                             f"of them, got {self.seed!r}")
+        for word in self.seed if isinstance(self.seed, tuple) else (self.seed,):
+            _checked_count(word, "seed", 0)     # an integer or a tuple of them
 
     @property
     def packet_rate(self) -> float:
@@ -201,12 +196,13 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
     sample_t = np.linspace(0.0, horizon, N_SAMPLES)
     per_bin = np.diff(np.searchsorted(times, sample_t), prepend=0, append=m)
     key = np.repeat(np.arange(0, (N_SAMPLES + 1) * (n + 1), n + 1), per_bin) + owner
-    hist = np.bincount(key, minlength=(N_SAMPLES + 1) * (n + 1)).reshape(N_SAMPLES + 1, n + 1)
-    ext_before = hist.cumsum(axis=0, out=hist)   # [s, k]: #{E_k < t_s}
+    # [s, k]: #{E_k < t_s}; the (sample, node) counts are int32, up to 2**31 packets
+    ext_before = np.bincount(key, minlength=(N_SAMPLES + 1) * (n + 1)).reshape(
+        N_SAMPLES + 1, n + 1).cumsum(axis=0, dtype=np.int32)
     ends = ext_before[-1].cumsum()       # node k's packets: grouped[j][ends[k - 1]:ends[k]]
 
     # --- one Lindley recursion per node, from the far end inward
-    dep_before = np.zeros((N_SAMPLES, n + 1), dtype=np.intp)   # [s, i]: node i + 1's #{D < t_s}
+    dep_before = np.zeros((N_SAMPLES, n + 1), dtype=np.int32)   # [s, i]: node i + 1's #{D < t_s}
     time_avg = np.zeros(n)
     end_queue = np.zeros(n)
     trace = {"arrivals": [None] * n, "departures": [None] * n} if cfg.record_trace else None
@@ -230,7 +226,8 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
             trace["arrivals"][i], trace["departures"][i] = data[-1].tolist(), data[-1][:done].tolist()
         up = [v[:done] for v in (d, *data)]
 
-    samples = np.add(ext_before[:-1, 1:], dep_before[:, 1:] - dep_before[:, :-1], dtype=float)
+    samples = np.add(ext_before[:-1, 1:], dep_before[:, 1:], dtype=float)
+    samples -= dep_before[:, :-1]    # exact: the counts are integers
     post = sample_t >= warmup
     drift = _lsq_slope(sample_t[post], samples[post])
 

@@ -16,20 +16,11 @@ that makes every hop's constraint tight, producing spacings that grow with
 distance from the sink.  The optimal supportable load q_sup for a given L is
 then the root, in log q, of log(maximal covered length / L).
 
-The recursion solves a chain's hops one by one, inward, by `_hop_root`, a
-safeguarded secant inside [0, next spacing out] that reuses R there, or,
-for a long chain, all hops at once by Newton sweeps that evaluate R over
-every hop in one array call (`solve_subproblem` says which); hops below the
-roots' 1e-9 m tolerance follow in closed form (`_extend`).  It also returns
-q dC/dq, the derivative of its coverage in log q, from every tight hop
-differentiated implicitly with the slope its root-find ended on.
-
-`solve` finds the load by a safeguarded Newton iteration on log q (as
-`rtsafe`, Press et al., *Numerical Recipes*, section 9.4).  It is an inexact
-Newton method (Dembo, Eisenstat & Steihaug 1982): far from the root a
-recursion's sweeps, or a short chain's hops, stop once it can steer the
-next load step.  `solve_n_range` runs it over a range of hop counts.
-Brent's method (`scalar.bisect_monotone`) serves only `critical_load`.
+`solve_subproblem` runs the recursion and its derivative q dC/dq, `solve`
+finds the load by safeguarded, inexact Newton on log q (`rtsafe`, Press et
+al., *Numerical Recipes* 9.4; Dembo, Eisenstat & Steihaug 1982), and
+`solve_n_range` runs it over hop counts; their docstrings say how.  Brent's
+method (`scalar.bisect_monotone`) serves only `critical_load`.
 """
 
 from __future__ import annotations
@@ -278,10 +269,9 @@ def critical_load(rate: RateFunction) -> float:
     R(0)/d_half with d_half the hop length at which R falls to R(0)/2.
     """
     r0 = rate.r0
-    r = rate.scalar
 
     def f(d: float) -> float:
-        return r(d) - 0.5 * r0
+        return rate.scalar(d) - 0.5 * r0
 
     lo, f_lo, hi, f_hi = bracket_monotone(f, 0.0, 0.5 * r0, 1.0)
     d_half = bisect_monotone(f, lo, hi, f_lo, f_hi, xtol=_X_TOL, rtol=_X_RTOL)[0]

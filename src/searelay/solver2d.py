@@ -10,10 +10,6 @@ divided by the strip each hop drains:
 
     y-hops:  q_sup(R over [0, H]) / L       -> q_y
     x-hops:  q_sup(R over [0, L]) / c_max   -> q_x,  c_max = tallest strip
-
-The y-solve fixes the row spacings and q_y; the x-solve is repeated with a
-growing column count until q_x exceeds q_y, which makes the y-family the
-binding one and q_y the grid's supportable load.
 """
 
 from __future__ import annotations
@@ -78,12 +74,8 @@ def strip_heights(h_spacings: np.ndarray) -> np.ndarray:
 
 
 def grid_qsup(grid: Grid2D, rate: RateFunction) -> float:
-    """Supportable load of an arbitrary grid (min over both hop families).
-
-    Each family is the 1-D hop bound over its own extent, divided by the
-    strip each of its hops drains: the tallest strip for the x-hops, the
-    row length L for the y-hops.
-    """
+    """Supportable load of an arbitrary grid: the smaller family's, each the
+    1-D hop bound over its own extent divided by its strip factor."""
     c = float(strip_heights(grid.h_spacings).max())
     q_x = hop_limits(rate, grid.l_spacings[None], grid.length).min() / c
     q_y = hop_limits(rate, grid.h_spacings[None], grid.height).min() / grid.length

@@ -332,6 +332,26 @@ def test_sweep_n_rows_and_baseline(capsys):
     assert all(b > a for a, b in zip(qs, qs[1:]))
 
 
+@pytest.mark.parametrize("model", ["red", "green", "blue", "fec"])
+def test_sweep_n_constant_column_matches_per_n(tmp_path, model):
+    # the equal-spacing column, one hop_limits call over every n, is each
+    # n's constant_placement evaluated on its own, to the bit
+    argv = ["sweep-n", "--n-max", "40"]
+    if model == "fec":
+        cfg = tmp_path / "fec.json"
+        cfg.write_text(json.dumps(FEC_CONFIG))
+        argv += ["--rate-model", "fec", "--fec-config", str(cfg)]
+    else:
+        argv += ["--preset", model]
+    for length in (3.0, 150.0, 1000.0):
+        args = cli._parser().parse_args(argv + ["--l", str(length)])
+        rate, meta = cli._build_rate(args)
+        rows, _ = cli._cmd_sweep_n(args, rate, meta)
+        for row in rows:
+            qc = sr.qsup_of_placement(sr.constant_placement(row["n"], length), rate).q_sup
+            assert (row["q_sup_constant"], row["delta_constant"]) == (qc, qc / row["n"])
+
+
 def test_sweep_l_range_and_values(capsys):
     code, out, _ = run(capsys, "sweep-l", "--preset", "blue", "--n", "4",
                        "--l-min", "100", "--l-max", "300", "--l-step", "100")

@@ -370,6 +370,86 @@ def test_import_reads_no_sampler_tables():
     assert out.stdout.split() == ["0", "0"]
 
 
+def test_import_reads_no_wedge_table():
+    # the wedge table is as lazy as the fast path's
+    code = ("import searelay; from searelay import evaluate as e; "
+            "print(e._wedges.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(evaluate.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["0"]
+
+
+def crafted_words(first, second):
+    """_substream_states columns of PCG64 streams whose next two outputs
+    are the words ``first`` and ``second``: with both states below 2**64
+    the output is the state, and inc carries the one to the other."""
+    mult, mask = evaluate._PCG64_MULT, 2**128 - 1
+    columns = []
+    for w1, w2 in zip(first, second):
+        inc = (w2 - mult * w1) & mask
+        state = (w1 - inc) * pow(mult, -1, 2**128) & mask
+        columns.append([state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1])
+    return np.array(columns, dtype=np.uint64).T
+
+
+def count_set_state(monkeypatch):
+    calls = []
+    real = evaluate._set_state
+    monkeypatch.setattr(evaluate, "_set_state", lambda *a: (calls.append(a), real(*a)))
+    return calls
+
+
+def numpy_draw(column, words=3):
+    """NumPy's normal draw from the stream of a _substream_states column,
+    and the stream's first few words."""
+    state = {"state": column[0] << 64 | column[1], "inc": column[2] << 64 | column[3]}
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    gen = np.random.Generator(bitgen)
+    z = gen.standard_normal()
+    bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    return z, bitgen.random_raw(words).tolist()
+
+
+def test_wedge_verdicts_match_numpy(monkeypatch):
+    # in every layer with a wedge, a first draw there whose next word puts
+    # NumPy's test just to either side of the derived threshold, outside the
+    # tie margin: NumPy accepts below it and rejects above it, and the array
+    # settle gives NumPy's draw, by a Generator only where the retry is slow
+    wi, bound = evaluate._ziggurat()
+    f, wedge = evaluate._wedges()
+    first, second, accept = [], [], []
+    for layer in range(1, 256):
+        rabs = int(wedge[layer]) + (2**52 - int(wedge[layer])) // 2
+        x = rabs * wi[layer]
+        rhs = math.exp(-0.5 * x * x)
+        for side in (-1, 1):
+            u = (rhs * (1.0 + side * 4e-12) - f[layer]) / (f[layer - 1] - f[layer])
+            first.append(rabs << 9 | layer)
+            second.append(round(u * 2**53) << 11)
+            accept.append(side < 0)
+    words = crafted_words(first, second)
+    want, retry_slow = [], []
+    for column, word, accepted in zip(words.T.tolist(), first, accept):
+        z, raw = numpy_draw(column)
+        assert raw[:2] == [word, second[len(want)]]
+        assert (z == (word >> 9) * wi[word & 255]) == accepted
+        want.append(z)
+        retry_slow.append(not accepted and raw[2] >> 9 & 2**52 - 1 >= bound[raw[2] & 255])
+    calls = count_set_state(monkeypatch)
+    assert np.array_equal(evaluate._trial_noise(words, 1.0, 1)[:, 0], want)
+    assert len(calls) == sum(retry_slow)
+
+
+@pytest.mark.parametrize("k", [6, 8, 10])
+def test_few_trials_reach_the_generator(monkeypatch, k):
+    words = evaluate._substream_states(2, 0, 10_000)
+    calls = count_set_state(monkeypatch)
+    evaluate._trial_noise(words, 1.0, k)
+    assert len(calls) <= 200      # 2% of the trials
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
 def test_perturb_rejects_bad_seed(blue_rate, blue_10_500, seed):
     with pytest.raises(ValueError, match="seed"):

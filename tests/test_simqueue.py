@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -529,3 +530,18 @@ def test_lsq_slope_exact_under_power_of_two_scaling():
     for k in (-900, 900, 1010):     # 1010: sums of squares overflow unscaled
         scaled = _lsq_slope(np.ldexp(t, k), y)
         assert np.ldexp(scaled, k).tobytes() == base.tobytes()
+
+
+def test_long_chain_run_memory(blue_rate):
+    # the (sample, node) counts are int32 and the samples are built in
+    # place: a 20k-packet run at N = 2000 traced 127 MiB with int64 counts
+    placement = sr.constant_placement(2000, 5000.0)
+    q = 0.8 * sr.qsup_of_placement(placement, blue_rate).q_sup
+    tracemalloc.start()
+    try:
+        stats = sr.simulate(cfg_for(placement, q, arrival=ARRIVAL_POISSON), blue_rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.generated > 19_000
+    assert peak <= 100 * 2**20
