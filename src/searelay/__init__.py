@@ -9,15 +9,14 @@ to a planar grid; `simqueue` checks the analytic boundary with a
 tandem-queue simulation solved node by node as Lindley recursions.
 """
 
-from . import channel, evaluate, scalar, simqueue, solver1d, solver2d
+from . import channel, evaluate, simqueue, solver1d, solver2d
 from .channel import *
 from .evaluate import *
-from .scalar import *
 from .simqueue import *
 from .solver1d import *
 from .solver2d import *
 
 __version__ = "0.1.0"
 
-_MODULES = (channel, scalar, solver1d, evaluate, solver2d, simqueue)
+_MODULES = (channel, solver1d, evaluate, solver2d, simqueue)
 __all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -24,8 +24,7 @@ import numpy as np
 from . import channel as ch
 from . import evaluate as ev
 from . import simqueue as sq
-from .scalar import NumericalError
-from .solver1d import Placement, solve, solve_n_range
+from .solver1d import NumericalError, Placement, solve, solve_n_range
 from .solver2d import solve_2d
 
 __all__ = ["main", "ConfigError"]

@@ -36,8 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import RateFunction
-from .scalar import NumericalError
-from .solver1d import Placement, _checked_count, _checked_positive
+from .solver1d import NumericalError, Placement, _checked_count, _checked_positive
 
 __all__ = [
     "ARRIVAL_POISSON", "ARRIVAL_DETERMINISTIC", "SIZE_FIXED", "SIZE_EXPONENTIAL",

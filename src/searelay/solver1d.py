@@ -19,8 +19,9 @@ then the root, in log q, of log(maximal covered length / L).
 `solve_subproblem` runs the recursion and its derivative q dC/dq, `solve`
 finds the load by safeguarded, inexact Newton on log q (`rtsafe`, Press et
 al., *Numerical Recipes* 9.4; Dembo, Eisenstat & Steihaug 1982), and
-`solve_n_range` runs it over hop counts; their docstrings say how.  Brent's
-method (`scalar.bisect_monotone`) serves only `critical_load`.
+`solve_n_range` runs it over hop counts; their docstrings say how.  Every
+hop is a root of `_hop_root`, and so is d_half, where R falls to R(0)/2:
+`critical_load` roots R(x) - R(0)/2 from a doubling bracket.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .channel import RateFunction, _checked_positive
-from .scalar import (MaxItersError, NumericalError, bisect_monotone,
-                     bracket_monotone)
 
 __all__ = [
     "CASE_I", "CASE_II", "Placement", "SubproblemResult", "SolveResult",
-    "OutOfRangeError", "WrongBranchError", "NumericalInfeasibleError",
+    "NumericalError", "NoBracketError", "MaxItersError", "OutOfRangeError",
+    "WrongBranchError", "NumericalInfeasibleError",
     "surplus", "surplus_inverse", "critical_load", "critical_length",
     "solve_subproblem", "solve", "solve_n_range", "decay_factor", "surplus_slope",
 ]
@@ -54,6 +54,7 @@ _X_RTOL = 5e-10      # ... plus relative tolerance
 _LOG_Q_TOL = 2e-10   # default load tolerance, in log q (i.e. relative)
 _MAX_HOP_ITERS = 200  # hop-root cap; bisection takes a 1e6 m bracket to 1e-9 m in 50
 _MAX_LOAD_ITERS = 100  # load-root cap; bisection takes the bracket to 2e-10 in ~40
+_MAX_WALK_STEPS = 60   # d_half's walk limit: 2**59 m
 _MAX_SWEEPS = 8        # sweeps before the hop-by-hop recursion takes over
 # only longer chains sweep: a sweep's ~30 numpy calls cost more than the
 # hop-by-hop recursion below 24-32 hops at dq/q = 1e-5 (1 sweep), 32-48 at
@@ -69,6 +70,18 @@ _TINY_PRODUCT = 1e-250  # smallest back-substitution product an array sweep take
 # from that one's, and keeps its f' within _NEAR_REL, where R' moves < 1e-5
 _WARM_REL, _NEAR_REL = 0.1, 1e-5
 _TIGHT, _LOOSE_FIRST, _LOOSE_FAR = 0.01, 2e5, 4e4  # hop tolerance multiples: `_hop_tol`
+
+
+class NumericalError(RuntimeError):
+    """A numeric routine failed on input it accepted; the CLI exits 3 on it."""
+
+
+class NoBracketError(NumericalError):
+    """R does not fall to R(0)/2 along the walk from 1 m to 2**59 m."""
+
+
+class MaxItersError(NumericalError):
+    """A root-finder hit its iteration cap before reaching tolerance."""
 
 
 class OutOfRangeError(ValueError):
@@ -195,15 +208,15 @@ def surplus_inverse(rate: RateFunction, q: float, t: float) -> float:
 
 def _hop_root(r, r0: float, q: float, t: float, hi: float, r_hi: float,
               x: float, slope: float | None = None, tol: float = _TIGHT,
-              warm: bool = False) -> tuple[float, float, float | None]:
-    """Root in [0, hi] of f(x) = R(x) - q (x/2 + t), R there, and f' there.
+              warm: bool = False, c: float = 0.0) -> tuple[float, float, float | None]:
+    """Root in [0, hi] of f(x) = R(x) - (c + q (x/2 + t)), R there, and f' there.
 
-    r is R's float path and r_hi = R(hi).  f is q (surplus(x) - t), finite
-    where R(0)/q overflows, convex and decreasing: f' = R' - q/2 <= -q/2.  A
-    safeguarded secant runs from x, its first step Newton's with `slope` if
-    given; each step aims a quarter tolerance, `tol` times 1e-9 m + 5e-10 x,
-    below the root it predicts, and goes half a tolerance if shorter than
-    one.  As f is convex, the chord from a point where f >= 0 to the
+    r is R's float path and r_hi = R(hi).  f, q (surplus(x) - t) if c = 0,
+    is finite where R(0)/q overflows, convex and decreasing: f' = R' - q/2
+    <= -q/2.  A safeguarded secant runs from x, its first step Newton's with
+    `slope` if given; each step aims a quarter tolerance, `tol` times 1e-9 m
+    + 5e-10 x, below the root it predicts, and goes half a tolerance if
+    shorter than one.  As f is convex, the chord from a point where f >= 0 to the
     bracket's upper end crosses zero at or beyond the root: once that is
     within the tolerance, the point is returned, never beyond the root.
     f' there, capped at -q/2, is `slope` if `warm` and x is returned; else
@@ -213,11 +226,11 @@ def _hop_root(r, r0: float, q: float, t: float, hi: float, r_hi: float,
     root is taken at 0 or hi unevaluated.
     """
     lo, r_lo = 0.0, r0
-    f_lo = r0 - q * t
+    f_lo = r0 - (c + q * t)
     if f_lo <= 0.0:
         # t is R(0)/q up to roundoff
         return lo, r_lo, None
-    f_hi = r_hi - q * (0.5 * hi + t)
+    f_hi = r_hi - (c + q * (0.5 * hi + t))
     if f_hi >= 0.0:
         # the upper bound is the root up to roundoff
         return hi, r_hi, None
@@ -230,7 +243,7 @@ def _hop_root(r, r0: float, q: float, t: float, hi: float, r_hi: float,
         if not lo < x < hi:  # bisect, in log x across a bracket wider than 4:1
             x = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo > 0.0 else 0.5 * (lo + hi)
         r_x = r(x)
-        fx = r_x - q * (0.5 * x + t)
+        fx = r_x - (c + q * (0.5 * x + t))
         if fx >= 0.0:
             lo, r_lo, f_lo = x, r_x, fx
         else:
@@ -239,7 +252,7 @@ def _hop_root(r, r0: float, q: float, t: float, hi: float, r_hi: float,
         if f_lo * (hi - lo) <= eps * (f_lo - f_hi):
             if not (warm and lo == x0):
                 near = 1e-6 * (x + t) if 1e-6 * (x + t) > 100.0 * eps else 100.0 * eps
-                noise = 1e-10 * (r_x + q * (0.5 * x + t))
+                noise = 1e-10 * (r_x + c + q * (0.5 * x + t))
                 if -near < x - xp < near and not -noise < fx - fp < noise:
                     slope = (fx - fp) / (x - xp)
                 else:
@@ -262,20 +275,33 @@ def _hop_root(r, r0: float, q: float, t: float, hi: float, r_hi: float,
     raise MaxItersError(f"hop root did not converge in {_MAX_HOP_ITERS} iterations")
 
 
+def bracket_monotone(r, r0: float, level: float) -> tuple[float, float, float, float]:
+    """(a, R(a), b, R(b)) with R(b) <= level < R(a): b the first of 1, 2, 4, ...
+    m where R falls to level, a the walk's point before (0 first, R(0) = r0)."""
+    a, r_a, b = 0.0, r0, 1.0
+    for _ in range(_MAX_WALK_STEPS):
+        r_b = r(b)
+        if r_b <= level:
+            return a, r_a, b, r_b
+        a, r_a, b = b, r_b, 2.0 * b
+    raise NoBracketError(f"R stays above {level!r} up to {a!r} m")
+
+
+bisect_monotone = _hop_root  # the name critical_load calls it by, which perfbench spans
+
+
 def critical_load(rate: RateFunction) -> float:
     """Load q0 above which a single active hop outperforms any chain.
 
     Root of the strictly increasing map q -> R(R(0)/q) - R(0)/2, i.e.
-    R(0)/d_half with d_half the hop length at which R falls to R(0)/2.
+    R(0)/d_half with d_half the hop length at which R falls to R(0)/2: the
+    hop root of R(x) - R(0)/2 on the bracket a doubling walk from 1 m finds,
+    started from the chord over the walk's last step, and never past it.
     """
-    r0 = rate.r0
-
-    def f(d: float) -> float:
-        return rate.scalar(d) - 0.5 * r0
-
-    lo, f_lo, hi, f_hi = bracket_monotone(f, 0.0, 0.5 * r0, 1.0)
-    d_half = bisect_monotone(f, lo, hi, f_lo, f_hi, xtol=_X_TOL, rtol=_X_RTOL)[0]
-    return r0 / d_half
+    r, r0 = rate.scalar, rate.r0
+    a, r_a, b, r_b = bracket_monotone(r, r0, 0.5 * r0)
+    x = a + (r_a - 0.5 * r0) * ((b - a) / (r_a - r_b))
+    return r0 / bisect_monotone(r, r0, 0.0, 0.0, b, r_b, x, c=0.5 * r0)[0]
 
 
 def critical_length(rate: RateFunction) -> float:

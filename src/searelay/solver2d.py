@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import RateFunction
 from .evaluate import hop_limits
-from .scalar import NumericalError
-from .solver1d import Placement, _checked_count, _checked_positive, solve, solve_n_range
+from .solver1d import (NumericalError, Placement, _checked_count, _checked_positive, solve,
+                       solve_n_range)
 
 __all__ = [
     "Grid2D",

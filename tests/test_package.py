@@ -3,9 +3,9 @@
 import inspect
 
 import searelay as sr
-from searelay import channel, evaluate, scalar, simqueue, solver1d, solver2d
+from searelay import channel, evaluate, simqueue, solver1d, solver2d
 
-MODULES = (channel, scalar, solver1d, evaluate, solver2d, simqueue)
+MODULES = (channel, solver1d, evaluate, solver2d, simqueue)
 
 
 def test_package_exports_every_module_export():

@@ -25,6 +25,9 @@ FROZEN = {
     "green": (532195003.511, 10.5972247565),
     "blue": (412889835.967, 13.6593095184),
 }
+# and perfbench's FEC model (`ROUNDTRIP_RATES["fec"]`), as the walk and
+# Brent's method found them
+FROZEN_THRESHOLDS = {**FROZEN, "fec": (244828606.623, 0.408449001853)}
 
 
 def rel(a, b):
@@ -98,18 +101,30 @@ def test_surplus_inverse_matches_grid_scan(blue_rate):
 # critical load and length
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(FROZEN))
+@pytest.mark.parametrize("name", sorted(FROZEN_THRESHOLDS))
 def test_critical_load_frozen_and_identity(name):
-    rate = sr.shannon_rate_function(sr.preset(name))
+    rate = ROUNDTRIP_RATES[name]
     q0 = sr.critical_load(rate)
-    q0_expect, l0_expect = FROZEN[name]
-    assert rel(q0, q0_expect) < 1e-8
-    # defining identity R(R(0)/q0) = R(0)/2, up to the root solver width
+    q0_expect, l0_expect = FROZEN_THRESHOLDS[name]
+    assert rel(q0, q0_expect) < 1e-9
+    # defining identity R(R(0)/q0) = R(0)/2, up to the root solver width,
+    # with d_half = R(0)/q0 on the root's near side
     assert rel(rate(rate.r0 / q0), rate.r0 / 2) < 1e-7
+    assert rate(rate.r0 / q0) >= rate.r0 / 2
     l0 = sr.critical_length(rate)
-    assert rel(l0, l0_expect) < 1e-8
+    assert rel(l0, l0_expect) < 1e-9
     # L0 solves the zero-surplus equation at q0
     assert abs(sr.surplus(rate, q0, l0)) < 1e-6 * l0
+
+
+@pytest.mark.parametrize("name, calls", [("blue", 10), ("fec", 9), ("green", 11), ("red", 9)])
+def test_critical_load_scalar_calls(name, calls):
+    # machine-independent: the walk and the hop root of d_half make no more
+    # scalar R calls than the walk and Brent's method did, and no array call
+    rate = counting_rate(ROUNDTRIP_RATES[name])
+    rate.evals[:] = [0, 0]
+    sr.critical_load(rate)
+    assert rate.evals[0] <= calls and rate.evals[1] == 0, rate.evals
 
 
 def test_critical_load_dichotomy(blue_rate):
