@@ -1,9 +1,11 @@
 """Reference per-trial position-noise Monte Carlo (test oracle).
 
 The loop ``searelay.evaluate.perturb_eval`` ran before it evaluated trials
-in blocks through ``hop_limits``: one ``Placement`` per trial, re-evaluated
+in chunks through ``hop_limits``: one ``Placement`` per trial, re-evaluated
 on its own by the per-placement hop-load bound that ``qsup_of_placement``
 used then, kept here whole so the oracle shares no code with the kernel.
+Trial t's noise is row t % 1024 of the block of standard normals that
+``default_rng([seed, t // 1024])`` draws, scaled by sigma.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import numpy as np
 
 from searelay.evaluate import PerturbStats
 from searelay.solver1d import Placement
+
+BLOCK = 1024  # trials per Generator
 
 
 def placement_qsup(placement: Placement, rate) -> float:
@@ -46,9 +50,11 @@ def perturb_trials(placement: Placement, rate, sigma: float,
     n_interior = n - 2
     samples = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
+        if t % BLOCK == 0:
+            rng = np.random.default_rng([seed, t // BLOCK])
+            block = rng.standard_normal((BLOCK, n_interior))
         x = base.copy()
-        x[interior] += rng.normal(0.0, sigma, n_interior)
+        x[interior] += sigma * block[t % BLOCK]
         np.clip(x[1:], 0.0, length, out=x[1:])
         x.sort()
         d = np.diff(x)

@@ -1,15 +1,11 @@
 """Placement evaluation, node-count tradeoff, vertical chains, jitter."""
 
+import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from conftest import qsup_of_rows
 from perturb_oracle import perturb_trials
 
@@ -237,6 +233,12 @@ def test_perturb_mean_degrades_with_sigma(blue_rate, blue_10_500):
     assert means[0] > means[1] > means[2]
 
 
+# a trial count that crosses a Generator's 1024-trial block and ends inside
+# the next; from N = 12 on, a chunk (at most 8192 spacings) is shorter than a
+# block, so it crosses chunk edges too
+EDGE_TRIALS = evaluate._BLOCK_TRIALS + 6
+
+
 @pytest.mark.parametrize("seed", [0, 9])
 @pytest.mark.parametrize("sigma_frac", [0.02, 0.3, 2.0])
 @pytest.mark.parametrize("n", [3, 8, 12, 60])
@@ -246,14 +248,14 @@ def test_perturb_matches_per_trial_loop(model, n, sigma_frac, seed):
     length = 500.0
     placement = sr.solve(rate, n, length).placement
     sigma = sigma_frac * length / n        # 2 L/N clips nodes at 0 and L
-    got = sr.perturb_eval(placement, rate, sigma, trials=60, seed=seed)
-    assert got == perturb_trials(placement, rate, sigma, trials=60, seed=seed)
+    got = sr.perturb_eval(placement, rate, sigma, trials=EDGE_TRIALS, seed=seed)
+    assert got == perturb_trials(placement, rate, sigma, trials=EDGE_TRIALS, seed=seed)
 
 
 def test_perturb_blocks_match_per_trial_loop(blue_rate):
     n, length = 60, 500.0
     placement = sr.solve(blue_rate, n, length).placement
-    trials = 2 * (evaluate._BLOCK_VALUES // n) + 3    # two full blocks and a tail
+    trials = 2 * evaluate._BLOCK_TRIALS + 3    # two full blocks and a tail
     got = sr.perturb_eval(placement, blue_rate, 0.3 * length / n,
                           trials=trials, seed=4)
     assert got == perturb_trials(placement, blue_rate, 0.3 * length / n,
@@ -263,191 +265,104 @@ def test_perturb_blocks_match_per_trial_loop(blue_rate):
 @pytest.mark.parametrize("sigma_frac", [0.05, 0.2])
 @pytest.mark.parametrize("n", [8, 12])
 def test_perturb_matches_per_trial_loop_at_scale(n, sigma_frac):
-    # the verify benchmark's shapes: 10k trials cross a seeding chunk and
-    # hold every kind of slow row
+    # the verify benchmark's shapes: 10k trials cross nine blocks, and at
+    # N = 12 twenty chunks of 512 trials
     placement = sr.solve(model_rate("blue"), n, 500.0).placement
     args = (placement, model_rate("blue"), sigma_frac * 500.0 / n)
     assert (sr.perturb_eval(*args, trials=10_000, seed=2**31 - 1)
             == perturb_trials(*args, trials=10_000, seed=2**31 - 1))
 
 
-# seeds of 1, 2 and 3 entropy words; trials at perturb_eval's block edge
-# (N = 10) and where t grows a second word
-STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**70]
-STREAM_BLOCK = evaluate._BLOCK_VALUES // 10
-STREAM_TRIALS = [0, 1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1,
-                 2**32 - 1, 2**32, 2**32 + 1]
-# per seed, trials whose first draw leaves the normal sampler's one-word
-# fast path: into the tail of layer 0, in layer 1, and in a wedge of a
-# higher layer that rejects the draw and that accepts it
-SLOW_TRIALS = {0: (4832, 566, 39, 105), 1: (12962, 666, 192, 59),
-               2**32 - 1: (695, 781, 16, 128), 2**32: (3243, 122, 155, 192),
-               2**63: (1770, 191, 206, 109), 2**70: (336, 1, 259, 382)}
-SLOW_KINDS = ("tail", "layer 1", "rejected", "accepted")
+def perturbed_spacings(monkeypatch, *args, **kwargs) -> np.ndarray:
+    """The spacings of every perturbed trial of one perturb_eval call, one
+    row a trial, as its hop-load bound reads them."""
+    rows, real = [], evaluate.hop_limits
+    monkeypatch.setattr(evaluate, "hop_limits",
+                        lambda rate, D, length: (rows.append(np.array(D)), real(rate, D, length))[1])
+    sr.perturb_eval(*args, **kwargs)
+    monkeypatch.setattr(evaluate, "hop_limits", real)
+    return np.concatenate(rows[1:])     # the first is the unperturbed placement
 
 
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_substream_states_match_numpy(seed):
-    # perturb_eval's contract: trial t draws from default_rng([seed, t]).
-    # A failure here means NumPy's SeedSequence or PCG64 seeding changed.
-    # the second block mixes 1- and 2-word t
-    blocks = [(0, STREAM_BLOCK + 2), (2**32 - 1, 2**32 + 2)]
-    got = {}
-    for start, stop in blocks:
-        words = evaluate._substream_states(seed, start, stop)
-        assert words.dtype == np.uint64 and words.shape == (4, stop - start)
-        got.update((t, (s_hi << 64 | s_lo, i_hi << 64 | i_lo))
-                   for t, (s_hi, s_lo, i_hi, i_lo)
-                   in zip(range(start, stop), words.T.tolist()))
-    for t in STREAM_TRIALS:
-        want = np.random.PCG64([seed, t]).state["state"]
-        assert got[t] == (want["state"], want["inc"]), \
-            f"PCG64([{seed}, {t}]) state differs from NumPy's"
+@pytest.mark.parametrize("seed", [5, 2**64 + 3])
+def test_trial_noise_ignores_trial_count(monkeypatch, blue_rate, blue_10_500, seed):
+    args = (blue_10_500.placement, blue_rate, 4.0)
+    runs = [perturbed_spacings(monkeypatch, *args, trials=t, seed=seed)
+            for t in (1023, 1024, 1025, 3000)]
+    assert [len(r) for r in runs] == [1023, 1024, 1025, 3000]
+    for run in runs[:-1]:
+        assert np.array_equal(run, runs[-1][:len(run)])
+    assert not np.array_equal(runs[-1][:1024], runs[-1][1024:2048])
 
 
-def trial_noise(seed, start, stop, sigma, k):
-    words = evaluate._substream_states(seed, start, stop)
-    return evaluate._trial_noise(words, sigma, k)
+def test_trial_noise_scales_with_sigma(monkeypatch, blue_rate):
+    # spacings of 50 m and at most 2 * 4.5 sigma of noise a node keep the
+    # order, so each sorted position is its node's; the last relay sits
+    # 1 m short of L and is clipped there in about a third of the trials
+    d = np.r_[np.full(8, 50.0), 99.0, 1.0]
+    placement = sr.Placement(distances=d, length=d.sum())
+    x = placement.positions
+    moved = [np.cumsum(perturbed_spacings(monkeypatch, placement, blue_rate, s,
+                                          trials=3000, seed=8), axis=1) - x[1:]
+             for s in (1.0, 2.0)]
+    clipped = np.isclose(x[1:] + moved[1], placement.length, rtol=0.0, atol=1e-9)
+    assert 0.2 < clipped[:, -2].mean() < 0.8 and not clipped[:, :-2].any()
+    free = ~clipped & ~np.isclose(x[1:] + moved[0], placement.length, rtol=0.0, atol=1e-9)
+    assert moved[1][free] == pytest.approx(2.0 * moved[0][free], abs=1e-9)
+    assert np.abs(moved[1][:, 1:-2]).min() > 0.0
 
 
-def first_draw_kind(seed, t):
-    """How NumPy's normal sampler takes trial t's first draw."""
-    wi, bound = evaluate._ziggurat()
-    word = int(np.random.PCG64([seed, t]).random_raw())
-    layer, rabs = word & 255, word >> 9 & (2**52 - 1)
-    if rabs < bound[layer]:
-        return "fast"
-    if layer < 2:
-        return ("tail", "layer 1")[layer]
-    z = np.random.default_rng([seed, t]).standard_normal()
-    return "accepted" if abs(z) == rabs * wi[layer] else "rejected"
+def test_perturb_frozen_digest(monkeypatch, blue_rate):
+    # one small call, pinned: the spacings of its 2,500 trials to the bit
+    # (a failure here means NumPy's default_rng or normal stream changed),
+    # and its summary to roundoff in the rate model
+    args = (sr.constant_placement(10, 500.0), blue_rate, 5.0)
+    D = perturbed_spacings(monkeypatch, *args, trials=2500, seed=3)
+    assert D.shape == (2500, 10)
+    digest = hashlib.sha256(np.ascontiguousarray(D, dtype="<f8").tobytes()).hexdigest()[:16]
+    assert digest == "08a57446454e1424"
+    out = sr.perturb_eval(*args, trials=2500, seed=3)
+    assert (out.mean_q_sup, out.std_q_sup) == pytest.approx((2599496.748157897, 86223.25315847706), rel=1e-12)
+    assert out.rng_algorithm == "numpy-pcg64-block1024"
 
 
-@pytest.mark.parametrize("k", [1, 8, evaluate._ROW_LIMIT,
-                               evaluate._ROW_LIMIT + 1, 1998])
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_trial_noise_matches_default_rng(seed, k):
-    sigma = 3.7
-    slow = [(t, t + 2) for t in SLOW_TRIALS[seed]]
-    for start, stop in [(0, 3), (STREAM_BLOCK - 1, STREAM_BLOCK + 2),
-                        (2**32 - 1, 2**32 + 2), *slow]:
-        got = trial_noise(seed, start, stop, sigma, k)
-        want = [np.random.default_rng([seed, t]).normal(0.0, sigma, k)
-                for t in range(start, stop)]
-        assert np.array_equal(got, want), \
-            f"draws of trials {start}..{stop - 1}, seed {seed}, differ from NumPy's"
-    # the slow rows really are slow, each in its own way
-    assert [first_draw_kind(seed, t) for t in SLOW_TRIALS[seed]] == list(SLOW_KINDS)
+def per_trial_generator_qsup(placement, rate, sigma, trials, seed):
+    """q_sup samples under the earlier noise contract, in which trial t drew
+    ``default_rng([seed, t]).normal(0, sigma, N - 2)``."""
+    n, length = placement.n, placement.length
+    X = np.tile(placement.positions, (trials, 1))
+    for t in range(trials):
+        X[t, 2:n] += np.random.default_rng([seed, t]).normal(0.0, sigma, n - 2)
+    np.clip(X[:, 1:], 0.0, length, out=X[:, 1:])
+    X.sort(axis=1)
+    return qsup_of_rows(rate, np.diff(X, axis=1), length)
 
 
-def test_fast_path_bounds():
-    # layer 1 always goes slow; elsewhere the proven bounds keep 98% of
-    # draws on the array path
-    wi, bound = evaluate._ziggurat()
-    assert bound[1] == 0 and np.delete(bound, 1).all()
-    assert bound.astype(float).mean() > 0.98 * 2**52
+@pytest.mark.parametrize("n", [3, 10, 60])
+@pytest.mark.parametrize("model", MODELS)
+def test_perturb_agrees_with_per_trial_generators(model, n):
+    # the change of contract moves each mean by Monte Carlo error only
+    rate, length, trials = model_rate(model), 500.0, 3000
+    placement = sr.solve(rate, n, length).placement
+    sigma = 0.3 * length / n
+    new = sr.perturb_eval(placement, rate, sigma, trials=trials, seed=6)
+    old = per_trial_generator_qsup(placement, rate, sigma, trials, seed=6)
+    assert new.std_q_sup > 0.0 and old.std() > 0.0
+    error = math.hypot(new.std_q_sup, old.std()) / math.sqrt(trials)
+    assert abs(new.mean_q_sup - old.mean()) <= 4.0 * error
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**70 - 1), rows=st.integers(1, 8),
-       start=st.integers(0, 2**64 - 9),
-       k=st.integers(1, evaluate._ROW_LIMIT + 8))
-def test_trial_noise_property(seed, rows, start, k):
-    got = trial_noise(seed, start, start + rows, 0.5, k)
-    want = [np.random.default_rng([seed, t]).normal(0.0, 0.5, k)
-            for t in range(start, start + rows)]
-    assert np.array_equal(got, want)
-
-
-def test_import_reads_no_sampler_tables():
-    # the tables are read on the first draw, so importing stays cheap
-    code = ("import searelay; from searelay import evaluate as e; "
-            "print(e._ziggurat.cache_info().currsize, "
-            "e._jump.cache_info().currsize)")
-    env = {**os.environ, "PYTHONPATH": str(Path(evaluate.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.split() == ["0", "0"]
-
-
-def test_import_reads_no_wedge_table():
-    # the wedge table is as lazy as the fast path's
-    code = ("import searelay; from searelay import evaluate as e; "
-            "print(e._wedges.cache_info().currsize)")
-    env = {**os.environ, "PYTHONPATH": str(Path(evaluate.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.split() == ["0"]
-
-
-def crafted_words(first, second):
-    """_substream_states columns of PCG64 streams whose next two outputs
-    are the words ``first`` and ``second``: with both states below 2**64
-    the output is the state, and inc carries the one to the other."""
-    mult, mask = evaluate._PCG64_MULT, 2**128 - 1
-    columns = []
-    for w1, w2 in zip(first, second):
-        inc = (w2 - mult * w1) & mask
-        state = (w1 - inc) * pow(mult, -1, 2**128) & mask
-        columns.append([state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1])
-    return np.array(columns, dtype=np.uint64).T
-
-
-def count_set_state(monkeypatch):
-    calls = []
-    real = evaluate._set_state
-    monkeypatch.setattr(evaluate, "_set_state", lambda *a: (calls.append(a), real(*a)))
-    return calls
-
-
-def numpy_draw(column, words=3):
-    """NumPy's normal draw from the stream of a _substream_states column,
-    and the stream's first few words."""
-    state = {"state": column[0] << 64 | column[1], "inc": column[2] << 64 | column[3]}
-    bitgen = np.random.PCG64(0)
-    bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    gen = np.random.Generator(bitgen)
-    z = gen.standard_normal()
-    bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    return z, bitgen.random_raw(words).tolist()
-
-
-def test_wedge_verdicts_match_numpy(monkeypatch):
-    # in every layer with a wedge, a first draw there whose next word puts
-    # NumPy's test just to either side of the derived threshold, outside the
-    # tie margin: NumPy accepts below it and rejects above it, and the array
-    # settle gives NumPy's draw, by a Generator only where the retry is slow
-    wi, bound = evaluate._ziggurat()
-    f, wedge = evaluate._wedges()
-    first, second, accept = [], [], []
-    for layer in range(1, 256):
-        rabs = int(wedge[layer]) + (2**52 - int(wedge[layer])) // 2
-        x = rabs * wi[layer]
-        rhs = math.exp(-0.5 * x * x)
-        for side in (-1, 1):
-            u = (rhs * (1.0 + side * 4e-12) - f[layer]) / (f[layer - 1] - f[layer])
-            first.append(rabs << 9 | layer)
-            second.append(round(u * 2**53) << 11)
-            accept.append(side < 0)
-    words = crafted_words(first, second)
-    want, retry_slow = [], []
-    for column, word, accepted in zip(words.T.tolist(), first, accept):
-        z, raw = numpy_draw(column)
-        assert raw[:2] == [word, second[len(want)]]
-        assert (z == (word >> 9) * wi[word & 255]) == accepted
-        want.append(z)
-        retry_slow.append(not accepted and raw[2] >> 9 & 2**52 - 1 >= bound[raw[2] & 255])
-    calls = count_set_state(monkeypatch)
-    assert np.array_equal(evaluate._trial_noise(words, 1.0, 1)[:, 0], want)
-    assert len(calls) == sum(retry_slow)
-
-
-@pytest.mark.parametrize("k", [6, 8, 10])
-def test_few_trials_reach_the_generator(monkeypatch, k):
-    words = evaluate._substream_states(2, 0, 10_000)
-    calls = count_set_state(monkeypatch)
-    evaluate._trial_noise(words, 1.0, k)
-    assert len(calls) <= 200      # 2% of the trials
+def test_perturb_memory_is_chunked(blue_rate):
+    # noise drawn whole, 1024 x 1998 normals, would alone take 16 MiB
+    placement = sr.constant_placement(2000, 5000.0)
+    sr.perturb_eval(placement, blue_rate, 0.8, trials=8, seed=1)      # warm up
+    tracemalloc.start()
+    try:
+        sr.perturb_eval(placement, blue_rate, 0.8, trials=1024, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
