@@ -295,6 +295,46 @@ def test_trial_noise_ignores_trial_count(monkeypatch, blue_rate, blue_10_500, se
     assert not np.array_equal(runs[-1][:1024], runs[-1][1024:2048])
 
 
+# seeds of 1, 2 and 3 entropy words
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**70]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_substream_states_match_numpy(monkeypatch, blue_rate, seed):
+    # block b seeds its own Generator as default_rng([seed, b]) does; a
+    # wrapped or truncated seed, swapped words, or one Generator carried
+    # across blocks fails here
+    made, real = [], np.random.default_rng
+
+    def spy(*args):
+        gen = real(*args)
+        made.append(gen.bit_generator.state)
+        return gen
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    sr.perturb_eval(sr.constant_placement(10, 500.0), blue_rate, 3.7,
+                    trials=2 * evaluate._BLOCK_TRIALS + 3, seed=seed)
+    assert made == [np.random.PCG64([seed, b]).state for b in range(3)]
+
+
+@pytest.mark.parametrize("k", [1, 8, 40, 41, 1998])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_noise_matches_default_rng(monkeypatch, blue_rate, seed, k):
+    # every trial across a block edge, k noisy nodes (1998: chunks of 4
+    # trials), is its row of the blocks default_rng draws whole
+    n, sigma, trials = k + 2, 3.7, EDGE_TRIALS
+    placement = sr.constant_placement(n, 40.0 * n)
+    got = perturbed_spacings(monkeypatch, placement, blue_rate, sigma,
+                             trials=trials, seed=seed)
+    noise = np.concatenate([np.random.default_rng([seed, b]).standard_normal((1024, k))
+                            for b in (0, 1)])
+    X = np.tile(placement.positions, (trials, 1))
+    X[:, 2:n] += sigma * noise[:trials]
+    np.clip(X[:, 1:], 0.0, placement.length, out=X[:, 1:])
+    X.sort(axis=1)
+    assert np.array_equal(got, np.diff(X, axis=1))
+
+
 def test_trial_noise_scales_with_sigma(monkeypatch, blue_rate):
     # spacings of 50 m and at most 2 * 4.5 sigma of noise a node keep the
     # order, so each sorted position is its node's; the last relay sits
