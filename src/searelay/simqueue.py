@@ -6,6 +6,10 @@ a FIFO single-server queue whose service time is packet size over the hop's
 rate; store-and-forward, no propagation delay.  Packets landing in the
 sink's own catchment are delivered on arrival and never enter a queue.  A
 run is configured by its load, as the analytic model states it (``SimConfig``).
+A run works in unit time (arrivals in mean inter-arrival times 1/lambda, sizes
+in mean sizes B): only its service times, size x lambda B / R_i at hop i,
+depend on the load, and its outputs are converted to seconds.  Runs that differ
+only in load or rate share one draw (common random numbers), kept in a memo.
 
 Traffic only flows toward the sink, so the chain is feed-forward and the
 nodes are solved one at a time from node N inward, vectorised over packets.
@@ -19,7 +23,8 @@ sample time t is ``#{A < t} - #{D < t}``, where ``#{A < t} = #{E_i < t} +
 #{D_{i+1} < t}``, and one histogram over (sample bin, node) counts every
 ``#{E_i < t}``.  Time averages and the trace come from ``A`` and ``D``;
 trace ids are indices among the relay packets (those outside the sink's
-catchment) in generation order.
+catchment) in generation order.  With fixed sizes, departures are monotone
+in the service times, so each sample of the total backlog is too in the load.
 
 The simulator exists to probe stability empirically: below the placement's
 supportable load all queues settle, above it the total backlog grows at the
@@ -59,6 +64,7 @@ LOOK_T = 4.99                 # one-sided t quantile, 14 dof, 1e-4 a look
 # `_drift_resolved`'s bands; at 0.99 q_sup, queues still filling reached 2.7
 LOOK_STABLE = 0.5
 LOOK_UNSTABLE = 4.0
+_memo: dict = {}              # the last run's packet population, under its key
 
 
 class InconclusiveProbeError(NumericalError):
@@ -73,7 +79,8 @@ class InconclusiveProbeError(NumericalError):
 class SimConfig:
     """One run: ``placement`` carrying ``q`` bit/s per meter in packets of
     mean size ``mean_data_size`` bits, for ``horizon_packets`` mean
-    inter-arrival times, of which the first ``WARMUP_FRAC`` is warmup."""
+    inter-arrival times, of which the first ``WARMUP_FRAC`` is warmup; its
+    packets, drawn in unit time from ``seed``, are the same at any q or B."""
 
     placement: Placement
     q: float                          # offered load [bit/s per m]
@@ -142,63 +149,67 @@ class QueueStats:
 
 
 def _lsq_slope(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares slope of y (columns) against t.
-
-    The times are scaled by the power of two nearest their largest
-    magnitude first, so sums of squares stay finite on any finite horizon;
-    the scaling is exact, which leaves the slope's bits unchanged.
-    """
-    e = math.frexp(float(np.abs(t).max()))[1]
-    ts = np.ldexp(t, -e)
-    tc = ts - ts.mean()
+    """Least-squares slope of y (columns) against t."""
+    tc = t - t.mean()
     denom = float(tc @ tc)
     if denom == 0.0:
         return np.zeros(y.shape[1])
-    return np.ldexp((tc @ y) / denom, -e)
+    return (tc @ y) / denom
 
 
-def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
-    """Run the tandem-queue simulation and summarize backlog behavior."""
-    placement = cfg.placement
-    n = placement.n
-    lam, horizon, warmup = cfg.packet_rate, cfg.horizon_s, cfg.warmup_s
-
-    link_rate = np.asarray(rate(placement.distances), dtype=float)
-    if np.any(link_rate <= 0.0) or not np.all(np.isfinite(link_rate)):
-        raise ValueError("every hop needs a positive, finite rate")
-    inv_rate = 1.0 / link_rate
-
+def _population(cfg: SimConfig) -> tuple:
+    """(grouped, ext_before, ends, sample times) of ``cfg``'s packets in unit time,
+    ``grouped`` being arrival times, sizes unless fixed and trace ids if recorded,
+    by node; read-only, in a one-entry memo keyed by all the draw depends on."""
+    p = cfg.placement
+    key = (p.distances.tobytes(), p.length, cfg.horizon_packets, cfg.arrival_process,
+           cfg.packet_size, cfg.seed, cfg.record_trace)
+    if key in _memo:
+        return _memo[key]
+    _memo.clear()   # before the draw, so no two populations are held at once
+    n, horizon = p.n, cfg.horizon_packets
     rng = np.random.default_rng(cfg.seed)
-
-    # --- pre-generate the packet population (draw order fixed for determinism)
+    # draw order fixed for determinism: times, positions, sizes
     if cfg.arrival_process == ARRIVAL_POISSON:
-        chunks = [np.zeros(1)]   # each chunk starts from the last one's end, this first at 0
-        chunk = max(1024, int(lam * horizon * 1.1) + 64)
-        while chunks[-1][-1] <= horizon:
-            # at tiny rates the chunk's sum can pass the float range; times
-            # past the horizon, inf included, are dropped below
-            with np.errstate(over="ignore"):
-                chunks.append(chunks[-1][-1] + np.cumsum(rng.exponential(1.0 / lam, chunk)))
-        times = np.concatenate(chunks[1:])
+        chunk = max(1024, int(horizon * 1.1) + 64)
+        times = np.cumsum(rng.standard_exponential(chunk))
+        while times[-1] <= horizon:   # rarely: a chunk goes on from the last one's end
+            times = np.append(times, times[-1] + np.cumsum(rng.standard_exponential(chunk)))
         times = times[times <= horizon]
     else:
-        times = np.arange(1.0, math.floor(lam * horizon) + 1.0) / lam
-    m = times.size
-    positions = rng.uniform(0.0, placement.length, m)
-    sizes = None if cfg.packet_size == SIZE_FIXED else rng.exponential(cfg.mean_data_size, m)
+        times = np.arange(1.0, math.floor(horizon) + 1.0)
+    positions = rng.uniform(0.0, p.length, times.size)
+    sizes = None if cfg.packet_size == SIZE_FIXED else rng.standard_exponential(times.size)
 
-    x = placement.positions
+    x = p.positions
     owner = np.searchsorted(0.5 * (x[:-1] + x[1:]), positions, side="right")  # 0 = sink
     grp = np.argsort(owner.astype(np.min_scalar_type(n)), kind="stable")  # by node: a radix sort
     ids = np.cumsum(owner > 0) - 1 if cfg.record_trace else None  # index among relay packets
     grouped = [v[grp] for v in (times, sizes, ids) if v is not None]  # only what runs need
     sample_t = np.linspace(0.0, horizon, N_SAMPLES)
-    per_bin = np.diff(np.searchsorted(times, sample_t), prepend=0, append=m)
-    key = np.repeat(np.arange(0, (N_SAMPLES + 1) * (n + 1), n + 1), per_bin) + owner
+    per_bin = np.diff(np.searchsorted(times, sample_t), prepend=0, append=times.size)
+    bins = np.repeat(np.arange(0, (N_SAMPLES + 1) * (n + 1), n + 1), per_bin) + owner
     # [s, k]: #{E_k < t_s}; the (sample, node) counts are int32, up to 2**31 packets
-    ext_before = np.bincount(key, minlength=(N_SAMPLES + 1) * (n + 1)).reshape(
+    ext_before = np.bincount(bins, minlength=(N_SAMPLES + 1) * (n + 1)).reshape(
         N_SAMPLES + 1, n + 1).cumsum(axis=0, dtype=np.int32)
     ends = ext_before[-1].cumsum()       # node k's packets: grouped[j][ends[k - 1]:ends[k]]
+    for v in (*grouped, ext_before, ends, sample_t):
+        v.flags.writeable = False
+    _memo[key] = pop = (grouped, ext_before, ends, sample_t)
+    return pop
+
+
+def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
+    """Run the tandem-queue simulation and summarize backlog behavior."""
+    n, lam = cfg.placement.n, cfg.packet_rate
+    horizon = cfg.horizon_packets          # unit time: mean inter-arrival times
+    warmup = WARMUP_FRAC * horizon
+
+    link_rate = np.asarray(rate(cfg.placement.distances), dtype=float)
+    if np.any(link_rate <= 0.0) or not np.all(np.isfinite(link_rate)):
+        raise ValueError("every hop needs a positive, finite rate")
+    service = cfg.q * cfg.placement.length / link_rate   # lambda B / R: in unit time
+    grouped, ext_before, ends, sample_t = _population(cfg)
 
     # --- one Lindley recursion per node, from the far end inward
     dep_before = np.zeros((N_SAMPLES, n + 1), dtype=np.int32)   # [s, i]: node i + 1's #{D < t_s}
@@ -213,7 +224,7 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
             a, data = a[order], [v[order] for v in data]
         else:
             a.sort(kind="stable")
-        s = np.full(a.size, cfg.mean_data_size * inv_rate[i]) if sizes is None else data[0] * inv_rate[i]
+        s = np.full(a.size, service[i]) if cfg.packet_size == SIZE_FIXED else data[0] * service[i]
         c = np.cumsum(s)
         d = np.maximum.accumulate(np.subtract(a, np.subtract(c, s, out=s), out=s), out=s) + c
         dep_before[:, i] = np.searchsorted(d, sample_t)
@@ -228,44 +239,41 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
     samples = np.add(ext_before[:-1, 1:], dep_before[:, 1:], dtype=float)
     samples -= dep_before[:, :-1]    # exact: the counts are integers
     post = sample_t >= warmup
-    drift = _lsq_slope(sample_t[post], samples[post])
+    drift = _lsq_slope(sample_t[post], samples[post]) * lam   # in packets/s
 
     return QueueStats(
         time_avg_queue=time_avg, end_queue=end_queue, drift_slope=drift,
         total_drift_slope=float(drift.sum()),  # slope is linear, so totals add
         delivered=int(ends[0] + up[0].size),  # sink's own + node 1's
-        generated=int(m), duration_s=horizon, warmup_s=warmup,
-        sample_times=sample_t, queue_samples=samples, trace=trace)
+        generated=int(ends[-1]), duration_s=cfg.horizon_s, warmup_s=cfg.warmup_s,
+        sample_times=sample_t / lam, queue_samples=samples, trace=trace)
 
 
 def is_stable(stats: QueueStats, packet_rate: float) -> bool:
     """Drift test: total backlog slope under 1% of the packet rate, with an
     end-backlog backstop against slow late growth."""
-    if stats.total_drift_slope >= DRIFT_SLOPE_FRACTION * packet_rate:
-        return False
     totals = stats._post[1]
-    quarter = max(1, totals.size // 4)
-    early_avg = float(totals[:quarter].mean())
-    end_total = float(stats.end_queue.sum())
-    return end_total <= END_QUEUE_FACTOR * max(early_avg, 1e-9)
+    early_avg = float(totals[:max(1, totals.size // 4)].mean())
+    return (stats.total_drift_slope < DRIFT_SLOPE_FRACTION * packet_rate
+            and float(stats.end_queue.sum()) <= END_QUEUE_FACTOR * max(early_avg, 1e-9))
 
 
 def _drift_resolved(stats: QueueStats, packet_rate: float, stable: bool) -> bool:
     """Whether the backlog slope's band, LOOK_T standard errors from its residuals
     each side of the slope through LOOK_BATCHES post-warmup batch means (Schmeiser
-    1982; times scaled as in ``_lsq_slope``), settles ``stable``: within LOOK_STABLE
-    thresholds of 0 if stable, else over LOOK_UNSTABLE (1e-4 a look, Wald 1945)."""
+    1982; in unit time), settles ``stable``: within LOOK_STABLE thresholds of 0
+    if stable, else over LOOK_UNSTABLE (1e-4 a look, Wald 1945)."""
     t, y = stats._post
     k = y.size // LOOK_BATCHES * LOOK_BATCHES
-    e = math.frexp(stats.duration_s)[1]
-    t = np.ldexp(t[:k], -e).reshape(LOOK_BATCHES, -1).mean(axis=1)
+    t = (t[:k] * packet_rate).reshape(LOOK_BATCHES, -1).mean(axis=1)   # in unit time
     y = y[:k].reshape(LOOK_BATCHES, -1).mean(axis=1)
     tc = t - t.mean()
     slope = float(tc @ y) / float(tc @ tc)
     resid = y - y.mean() - slope * tc
     half = LOOK_T * math.sqrt(float(resid @ resid) / (LOOK_BATCHES - 2) / float(tc @ tc))
-    tau = math.ldexp(DRIFT_SLOPE_FRACTION * packet_rate, e)   # in scaled time
-    return abs(slope) + half < LOOK_STABLE * tau if stable else slope - half > LOOK_UNSTABLE * tau
+    # the threshold is DRIFT_SLOPE_FRACTION packets per unit time
+    return (abs(slope) + half < LOOK_STABLE * DRIFT_SLOPE_FRACTION if stable
+            else slope - half > LOOK_UNSTABLE * DRIFT_SLOPE_FRACTION)
 
 
 @dataclass(frozen=True)
@@ -289,10 +297,11 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
                     packet_size: str = SIZE_FIXED) -> ProbeResult:
     """Simulate each load in an ascending grid and locate the empirical boundary.
 
-    Load i runs at the looks cap/8, cap/4, cap/2 of ``horizon_packets`` (those
-    of at least ``MIN_LOOK_PACKETS``) and the cap, each one ``SimConfig`` run
-    seeded (seed, i), and stops at the first look that ``_drift_resolved``
-    settles, else the cap; its point and flag are that run's."""
+    Each load runs at the looks cap/8, cap/4, cap/2 of ``horizon_packets`` (of
+    at least ``MIN_LOOK_PACKETS``) and the cap, each one ``SimConfig`` run, and
+    stops at the first look that ``_drift_resolved`` settles, else the cap; its
+    point and flag are that run's.  Look j is seeded (seed, j) at every load, so
+    its loads share one population; it runs every load still unsettled."""
     q_grid = [float(q) for q in q_grid]
     if not q_grid:
         raise ValueError("q_grid must not be empty")
@@ -302,18 +311,20 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
         raise ValueError("q_grid must be strictly increasing")
     looks = [h for h in (horizon_packets / 8, horizon_packets / 4, horizon_packets / 2)
              if h >= MIN_LOOK_PACKETS] + [horizon_packets]
-    points = []
-    for i, q in enumerate(q_grid):
-        # all looks are checked first: a load fails as its cap's run would, the lowest first
-        for cfg in [SimConfig(placement, q, mean_data_size, arrival_process, packet_size,
-                              h, seed=(seed, i)) for h in looks]:
+    # every run is checked first: a load fails as its cap's run would, the lowest first
+    runs = [[SimConfig(placement, q, mean_data_size, arrival_process, packet_size, h,
+                       seed=(seed, j)) for j, h in enumerate(looks)] for q in q_grid]
+    points, unsettled = [None] * len(q_grid), list(range(len(q_grid)))
+    for j in range(len(looks)):
+        for i in unsettled[:]:   # a load left unsettled runs on; the cap's run is final
+            cfg = runs[i][j]
             stats = simulate(cfg, rate)
             stable = is_stable(stats, cfg.packet_rate)
+            points[i] = ProbePoint(q=cfg.q, stable=stable,
+                                   total_drift_slope=stats.total_drift_slope,
+                                   end_backlog=float(stats.end_queue.sum()))
             if _drift_resolved(stats, cfg.packet_rate, stable):
-                break   # else the load runs on, its last run being the cap's
-        points.append(ProbePoint(q=q, stable=stable,
-                                 total_drift_slope=stats.total_drift_slope,
-                                 end_backlog=float(stats.end_queue.sum())))
+                unsettled.remove(i)
     flags = [p.stable for p in points]
     # all stable loads must precede all unstable ones
     if any(a < b for a, b in zip(flags, flags[1:])):

@@ -39,9 +39,9 @@ from .channel import RateFunction, _checked_positive
 __all__ = [
     "CASE_I", "CASE_II", "Placement", "SubproblemResult", "SolveResult",
     "NumericalError", "NoBracketError", "MaxItersError", "OutOfRangeError",
-    "WrongBranchError", "NumericalInfeasibleError",
+    "NumericalInfeasibleError",
     "surplus", "surplus_inverse", "critical_load", "critical_length",
-    "solve_subproblem", "solve", "solve_n_range", "decay_factor", "surplus_slope",
+    "solve_subproblem", "solve", "solve_n_range", "surplus_slope",
 ]
 
 CASE_I = "case-i"    # single active hop: load too heavy for a chain to help
@@ -86,10 +86,6 @@ class MaxItersError(NumericalError):
 
 class OutOfRangeError(ValueError):
     """Requested surplus value exceeds the maximum R(0)/q attained at x = 0."""
-
-
-class WrongBranchError(NumericalError):
-    """Decay factor requested at a load where the chain solution is inactive."""
 
 
 class NumericalInfeasibleError(NumericalError):
@@ -296,10 +292,14 @@ def critical_load(rate: RateFunction) -> float:
     Root of the strictly increasing map q -> R(R(0)/q) - R(0)/2, i.e.
     R(0)/d_half with d_half the hop length at which R falls to R(0)/2: the
     hop root of R(x) - R(0)/2 on the bracket a doubling walk from 1 m finds,
-    started from the chord over the walk's last step, and never past it.
+    started from the chord over the walk's last step, and never past it.  A
+    rate that rounds to R(0)/2 on a plateau, at the walk's point b and at
+    b (1 - 1e-9), never halves (1 + exp(-d), say): `NoBracketError`.
     """
     r, r0 = rate.scalar, rate.r0
     a, r_a, b, r_b = bracket_monotone(r, r0, 0.5 * r0)
+    if r_b == 0.5 * r0 and r(b - 1e-9 * b) == r_b:
+        raise NoBracketError(f"R falls to R(0)/2 only by roundoff, flat before {b!r} m")
     x = a + (r_a - 0.5 * r0) * ((b - a) / (r_a - r_b))
     return r0 / bisect_monotone(r, r0, 0.0, 0.0, b, r_b, x, c=0.5 * r0)[0]
 
@@ -312,17 +312,6 @@ def critical_length(rate: RateFunction) -> float:
 def surplus_slope(rate: RateFunction, q: float, x: float) -> float:
     """Numeric derivative of the surplus: R'(x)/q - 1/2."""
     return rate.derivative(x) / _checked_positive(q, "load q") - 0.5
-
-
-def decay_factor(rate: RateFunction, q: float) -> float:
-    """Geometric factor gamma in (0, 1) bounding how fast spacings shrink sink-ward.
-
-    Defined as 1 + 1/surplus_slope(0); only meaningful on the chain branch
-    (q below the critical load), where the slope at 0 is below -1.
-    """
-    if _checked_positive(q, "load q") >= critical_load(rate):
-        raise WrongBranchError("decay factor is defined only below the critical load")
-    return 1.0 + 1.0 / surplus_slope(rate, q, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +494,11 @@ def _extend(rate: RateFunction, sub: SubproblemResult, n: int | None = None
     innermost hop; on the single-hop branch nothing.
 
     Once a hop a falls below the hop tolerance (see `_inward`), R is linear
-    in d to roundoff, and so is the recursion: each hop inward of a is gamma
-    = `decay_factor` times the one beyond, with f' = R'(0) - q/2.  Summed as
-    a series, the implicit derivative of hop m inward of a is q dd_m/dq =
-    (1 - 1/gamma) gamma^m (dd_a (f'_a/q + 1) + m d_a (1 + gamma)/2).  These
-    depend only on hop a and m, and the sums run on from sub's, so a
+    in d to roundoff, and so is the recursion: each hop inward of a is the
+    decay factor gamma = 1 + q/f'(0) times the one beyond, with f' = R' - q/2.
+    Summed as a series, the implicit derivative of hop m inward of a is
+    q dd_m/dq = (1 - 1/gamma) gamma^m (dd_a (f'_a/q + 1) + m d_a (1 + gamma)/2).
+    These depend only on hop a and m, and the sums run on from sub's, so a
     recursion extended across the tail is the one solved whole, bit for bit.
     """
     n = sub.distances.size + 1 if n is None else n

@@ -1,11 +1,20 @@
 """Reference event-driven tandem-queue simulator (test oracle).
 
 The heap/deque event loop that ``searelay.simqueue.simulate`` used before
-its per-node Lindley recursion, kept whole, packet generation included.  It
-processes one event at a time: the earliest of the next external arrival and
-the next departure, external arrivals first on ties.  It draws the packets
-in the same order as ``simulate`` and returns the same ``QueueStats``, so
-tests can compare the two field by field, draw order included.
+its per-node Lindley recursion, packet generation included.  It processes
+one event at a time: the earliest of the next external arrival and the next
+departure, external arrivals first on ties.  It draws the packets in unit
+time (arrival times in mean inter-arrival times, sizes in mean sizes) and in
+the same order as ``simulate``, runs its clock in unit time and returns the
+same ``QueueStats`` in seconds, so tests can compare the two field by field,
+draw order included.
+
+Only a departure's time, max(arrival, last departure) + service, is written
+as ``simulate`` writes it, in Lindley's closed form (``departure``): on unit
+time's lattice (integer deterministic arrivals, fixed sizes, a horizon of
+whole packets) departures can tie the horizon or an arrival exactly, and two
+ways of rounding the same sum would then decide the tie differently.  The
+queues, their order, counts, samples and time averages stay the loop's own.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from collections import deque
 
 import numpy as np
 
-from searelay.simqueue import (ARRIVAL_POISSON, N_SAMPLES, SIZE_FIXED,
+from searelay.simqueue import (ARRIVAL_POISSON, N_SAMPLES, SIZE_FIXED, WARMUP_FRAC,
                                QueueStats, SimConfig, _lsq_slope)
 
 
@@ -25,14 +34,15 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
     placement = cfg.placement
     n = placement.n
     lam = cfg.packet_rate
-    mean_size = cfg.mean_data_size
-    horizon, warmup = cfg.horizon_s, cfg.warmup_s
+    horizon = cfg.horizon_packets      # unit time: mean inter-arrival times
+    warmup = WARMUP_FRAC * horizon
 
     d = placement.distances
     link_rate = np.asarray(rate(d), dtype=float)
     if np.any(link_rate <= 0.0) or not np.all(np.isfinite(link_rate)):
         raise ValueError("every hop needs a positive, finite rate")
-    inv_rate = (1.0 / link_rate).tolist()
+    # a mean packet's service time at each hop, in unit time
+    service = (cfg.q * placement.length / link_rate).tolist()
 
     rng = np.random.default_rng(cfg.seed)
 
@@ -40,21 +50,21 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
     if cfg.arrival_process == ARRIVAL_POISSON:
         chunks = []
         t_last = 0.0
-        chunk = max(1024, int(lam * horizon * 1.1) + 64)
+        chunk = max(1024, int(horizon * 1.1) + 64)
         while t_last <= horizon:
-            cs = t_last + np.cumsum(rng.exponential(1.0 / lam, chunk))
+            cs = t_last + np.cumsum(rng.standard_exponential(chunk))
             chunks.append(cs)
             t_last = float(cs[-1])
         times = np.concatenate(chunks)
         times = times[times <= horizon]
     else:
-        times = np.arange(1.0, math.floor(lam * horizon) + 1.0) / lam
+        times = np.arange(1.0, math.floor(horizon) + 1.0)
     m = times.size
     positions = rng.uniform(0.0, placement.length, m)
     if cfg.packet_size == SIZE_FIXED:
-        sizes = np.full(m, mean_size)
+        sizes = np.ones(m)           # in mean sizes
     else:
-        sizes = rng.exponential(mean_size, m)
+        sizes = rng.standard_exponential(m)
 
     x = placement.positions
     boundaries = 0.5 * (x[:-1] + x[1:])
@@ -71,7 +81,7 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
     # --- state
     counts = [0] * (n + 1)          # packets at each node (waiting + in service)
     busy = [False] * (n + 1)
-    queues = [deque() for _ in range(n + 1)]   # waiting packet sizes
+    queues = [deque() for _ in range(n + 1)]   # waiting packets
     acc = [0.0] * (n + 1)           # time integral of counts
     last_t = [0.0] * (n + 1)
     warm_acc = None
@@ -95,6 +105,18 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
 
     def snapshot_warm(at: float) -> list:
         return [acc[i] + counts[i] * (at - last_t[i]) for i in range(n + 1)]
+
+    work = [0.0] * (n + 1)          # service time of every arrival so far
+    lead = [-inf] * (n + 1)         # max over arrivals of (arrival - work before it)
+
+    def departure(nd: int, at: float, size: float) -> float:
+        """FIFO departure time of a packet reaching node nd at `at`, by Lindley's
+        closed form in ``simulate``'s float operations, so that events tied on
+        unit time's lattice (deterministic arrivals, fixed sizes) round alike."""
+        s = size * service[nd - 1]
+        work[nd] += s
+        lead[nd] = max(lead[nd], at - (work[nd] - s))
+        return lead[nd] + work[nd]
 
     ei = 0
     while True:
@@ -121,12 +143,13 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
             counts[nd] += 1
             if ids_enabled:
                 trace_arr[nd].append(pk)
+            dep = departure(nd, t, size)
             if busy[nd]:
-                queues[nd].append((size, pk))
+                queues[nd].append((dep, size, pk))
             else:
                 busy[nd] = True
                 seq += 1
-                hpush(heap, (t + size * inv_rate[nd - 1], seq, nd, size, pk))
+                hpush(heap, (dep, seq, nd, size, pk))
         else:
             _, _, nd, size, pk = hpop(heap)
             acc[nd] += counts[nd] * (t - last_t[nd])
@@ -144,17 +167,18 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
                 counts[nx] += 1
                 if ids_enabled:
                     trace_arr[nx].append(pk)
+                dep = departure(nx, t, size)
                 if busy[nx]:
-                    queues[nx].append((size, pk))
+                    queues[nx].append((dep, size, pk))
                 else:
                     busy[nx] = True
                     seq += 1
-                    hpush(heap, (t + size * inv_rate[nx - 1], seq, nx, size, pk))
+                    hpush(heap, (dep, seq, nx, size, pk))
             q = queues[nd]
             if q:
-                nsize, npk = q.popleft()
+                ndep, nsize, npk = q.popleft()
                 seq += 1
-                hpush(heap, (t + nsize * inv_rate[nd - 1], seq, nd, nsize, npk))
+                hpush(heap, (ndep, seq, nd, nsize, npk))
             else:
                 busy[nd] = False
         if processed != delivered_relay + in_system:
@@ -172,7 +196,7 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
     end_queue = np.array(counts[1:], dtype=float)
 
     post = sample_t >= warmup
-    drift = np.asarray(_lsq_slope(sample_t[post], samples[post]), dtype=float)
+    drift = np.asarray(_lsq_slope(sample_t[post], samples[post]), dtype=float) * lam
     total_drift = float(drift.sum())
 
     trace = None
@@ -188,9 +212,9 @@ def simulate_events(cfg: SimConfig, rate) -> QueueStats:
         total_drift_slope=total_drift,
         delivered=sink_delivered + delivered_relay,
         generated=int(m),
-        duration_s=horizon,
-        warmup_s=warmup,
-        sample_times=sample_t,
+        duration_s=cfg.horizon_s,
+        warmup_s=cfg.warmup_s,
+        sample_times=sample_t / lam,
         queue_samples=samples,
         trace=trace,
     )

@@ -21,7 +21,7 @@ def test_package_exports_every_module_export():
 def test_every_exported_error_is_a_config_or_numeric_error():
     errors = [obj for obj in map(sr.__getattribute__, sr.__all__)
               if inspect.isclass(obj) and issubclass(obj, Exception)]
-    assert len(errors) == 8
+    assert len(errors) == 7   # WrongBranchError went with decay_factor
     for cls in errors:
         # exactly one of the two families: exit 2 or exit 3 in the CLI
         assert issubclass(cls, ValueError) != issubclass(cls, sr.NumericalError), cls

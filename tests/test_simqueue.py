@@ -157,16 +157,17 @@ def test_sim_config_derives_rate_then_horizon_then_warmup():
 @pytest.mark.parametrize("arrival,size_model", [
     (ARRIVAL_POISSON, SIZE_FIXED), (ARRIVAL_DETERMINISTIC, SIZE_EXPONENTIAL)])
 def test_probe_point_is_one_sim_config_run(blue_rate, arrival, size_model):
-    # the probe's i-th load is the run of one SimConfig seeded (seed, i)
+    # under two looks of MIN_LOOK_PACKETS, every load is the cap's run of one
+    # SimConfig, all of them seeded (seed, 0): one packet population
     q_b = 2.0 * blue_rate.scalar(LENGTH) / LENGTH
     grid = [0.9 * q_b, 1.3 * q_b]
     probe = sr.stability_probe(single_hop(), blue_rate, grid, seed=6,
                                horizon_packets=3_000, arrival_process=arrival,
                                packet_size=size_model)
-    for i, (q, point) in enumerate(zip(grid, probe.points)):
+    for q, point in zip(grid, probe.points):
         cfg = sr.SimConfig(single_hop(), q, arrival_process=arrival,
                            packet_size=size_model, horizon_packets=3_000,
-                           seed=(6, i))
+                           seed=(6, 0))
         stats = sr.simulate(cfg, blue_rate)
         assert point.q == q
         assert point.stable == sr.is_stable(stats, cfg.packet_rate)
@@ -220,16 +221,21 @@ def test_probe_point_is_the_run_its_look_stopped_at(blue_rate, blue_10_500, monk
     grid = [f * q for f in (0.8, 0.9, 1.01, 1.1, 1.2)]
     probe, runs = recorded_probe(monkeypatch, placement, blue_rate, grid, seed=5,
                                  arrival_process=arrival, packet_size=size_model)
+    # look-major: every unsettled load at cap/8, then at cap/4, ...
+    assert [cfg.horizon_packets for cfg, _ in runs] == sorted(cfg.horizon_packets
+                                                              for cfg, _ in runs)
     stops = []
-    for i, (load, point) in enumerate(zip(grid, probe.points)):
-        mine = [(cfg, stats) for cfg, stats in runs if cfg.seed == (5, i)]
-        # the looks in order, from cap/8, until the one the load stopped at
+    for load, point in zip(grid, probe.points):
+        mine = [(cfg, stats) for cfg, stats in runs if cfg.q == load]
+        # the looks in order, from cap/8, until the one the load stopped at,
+        # look j seeded (seed, j) at every load
         horizons = [cfg.horizon_packets for cfg, _ in mine]
         assert horizons == [CAP / 8, CAP / 4, CAP / 2, CAP][:len(mine)]
+        assert [cfg.seed for cfg, _ in mine] == [(5, j) for j in range(len(mine))]
         stops.append(horizons[-1])
         # that look is one plain SimConfig run, and the point is its result
-        cfg = sr.SimConfig(placement, load, arrival_process=arrival,
-                           packet_size=size_model, horizon_packets=horizons[-1], seed=(5, i))
+        cfg = sr.SimConfig(placement, load, arrival_process=arrival, packet_size=size_model,
+                           horizon_packets=horizons[-1], seed=(5, len(mine) - 1))
         stats = sr.simulate(cfg, blue_rate)
         assert point.q == load
         assert point.stable == sr.is_stable(stats, cfg.packet_rate)
@@ -246,8 +252,8 @@ def test_probe_under_two_min_looks_runs_each_load_once(blue_rate, monkeypatch, c
     probe, runs = recorded_probe(monkeypatch, single_hop(), blue_rate, grid, seed=2,
                                  horizon_packets=cap)
     assert [cfg.horizon_packets for cfg, _ in runs] == [cap, cap]
-    for i, (point, (cfg, stats)) in enumerate(zip(probe.points, runs)):
-        assert cfg.seed == (2, i)
+    for point, (cfg, stats) in zip(probe.points, runs):
+        assert cfg.seed == (2, 0)
         assert point.stable == sr.is_stable(stats, cfg.packet_rate)
         assert point.total_drift_slope == stats.total_drift_slope
 
@@ -266,7 +272,7 @@ def test_probe_agreement_sweep(monkeypatch, preset, n, length, arrival, size_mod
                                      arrival_process=arrival, packet_size=size_model)
         flags = [p.stable for p in probe.points]
         assert flags[:2] + flags[3:] == [True, True, False, False], seed
-        near = [cfg.horizon_packets for cfg, _ in runs if cfg.seed == (seed, 2)]
+        near = [cfg.horizon_packets for cfg, _ in runs if cfg.q == grid[2]]
         assert not flags[2] or near[-1] == CAP, seed
 
 
@@ -403,28 +409,28 @@ def frozen_rate(d):
 # verify-style runs (N = 8-12, early looks and caps, both verify modes) at a
 # load q near 0.8-1.2 of the placement's q_sup; sha256 digests (first 16 hex
 # digits) of every field but the trace and the drift slopes, recorded with the
-# simulator that gathered each node's packets by a mask over all of them
+# simulator that draws in unit time (standard_exponential and uniform streams)
 FROZEN = [
     (10, 500.0, 82138.89455397286, 6_250, ARRIVAL_POISSON, SIZE_FIXED,
-     {"time_avg_queue": "cc9b806d30e90edf", "end_queue": "3beabfcf929ca1ca",
+     {"time_avg_queue": "b317f41a8f29b199", "end_queue": "3beabfcf929ca1ca",
       "delivered": "9011ac3ebbf5daf0", "generated": "72f9e9785f5da410",
       "duration_s": "d73b2cf12d6e7c8d", "warmup_s": "4a1f298abe32e2a5",
-      "sample_times": "a7d46009616ee19c", "queue_samples": "27a05f1f1fb624b7"}),
+      "sample_times": "c6f5235ee12ca408", "queue_samples": "27a05f1f1fb624b7"}),
     (12, 150.0, 1275524.00270453, 50_000, ARRIVAL_DETERMINISTIC, SIZE_EXPONENTIAL,
-     {"time_avg_queue": "55da29ea3f48829e", "end_queue": "d1f71212def26cba",
+     {"time_avg_queue": "f795184accdef394", "end_queue": "d1f71212def26cba",
       "delivered": "8fb932e82b1531f1", "generated": "64e3f87a25ba6067",
       "duration_s": "036b334e74c81af1", "warmup_s": "b0ee0a5ac35f05b3",
-      "sample_times": "4c041866d168e03c", "queue_samples": "71117ce1001b77da"}),
+      "sample_times": "e891c7929f0d0a3a", "queue_samples": "71117ce1001b77da"}),
     (8, 300.0, 287407.6808090501, 6_250, ARRIVAL_DETERMINISTIC, SIZE_EXPONENTIAL,
-     {"time_avg_queue": "84e8f5a0e82eb957", "end_queue": "7b832922b8af0935",
+     {"time_avg_queue": "0b3cf9bd151a3d2c", "end_queue": "7b832922b8af0935",
       "delivered": "be1beb6053f52870", "generated": "f8632ca2f237a113",
       "duration_s": "ddd0d5635ade15b4", "warmup_s": "8c6152442f35d9ac",
-      "sample_times": "9718e31129d68450", "queue_samples": "12f8ef1f6cc36183"}),
+      "sample_times": "135b06568516cfb5", "queue_samples": "12f8ef1f6cc36183"}),
     (11, 800.0, 23534.205947785413, 50_000, ARRIVAL_POISSON, SIZE_FIXED,
-     {"time_avg_queue": "9427ff2ef757ccc4", "end_queue": "75c2b06a19b0130e",
+     {"time_avg_queue": "7fee63c3bf469a74", "end_queue": "75c2b06a19b0130e",
       "delivered": "421cc13e21a3d2a7", "generated": "aed38c633366b4dc",
       "duration_s": "4fd5570bd0fcf669", "warmup_s": "a1c030cb6950efb5",
-      "sample_times": "c8bce3c0bc71f83c", "queue_samples": "ed0b67e19c205158"}),
+      "sample_times": "8dec8e6d7794c693", "queue_samples": "ed0b67e19c205158"}),
 ]
 
 
@@ -443,9 +449,12 @@ def test_simulate_matches_frozen_digests(case):
     assert got == digests
     assert set(digests) | {"drift_slope", "total_drift_slope", "trace"} == {
         f.name for f in dataclasses.fields(sr.QueueStats)}
-    post = stats.sample_times >= stats.warmup_s
-    assert np.array_equal(stats.drift_slope,
-                          _lsq_slope(stats.sample_times[post], stats.queue_samples[post]))
+    # the slopes are regressed in unit time, then converted to packets/s
+    t = np.linspace(0.0, horizon, len(stats.sample_times))
+    post = t >= WARMUP_FRAC * horizon
+    assert np.array_equal(post, stats.sample_times >= stats.warmup_s)
+    lam = q * length / SIZE
+    assert np.array_equal(stats.drift_slope, _lsq_slope(t[post], stats.queue_samples[post]) * lam)
     assert stats.total_drift_slope == float(stats.drift_slope.sum())
 
 
@@ -460,6 +469,86 @@ def test_drift_tests_share_one_post_warmup_total(blue_rate):
     assert np.array_equal(t, stats.sample_times[post])
     assert np.array_equal(totals, stats.queue_samples[post].sum(axis=1))
     assert stats._post is stats._post
+
+
+# ---------------------------------------------------------------------------
+# common random numbers: a look's loads share one packet population
+# ---------------------------------------------------------------------------
+
+CRN_FACTORS = (0.5, 0.8, 0.9, 0.95, 0.99, 1.01, 1.05, 1.1, 1.2, 1.5)
+
+
+@pytest.mark.parametrize("arrival", [ARRIVAL_POISSON, ARRIVAL_DETERMINISTIC])
+@pytest.mark.parametrize("preset,n,length", [("blue", 1, 500.0), ("blue", 10, 500.0),
+                                             ("blue", 30, 500.0), ("red", 12, 150.0)])
+def test_fixed_size_backlog_is_monotone_in_load(preset, n, length, arrival):
+    # one look's population at every load: with fixed sizes a higher load only
+    # lengthens the service times, and by Lindley's recursion the departures
+    # come no earlier, so every sample of the total backlog is non-decreasing
+    # in the load (9 load pairs x 10 seeds); exponential sizes need not be
+    rate, res = probe_setup(preset, n, length)
+    for seed in range(10):
+        totals = [sr.simulate(cfg_for(res.placement, f * res.q_sup, horizon_packets=6_250,
+                                      arrival=arrival, seed=(seed, 0)), rate)
+                  .queue_samples.sum(axis=1) for f in CRN_FACTORS]
+        for f, lo, hi in zip(CRN_FACTORS, totals, totals[1:]):
+            assert (lo <= hi).all(), (seed, f)
+        assert totals[-1][-1] > totals[0][-1]   # and the overload shows
+
+
+@pytest.mark.parametrize("arrival,size_model", MODES)
+def test_memo_run_equals_a_cold_run(blue_rate, blue_10_500, arrival, size_model):
+    # a run on the memo's population equals the run on a cold memo bit for
+    # bit, after unrelated runs (another seed, run length or placement) and
+    # after itself; a run at another load reuses the population it drew
+    q = blue_10_500.q_sup
+    cfg = cfg_for(blue_10_500.placement, 0.9 * q, horizon_packets=4_000, arrival=arrival,
+                  size_model=size_model, seed=8, record_trace=True)
+    cfgs = [cfg, dataclasses.replace(cfg, seed=9),
+            dataclasses.replace(cfg, horizon_packets=4_001),
+            dataclasses.replace(cfg, placement=sr.constant_placement(10, 500.0))]
+    cold = []
+    for c in cfgs:
+        sr.simqueue._memo.clear()
+        cold.append(sr.simulate(c, blue_rate))
+    for i in (0, 1, 0, 2, 0, 3, 0, 0):
+        got = sr.simulate(cfgs[i], blue_rate)
+        for f in dataclasses.fields(sr.QueueStats):
+            a, b = getattr(cold[i], f.name), getattr(got, f.name)
+            assert a == b if f.name == "trace" else np.array_equal(a, b), (i, f.name)
+    pop, = sr.simqueue._memo.values()
+    sr.simulate(dataclasses.replace(cfg, q=1.2 * q), blue_rate)
+    reused, = sr.simqueue._memo.values()
+    assert reused is pop
+    grouped, *arrays = pop
+    assert not any(v.flags.writeable for v in (*grouped, *arrays))
+
+
+def test_probe_leaves_one_population_in_the_memo(blue_rate, blue_10_500, monkeypatch):
+    # once a probe returns, the memo holds the population of its last look,
+    # the cap's here, and no other: all four looks' would be 1.875 caps
+    placement, q = blue_10_500.placement, blue_10_500.q_sup
+    horizons, run = [], sr.simulate
+
+    def simulate(cfg, rate):
+        horizons.append(cfg.horizon_packets)
+        return run(cfg, rate)
+
+    monkeypatch.setattr(sr.simqueue, "simulate", simulate)
+    sr.simqueue._memo.clear()
+    tracemalloc.start()
+    try:
+        run(sr.SimConfig(placement, q, horizon_packets=CAP, seed=(1, 3)), blue_rate)
+        one = tracemalloc.get_traced_memory()[0]
+        sr.simqueue._memo.clear()
+        base = tracemalloc.get_traced_memory()[0]
+        sr.stability_probe(placement, blue_rate, [0.8 * q, 1.01 * q, 1.2 * q], seed=1)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert horizons[-1] == CAP and len(set(horizons)) == 4   # every look ran
+    assert one > 400_000        # 50k arrival times at 8 bytes, at least
+    assert held <= 1.25 * one, (held, one)
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +607,6 @@ def test_probe_poisson_draw_at_tiny_load_runs_without_overflow(blue_rate):
     res = sr.stability_probe(single_hop(), blue_rate, [1e-303], horizon_packets=100)
     assert res.q_stable == 1e-303
     assert math.isfinite(res.points[0].total_drift_slope)
-
-
-@pytest.mark.filterwarnings("error")
-def test_lsq_slope_exact_under_power_of_two_scaling():
-    rng = np.random.default_rng(2)
-    t = np.sort(rng.uniform(0.0, 3.0e3, 500))
-    y = rng.poisson(5.0, (500, 3)) + 0.01 * t[:, None]
-    base = _lsq_slope(t, y)
-    assert np.allclose(base, 0.01, rtol=0.2)
-    for k in (-900, 900, 1010):     # 1010: sums of squares overflow unscaled
-        scaled = _lsq_slope(np.ldexp(t, k), y)
-        assert np.ldexp(scaled, k).tobytes() == base.tobytes()
 
 
 def test_long_chain_run_memory(blue_rate):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import searelay as sr
 import searelay.solver1d as solver1d
 from searelay.solver1d import (CASE_I, CASE_II, NumericalInfeasibleError,
-                               OutOfRangeError, WrongBranchError, _hop_root)
+                               OutOfRangeError, _hop_root)
 
 BLUE_R100 = 359057261.424
 FROZEN = {
@@ -125,6 +125,16 @@ def test_critical_load_scalar_calls(name, calls):
     rate.evals[:] = [0, 0]
     sr.critical_load(rate)
     assert rate.evals[0] <= calls and rate.evals[1] == 0, rate.evals
+
+
+def test_critical_load_refuses_a_roundoff_plateau():
+    # 1 + exp(-d) rounds to R(0)/2 = 1 from about 36.7 m on but never halves:
+    # the walk's point 64 m is no d_half, and no critical load exists
+    with pytest.raises(sr.NoBracketError, match="only by roundoff"):
+        sr.critical_load(sr.RateFunction(lambda d: 1.0 + math.exp(-d)))
+    # a rate that halves exactly at the walk's point 4 m keeps it, flat beyond or not
+    for fn in (lambda d: 2.0 * 2.0 ** (-d / 4.0), lambda d: max(2.0 - d / 4.0, 1.0)):
+        assert sr.critical_length(sr.RateFunction(fn)) == 4.0
 
 
 def test_critical_load_dichotomy(blue_rate):
@@ -244,7 +254,7 @@ BAD_CALLS = {
     "inverse-minus-inf-target": (lambda r: sr.surplus_inverse(r, 1e6, -math.inf),
                                  "surplus target t"),
     "surplus-nan-load": (lambda r: sr.surplus(r, math.nan, 1.0), "load q"),
-    "decay-factor-nan-load": (lambda r: sr.decay_factor(r, math.nan), "load q"),
+    "surplus-slope-nan-load": (lambda r: sr.surplus_slope(r, math.nan, 0.0), "load q"),
     "solve-fractional-n": (lambda r: sr.solve(r, 2.5, 100.0), "n must be an integer"),
     "solve-bool-n": (lambda r: sr.solve(r, True, 100.0), "n must be an integer"),
     "n-range-fractional-n-min": (lambda r: sr.solve_n_range(r, 100.0, 1.5, 3), "n_min"),
@@ -323,12 +333,6 @@ def test_solve_placement_exactly_covers(blue_rate):
     assert res.coverage_residual < 1e-3 * 350.0
     assert res.iterations <= 200
     assert res.bracket_width > 0.0
-
-
-def test_solve_gamma_matches_decay_factor(blue_rate):
-    res = sr.solve(blue_rate, 6, 200.0)
-    assert res.branch == CASE_II
-    assert res.gamma == pytest.approx(sr.decay_factor(blue_rate, res.q_sup), rel=1e-12)
 
 
 def test_solve_result_q0_l0_frozen(blue_10_500):
@@ -799,7 +803,7 @@ def test_collapsed_tail_is_geometric(blue_rate):
     # by sweeps or hop by hop, and the coverage stays within R(0)/q
     n = 2000
     q = sr.solve(blue_rate, n, 200.0).q_sup
-    gamma = sr.decay_factor(blue_rate, q)
+    gamma = 1.0 + 1.0 / sr.surplus_slope(blue_rate, q, 0.0)
     for sub in (sr.solve_subproblem(blue_rate, q, n), hop_by_hop(blue_rate, q, n)):
         d = sub.distances
         a = int(np.searchsorted(d, solver1d._X_TOL)) - 1
@@ -1143,19 +1147,20 @@ def test_hop_root_stops_one_sided_within_its_tolerance(name, qf, tf, hf, start, 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_decay_factor_in_unit_interval(name):
+    # a solve reports the decay factor on the chain branch only, in (0, 1)
     rate = sr.shannon_rate_function(sr.preset(name))
-    q0 = sr.critical_load(rate)
-    gamma = sr.decay_factor(rate, 0.5 * q0)
-    assert 0.0 < gamma < 1.0
-    with pytest.raises(WrongBranchError):
-        sr.decay_factor(rate, 1.5 * q0)
+    l0 = sr.critical_length(rate)
+    chain, single = sr.solve(rate, 6, 20.0 * l0), sr.solve(rate, 6, 0.5 * l0)
+    assert chain.branch == CASE_II and 0.0 < chain.gamma < 1.0
+    assert single.branch == CASE_I and single.gamma is None
 
 
 def test_decay_factor_closed_form(blue_rate):
-    # slope of the surplus at 0 is R'(0)/q - 1/2
-    q = 0.2 * sr.critical_load(blue_rate)
-    slope = blue_rate.derivative(0.0) / q - 0.5
-    assert sr.decay_factor(blue_rate, q) == pytest.approx(1.0 + 1.0 / slope, rel=1e-12)
+    # gamma = 1 + 1/f'(0), with the surplus slope f'(0) = R'(0)/q - 1/2 at q_sup
+    res = sr.solve(blue_rate, 6, 200.0)
+    assert res.branch == CASE_II
+    slope = blue_rate.derivative(0.0) / res.q_sup - 0.5
+    assert res.gamma == pytest.approx(1.0 + 1.0 / slope, rel=1e-12)
 
 
 def test_decay_certificate_subproblem(blue_rate):
@@ -1163,7 +1168,7 @@ def test_decay_certificate_subproblem(blue_rate):
     n = 8
     sub = sr.solve_subproblem(blue_rate, q, n)
     assert sub.branch == CASE_II
-    gamma = sr.decay_factor(blue_rate, q)
+    gamma = 1.0 + 1.0 / sr.surplus_slope(blue_rate, q, 0.0)
     d = sub.distances
     selector = 1.0 / sr.surplus_slope(blue_rate, q, float(d[-1]))
     if selector > -1.0:
