@@ -335,6 +335,14 @@ def test_solve_placement_exactly_covers(blue_rate):
     assert res.bracket_width > 0.0
 
 
+def test_solve_gamma_matches_decay_factor(blue_rate):
+    # the reported decay factor is 1 + 1/f'(0), the surplus slope taken at q_sup
+    res = sr.solve(blue_rate, 6, 200.0)
+    assert res.branch == CASE_II
+    slope = sr.surplus_slope(blue_rate, res.q_sup, 0.0)
+    assert res.gamma == pytest.approx(1.0 + 1.0 / slope, rel=1e-12)
+
+
 def test_solve_result_q0_l0_frozen(blue_10_500):
     q0_expect, l0_expect = FROZEN["blue"]
     assert rel(blue_10_500.q0, q0_expect) < 1e-8
