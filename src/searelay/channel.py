@@ -328,9 +328,12 @@ _OPTIONAL_CONFIG_KEYS = ("attenuation_exponent", "geometric_exponent")
 
 def _load_flat_config(path, keys, optional, build):
     """build(**values) from a flat JSON object of finite numbers: every key
-    in `keys` but `optional` present, no other.  Errors name the file."""
+    in `keys` but `optional` present, no other.  Errors, an unreadable file
+    included, are ValueErrors that name the file."""
     try:
         raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):

@@ -3,8 +3,8 @@
 Subcommands mirror the library: solve | eval | sweep-n | sweep-l | solve2d |
 perturb | simulate | compare.  Output goes to stdout or --output as CSV (one
 header row, stable column names) or JSON; floats are printed with 9
-significant digits.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure.
+significant digits.  Exit codes: 0 success, 2 configuration error (any
+ValueError), 3 numeric failure (any NumericalError).
 """
 
 from __future__ import annotations
@@ -27,14 +27,9 @@ from . import simqueue as sq
 from .solver1d import NumericalError, Placement, solve, solve_n_range
 from .solver2d import solve_2d
 
-__all__ = ["main", "ConfigError"]
+__all__ = ["main"]
 
 FMT = "%.9g"
-
-
-class ConfigError(Exception):
-    """Bad flags, files, or parameter values; maps to exit code 2."""
-
 
 # ---------------------------------------------------------------------------
 # output
@@ -83,37 +78,29 @@ def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot write output {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
 # rate construction
 # ---------------------------------------------------------------------------
 
-def _load_config(load, path: str):
-    try:
-        return load(path)
-    except OSError as exc:
-        raise ConfigError(f"config file {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _build_rate(args):
     """RateFunction plus a metadata dict describing the configuration."""
-    if args.rate_model == "fec":
-        if not args.fec_config:
-            raise ConfigError("--rate-model fec requires --fec-config FILE")
-        params = _load_config(ch.load_fec_config, args.fec_config)
+    if (args.rate_model == "fec") != (args.fec_config is not None):
+        raise ValueError("--rate-model fec and --fec-config FILE go together: "
+                         "give both or neither")
+    if args.fec_config is not None:
+        params = ch.load_fec_config(args.fec_config)
         return ch.fec_rate_function(params), {"rate_model": "fec", **asdict(params)}
     if args.config:
-        params = _load_config(ch.load_channel_config, args.config)
+        params = ch.load_channel_config(args.config)
         source = {"config": args.config}
     else:
         name = args.preset or "blue"
         if name not in ch.preset_names():
-            raise ConfigError(f"unknown preset {name!r}; built-ins are "
-                              f"{sorted(ch.preset_names())}")
+            raise ValueError(f"unknown preset {name!r}; built-ins are "
+                             f"{sorted(ch.preset_names())}")
         params = ch.preset(name)
         source = {"preset": name}
     meta = {"rate_model": "shannon", **source,
@@ -126,29 +113,18 @@ def _read_placement(path: str) -> Placement:
     """Placement from a CSV (index,distance_m) or a solve JSON output."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"placement file {path}: {exc.strerror}") from None
-    if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"placement file {path}: {exc}") from None
-        if "distances" not in obj:
-            raise ConfigError(f"placement file {path}: JSON lacks a 'distances' key")
-        values = obj["distances"]
-    else:
-        rows = list(csv.DictReader(io.StringIO(text)))
-        if not rows or "distance_m" not in rows[0]:
-            raise ConfigError(f"placement file {path}: need a distance_m column")
-        values = [r["distance_m"] for r in rows]
-    try:
+        if text.lstrip().startswith("{"):
+            values = json.loads(text)["distances"]
+        else:
+            values = [r["distance_m"] for r in csv.DictReader(io.StringIO(text))]
         d = np.asarray([float(v) for v in values])
-    except (TypeError, ValueError):
-        raise ConfigError(f"placement file {path}: distances must be numbers") from None
-    try:
         return Placement(distances=d, length=float(d.sum()))
-    except ValueError as exc:
-        raise ConfigError(f"placement file {path}: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"placement file {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise ValueError(f"placement file {path}: no {exc} key or column") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"placement file {path}: {exc}") from None
 
 
 def comma_separated_numbers(text: str) -> list[float]:
@@ -201,11 +177,11 @@ def _cmd_sweep_l(args, rate, meta):
         for flag in ("l_min", "l_max", "l_step"):
             value = getattr(args, flag)
             if value is None:
-                raise ConfigError("need --l-values or all of --l-min/--l-max/--l-step")
+                raise ValueError("need --l-values or all of --l-min/--l-max/--l-step")
             if not np.isfinite(value):
-                raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {value!r}")
+                raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value!r}")
         if args.l_min <= 0 or args.l_max < args.l_min or args.l_step <= 0:
-            raise ConfigError("need 0 < l-min <= l-max and l-step > 0")
+            raise ValueError("need 0 < l-min <= l-max and l-step > 0")
         lengths = list(np.arange(args.l_min, args.l_max + 0.5 * args.l_step,
                                  args.l_step))
     rows = []
@@ -319,11 +295,12 @@ def _add_common(sub, name: str, summary: str, func, **shared) -> argparse.Argume
         if flag in shared:
             p.add_argument(f"--{flag}", type=kind, default=shared[flag],
                            required=shared[flag] is None, help=what)
-    src = p.add_mutually_exclusive_group()
+    src = p.add_mutually_exclusive_group()   # one rate source
     src.add_argument("--preset", help="built-in water preset (red, green, blue)")
     src.add_argument("--config", help="flat JSON channel config file")
+    src.add_argument("--fec-config", help="JSON file with FEC rate parameters "
+                                          "(with --rate-model fec)")
     p.add_argument("--rate-model", choices=("shannon", "fec"), default="shannon")
-    p.add_argument("--fec-config", help="JSON file with FEC rate parameters")
     p.add_argument("--tol-q", type=float, default=None,
                    help="absolute width [bit/s per m] of the load search's "
                         "final bracket (default: 2e-10 relative); where "
@@ -406,9 +383,6 @@ def main(argv=None) -> int:
         rate, meta = _build_rate(args)
         _emit(args, *args.func(args, rate, meta))
         return 0
-    except ConfigError as exc:
-        print(f"searelay: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"searelay: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,9 @@ run is configured by its load, as the analytic model states it (``SimConfig``).
 A run works in unit time (arrivals in mean inter-arrival times 1/lambda, sizes
 in mean sizes B): only its service times, size x lambda B / R_i at hop i,
 depend on the load, and its outputs are converted to seconds.  Runs that differ
-only in load or rate share one draw (common random numbers), kept in a memo.
+only in load or rate share one draw (common random numbers): a memo keeps the
+last run's population until a run with another key, 16.6 MiB after one
+20,000-packet run at N = 2000.
 
 Traffic only flows toward the sink, so the chain is feed-forward and the
 nodes are solved one at a time from node N inward, vectorised over packets.

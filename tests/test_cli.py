@@ -371,6 +371,14 @@ def test_sweep_l_range_and_values(capsys):
     assert code == 2
 
 
+def test_sweep_l_descending_range_exits_2(capsys):
+    code, out, err = run(capsys, "sweep-l", "--preset", "blue", "--n", "2",
+                         "--l-min", "300", "--l-max", "100", "--l-step", "50")
+    assert code == 2
+    assert not out
+    assert "l-min <= l-max" in err
+
+
 # ---------------------------------------------------------------------------
 # 2-D, perturb, compare
 # ---------------------------------------------------------------------------
@@ -508,6 +516,29 @@ def test_simulate_probe_mode(capsys):
     assert float(rows[1][1]) == pytest.approx(1.1, rel=1e-6)
 
 
+def test_simulate_stored_placement(capsys, tmp_path):
+    # a probe around the stored placement's own q_sup, which eval reports;
+    # --n, --l and --tol-q are ignored
+    path = tmp_path / "placement.json"
+    code, _, _ = run(capsys, "solve", "--preset", "blue", "--n", "3", "--l", "300",
+                     "--format", "json", "-o", str(path))
+    assert code == 0
+    _, out, _ = run(capsys, "eval", "--preset", "blue", "--placement", str(path),
+                    "--format", "json")
+    q_sup = json.loads(out)["q_sup"]
+    probe = ("simulate", "--preset", "blue", "--placement", str(path),
+             "--probe-factors", "0.8,1.2", "--horizon-packets", "5000")
+    code, out, err = run(capsys, *probe, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["q_sup_analytic"] == q_sup
+    code, out, _ = run(capsys, *probe)
+    assert code == 0
+    header, rows = read_csv(out)
+    assert [float(r[header.index("q_over_qsup")]) for r in rows] == [0.8, 1.2]
+    assert [r[header.index("stable")] for r in rows] == ["1", "0"]
+    assert run(capsys, *probe, "--n", "7", "--l", "900", "--tol-q", "1") == (0, out, "")
+
+
 # ---------------------------------------------------------------------------
 # output formats: one set of named fields, as CSV or as JSON
 # ---------------------------------------------------------------------------
@@ -639,6 +670,32 @@ def test_fec_rate_model(capsys, tmp_path):
     assert float(rows[0][3]) > 0.0
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (("--fec-config", "{fec}"), ("--rate-model", "--fec-config")),
+    (("--rate-model", "shannon", "--fec-config", "{fec}"), ("--rate-model", "--fec-config")),
+    (("--rate-model", "fec", "--fec-config", "{fec}", "--preset", "red"),
+     ("--preset", "--fec-config")),
+    (("--rate-model", "fec", "--fec-config", "{fec}", "--config", "{cfg}"),
+     ("--config", "--fec-config")),
+], ids=["fec-config-alone", "fec-config-shannon", "fec-and-preset", "fec-and-config"])
+def test_one_rate_source(capsys, tmp_path, argv, flags):
+    # --rate-model fec goes with --fec-config, and --fec-config is a rate
+    # source of its own, next to neither --preset nor --config
+    fec, cfg = tmp_path / "fec.json", tmp_path / "cfg.json"
+    fec.write_text(json.dumps(FEC_CONFIG))
+    cfg.write_text(json.dumps(BASE_CONFIG))
+    argv = ["solve", "--n", "3", "--l", "300",
+            *[a.format(fec=fec, cfg=cfg) for a in argv]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse rejects a second rate source
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    assert all(flag in captured.err for flag in flags)
+
+
 @pytest.mark.parametrize("flag", ["--config", "--fec-config"])
 @pytest.mark.parametrize("edit,message", [
     (lambda cfg: list(cfg), "expected a flat JSON object"),
@@ -657,7 +714,7 @@ def test_bad_config_file_names_file_and_key(capsys, tmp_path, flag, edit, messag
                          "--l", "100")
     assert code == 2
     assert not out
-    assert f"searelay: config file {path}: " in err
+    assert f"config file {path}: " in err
     assert message in err
 
 

@@ -283,6 +283,22 @@ def test_probe_checks_the_cap_before_its_looks(blue_rate, monkeypatch):
         recorded_probe(monkeypatch, single_hop(), blue_rate, [5e-302])
 
 
+def test_probe_raises_on_non_monotone_flags(blue_rate, monkeypatch):
+    # every load settles at its first look, and the middle load alone reads
+    # unstable: the probe raises, carrying one point per load
+    q_b = 2.0 * blue_rate.scalar(LENGTH) / LENGTH
+    grid = [0.5 * q_b, 0.6 * q_b, 0.7 * q_b]
+    middle = sr.SimConfig(single_hop(), grid[1]).packet_rate
+    monkeypatch.setattr(sr.simqueue, "is_stable",
+                        lambda stats, packet_rate: packet_rate != middle)
+    monkeypatch.setattr(sr.simqueue, "_drift_resolved", lambda *args: True)
+    with pytest.raises(sr.InconclusiveProbeError, match="not monotone") as exc:
+        recorded_probe(monkeypatch, single_hop(), blue_rate, grid)
+    points = exc.value.points
+    assert [p.q for p in points] == grid
+    assert [p.stable for p in points] == [True, False, True]
+
+
 @pytest.mark.filterwarnings("error")
 def test_probe_tiny_load_at_the_default_cap_runs_without_overflow(blue_rate, monkeypatch):
     # the early looks regress on times near 1e306 s
