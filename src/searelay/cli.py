@@ -192,8 +192,7 @@ def _cmd_sweep_l(args, rate, meta):
 
 
 def _cmd_solve2d(args, rate, meta):
-    res = solve_2d(rate, args.n_h, args.l, args.h, tol_q=args.tol_q,
-                   n_l_max=args.n_l_max)
+    res = solve_2d(rate, args.n_h, args.l, args.h, tol_q=args.tol_q, n_l_max=args.n_l_max)
     l = res.grid.l_spacings
     h = res.grid.h_spacings
     loads = {"q_sup": res.q_sup, "q_x": res.q_x, "q_y": res.q_y}
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-h", type=int, required=True, help="relay rows beyond the sink's")
     p.add_argument("--l", type=float, required=True, help="row extent [m]")
     p.add_argument("--h", type=float, required=True, help="column extent [m]")
-    p.add_argument("--n-l-max", type=int, default=64)
+    p.add_argument("--n-l-max", type=int, default=64, help="largest column count allowed")
 
     p = _add_common(sub, "perturb", "supportable load under position noise",
                     _cmd_perturb, n=None, l=None, seed=0)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import RateFunction
 from .evaluate import hop_limits
-from .solver1d import (NumericalError, Placement, _checked_count, _checked_positive, solve,
-                       solve_n_range)
+from .solver1d import (CASE_II, NumericalError, Placement, _checked_count, _checked_positive,
+                       _extend, _solve, solve, solve_subproblem)
 
 __all__ = [
     "Grid2D",
@@ -34,7 +34,7 @@ __all__ = [
 
 
 class NoFeasibleGridError(NumericalError):
-    """No column count within the sweep limit made the x-family non-binding."""
+    """The grid needs more than n_l_max columns; with enough, every grid is feasible."""
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,14 @@ def grid_qsup(grid: Grid2D, rate: RateFunction) -> float:
 
 def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,
              tol_q: float | None = None, n_l_max: int = 64) -> Grid2DResult:
-    """Two-stage grid design: fix the column spacings, then grow the row count.
+    """Two-stage grid design: fix the row spacings, then the fewest columns.
 
-    Stage 1 solves the 1-D problem over [0, height] (n_h hops), fixing the
-    row spacings and the y-family limit q_y = q_sup / length.  Stage 2
-    sweeps the column count n_l = 1, 2, ... over [0, length] until the
-    x-family limit q_x = q_sup / c_max exceeds q_y; the smallest such n_l is
-    returned and the grid supports q_sup = q_y.  tol_q bounds q_y and q_x.
+    Stage 1 solves [0, height] in n_h hops: the row spacings and q_y =
+    q_sup / length.  n_l is the first count whose recursion at q* = q_y c_max
+    (4 ulps up, doubled toward the sink) covers more than length, the fewest
+    with q_x = q_sup(n_l, length) / c_max > q_y; one load search at n_l,
+    started there, gives the column spacings and q_x >= q* / c_max > q_y,
+    ties included.  The grid supports q_sup = q_y; tol_q bounds q_y and q_x.
     """
     _checked_count(n_h, "n_h")
     _checked_positive(length, "length")
@@ -98,23 +99,23 @@ def solve_2d(rate: RateFunction, n_h: int, length: float, height: float,
     _checked_count(n_l_max, "n_l_max")
     # checked as passed, then against the factors that scale it below (c_max <= height)
     if tol_q is not None and _checked_positive(tol_q, "tol_q") * max(length, height) == np.inf:
-        raise ValueError(f"tol_q {tol_q!r} is out of range: tol_q * max(length, height) "
-                         "overflows")
+        raise ValueError(f"tol_q {tol_q!r} is out of range: tol_q * max(length, height) overflows")
 
     sol_y = solve(rate, n_h, height, tol_q=None if tol_q is None else tol_q * length)
-    h_spacings = sol_y.placement.distances
     q_y = sol_y.q_sup / length
-    c_max = float(strip_heights(h_spacings).max())
+    c_max = float(strip_heights(sol_y.placement.distances).max())
 
-    sols = solve_n_range(rate, length, 1, n_l_max,
-                         tol_q=None if tol_q is None else tol_q * c_max)
-    for n_l, sol_x in enumerate(sols, start=1):
-        q_x = sol_x.q_sup / c_max
-        if q_y < q_x:
-            grid = Grid2D(l_spacings=sol_x.placement.distances,
-                          h_spacings=h_spacings, length=length, height=height)
-            return Grid2DResult(grid=grid, q_sup=q_y, q_x=q_x, q_y=q_y,
-                                n_l=n_l, n_h=n_h,
-                                total_nodes=(n_l + 1) * (n_h + 1) - 1)
-    raise NoFeasibleGridError(
-        f"x-family limit stayed at or below q_y for all column counts <= {n_l_max}")
+    sub = prev = solve_subproblem(rate, q_y * c_max * (1.0 + 2.0 ** -50), 1)
+    while sub.coverage <= length and sub.branch == CASE_II and sub.distances.size < n_l_max:
+        prev, sub = sub, _extend(rate, sub, min(2 * sub.distances.size, n_l_max))
+    if not sub.coverage > length:
+        raise NoFeasibleGridError(f"the grid needs more than n_l_max = {n_l_max} columns")
+    n_l = int(np.searchsorted(np.cumsum(sub.distances[::-1]), length, side="right")) + 1
+    sol_x = _solve(rate, n_l, length, None if tol_q is None else tol_q * c_max,
+                   sub if n_l == sub.distances.size else _extend(rate, prev, n_l),
+                   (sol_y.q0, sol_y.L0))[0]
+    return Grid2DResult(grid=Grid2D(l_spacings=sol_x.placement.distances,
+                                    h_spacings=sol_y.placement.distances,
+                                    length=length, height=height),
+                        q_sup=q_y, q_x=sol_x.q_sup / c_max, q_y=q_y, n_l=n_l, n_h=n_h,
+                        total_nodes=(n_l + 1) * (n_h + 1) - 1)

@@ -400,6 +400,18 @@ def test_solve2d_csv(capsys):
     assert float(rows[0][5]) == float(rows[0][3])  # q_sup = q_y
 
 
+def test_solve2d_where_one_hop_underflows(capsys):
+    # R(11958 m) underflows in green water; the row needs 20 columns
+    code, out, _ = run(capsys, "solve2d", "--preset", "green", "--n-h", "2",
+                       "--l", "11958", "--h", "1219")
+    assert code == 0
+    header, rows = read_csv(out)
+    assert header == ["index", "l_spacing_m", "h_spacing_m", "q_sup", "q_x",
+                      "q_y", "n_l", "n_h", "total_nodes"]
+    assert int(rows[0][6]) == 20 and len(rows) == 20
+    assert float(rows[0][5]) == float(rows[0][3]) < float(rows[0][4])
+
+
 def test_perturb_csv_header_and_rows(capsys, blue_rate):
     code, out, _ = run(capsys, "perturb", "--preset", "blue", "--n", "5",
                        "--l", "300", "--sigma", "0", "2", "--trials", "50",
