@@ -122,7 +122,8 @@ def perturb_eval(placement: Placement, rate: RateFunction, sigma: float,
         gen.standard_normal(out=noise)      # the same numbers as one whole-block draw
         stop = min(start + rows, trials)
         X = np.tile(x, (stop - start, 1))
-        X[:, 2:n] += sigma * noise[:stop - start]    # interior positions x_2..x_{N-1}
+        with np.errstate(over="ignore"):   # a huge sigma's +-inf is clipped to an end
+            X[:, 2:n] += sigma * noise[:stop - start]    # interior positions x_2..x_{N-1}
         np.clip(X[:, 1:], 0.0, length, out=X[:, 1:])
         X.sort(axis=1)
         samples[start:stop] = hop_limits(rate, np.diff(X, axis=1), length).min(axis=1)

@@ -9,9 +9,8 @@ run is configured by its load, as the analytic model states it (``SimConfig``).
 A run works in unit time (arrivals in mean inter-arrival times 1/lambda, sizes
 in mean sizes B): only its service times, size x lambda B / R_i at hop i,
 depend on the load, and its outputs are converted to seconds.  Runs that differ
-only in load or rate share one draw (common random numbers): a memo keeps the
-last run's population until a run with another key, 16.6 MiB after one
-20,000-packet run at N = 2000.
+only in load or rate draw the same packets (common random numbers); a stability
+probe draws each look's population once and runs all its loads on it.
 
 Traffic only flows toward the sink, so the chain is feed-forward and the
 nodes are solved one at a time from node N inward, vectorised over packets.
@@ -66,7 +65,6 @@ LOOK_T = 4.99                 # one-sided t quantile, 14 dof, 1e-4 a look
 # `_drift_resolved`'s bands; at 0.99 q_sup, queues still filling reached 2.7
 LOOK_STABLE = 0.5
 LOOK_UNSTABLE = 4.0
-_memo: dict = {}              # the last run's packet population, under its key
 
 
 class InconclusiveProbeError(NumericalError):
@@ -162,13 +160,8 @@ def _lsq_slope(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _population(cfg: SimConfig) -> tuple:
     """(grouped, ext_before, ends, sample times) of ``cfg``'s packets in unit time,
     ``grouped`` being arrival times, sizes unless fixed and trace ids if recorded,
-    by node; read-only, in a one-entry memo keyed by all the draw depends on."""
+    by node; read-only, as a probe shares it between the runs of one look."""
     p = cfg.placement
-    key = (p.distances.tobytes(), p.length, cfg.horizon_packets, cfg.arrival_process,
-           cfg.packet_size, cfg.seed, cfg.record_trace)
-    if key in _memo:
-        return _memo[key]
-    _memo.clear()   # before the draw, so no two populations are held at once
     n, horizon = p.n, cfg.horizon_packets
     rng = np.random.default_rng(cfg.seed)
     # draw order fixed for determinism: times, positions, sizes
@@ -197,8 +190,12 @@ def _population(cfg: SimConfig) -> tuple:
     ends = ext_before[-1].cumsum()       # node k's packets: grouped[j][ends[k - 1]:ends[k]]
     for v in (*grouped, ext_before, ends, sample_t):
         v.flags.writeable = False
-    _memo[key] = pop = (grouped, ext_before, ends, sample_t)
-    return pop
+    return grouped, ext_before, ends, sample_t
+
+
+@dataclass(frozen=True)
+class _LookRun(SimConfig):   # a probe's run, on the population its look drew once
+    population: tuple = field(default=(), repr=False, compare=False)
 
 
 def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
@@ -211,7 +208,7 @@ def simulate(cfg: SimConfig, rate: RateFunction) -> QueueStats:
     if np.any(link_rate <= 0.0) or not np.all(np.isfinite(link_rate)):
         raise ValueError("every hop needs a positive, finite rate")
     service = cfg.q * cfg.placement.length / link_rate   # lambda B / R: in unit time
-    grouped, ext_before, ends, sample_t = _population(cfg)
+    grouped, ext_before, ends, sample_t = getattr(cfg, "population", ()) or _population(cfg)
 
     # --- one Lindley recursion per node, from the far end inward
     dep_before = np.zeros((N_SAMPLES, n + 1), dtype=np.int32)   # [s, i]: node i + 1's #{D < t_s}
@@ -302,8 +299,8 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
     Each load runs at the looks cap/8, cap/4, cap/2 of ``horizon_packets`` (of
     at least ``MIN_LOOK_PACKETS``) and the cap, each one ``SimConfig`` run, and
     stops at the first look that ``_drift_resolved`` settles, else the cap; its
-    point and flag are that run's.  Look j is seeded (seed, j) at every load, so
-    its loads share one population; it runs every load still unsettled."""
+    point and flag are that run's.  Look j, seeded (seed, j), runs every load
+    still unsettled on one population, drawn once and freed before the next."""
     q_grid = [float(q) for q in q_grid]
     if not q_grid:
         raise ValueError("q_grid must not be empty")
@@ -318,8 +315,10 @@ def stability_probe(placement: Placement, rate: RateFunction, q_grid,
                        seed=(seed, j)) for j, h in enumerate(looks)] for q in q_grid]
     points, unsettled = [None] * len(q_grid), list(range(len(q_grid)))
     for j in range(len(looks)):
+        pop = cfg = ()   # the last look's population goes before this look's draw
         for i in unsettled[:]:   # a load left unsettled runs on; the cap's run is final
-            cfg = runs[i][j]
+            pop = pop or _population(runs[i][j])
+            cfg = _LookRun(**vars(runs[i][j]), population=pop)
             stats = simulate(cfg, rate)
             stable = is_stable(stats, cfg.packet_rate)
             points[i] = ProbePoint(q=cfg.q, stable=stable,

@@ -210,6 +210,14 @@ def test_validate_flags_increasing_function():
     assert not report.passed
 
 
+@pytest.mark.parametrize("kw,field", [(dict(d_max=0.0), "d_max"), (dict(d_max=-1.0), "d_max"),
+                                      (dict(n_grid=2), "n_grid")])
+def test_validate_rejects_a_grid_too_small(blue_rate, kw, field):
+    # d_max = 0 would grade R(0) against itself; two points have no second difference
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        sr.validate_rate_assumption(blue_rate, **kw)
+
+
 def test_custom_scalar_rate_on_the_array_path():
     # a math-only callable, no array_fn: arrays go through it element-wise
     rate = sr.RateFunction(lambda d: 1e8 * math.exp(-d / 50.0))

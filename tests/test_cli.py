@@ -113,6 +113,15 @@ def test_missing_placement_file_exits_2(capsys, tmp_path):
     assert str(missing) in err
 
 
+def test_placement_json_without_distances_exits_2(capsys, tmp_path):
+    path = tmp_path / "spacings.json"
+    path.write_text('{"spacings": [100, 200]}')
+    code, out, err = run(capsys, "eval", "--preset", "blue", "--placement", str(path))
+    assert code == 2
+    assert not out
+    assert f"placement file {path}: no 'distances' key or column" in err
+
+
 def test_unknown_preset_exits_2(capsys):
     code, _, err = run(capsys, "solve", "--preset", "ultraviolet",
                        "--n", "3", "--l", "100")
@@ -132,6 +141,7 @@ def test_bad_value_exits_2(capsys):
     ("--preset", "blue", "--n", "3", "--l", "inf"),
     ("--preset", "blue", "--n", "3", "--l", "100", "--tol-q", "nan"),
     ("--preset", "red", "--n", "1", "--l", "1e4"),  # R(L/n) underflows to 0
+    ("--preset", "blue", "--n", "3", "--l", "1e-310"),  # R(L/n) n / L overflows
 ])
 def test_non_finite_or_underflowing_input_exits_2(capsys, flags):
     code, out, err = run(capsys, "solve", *flags)
@@ -163,6 +173,15 @@ def test_perturb_non_finite_sigma_exits_2(capsys, sigma):
     assert code == 2
     assert not out
     assert "sigma" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_perturb_huge_finite_sigma_exits_0(capsys):
+    code, out, err = run(capsys, "perturb", "--preset", "blue", "--n", "10",
+                         "--l", "500", "--sigma", "1e308", "--trials", "10")
+    assert code == 0
+    assert not err
+    assert read_csv(out)[1][0][4] == "1e+308"
 
 
 def test_perturb_negative_seed_exits_2(capsys):
@@ -207,6 +226,14 @@ def test_numeric_failure_exits_3(capsys):
                        "--l", "500", "--h", "500", "--n-l-max", "2")
     assert code == 3
     assert "numeric failure" in err
+
+
+def test_load_root_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(sr.solver1d, "_MAX_LOAD_ITERS", 1)
+    code, out, err = run(capsys, "solve", "--preset", "blue", "--n", "3", "--l", "300")
+    assert code == 3
+    assert not out
+    assert "numeric failure: load root did not converge in 1 recursions" in err
 
 
 def test_inconclusive_probe_exits_3(capsys, monkeypatch):

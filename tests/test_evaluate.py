@@ -1,5 +1,6 @@
 """Placement evaluation, node-count tradeoff, vertical chains, jitter."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -426,6 +427,16 @@ def test_perturb_rejects_non_finite_sigma(blue_rate, blue_10_500, sigma):
     with pytest.raises(ValueError, match="sigma"):
         sr.perturb_eval(blue_10_500.placement, blue_rate, sigma=sigma,
                         trials=10, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_perturb_huge_finite_sigma_runs_without_overflow(blue_rate, blue_10_500):
+    # sigma * noise passes the float range; the +-inf it gives is clipped to
+    # an end, where any displacement longer than the segment lands, as at 1e300
+    huge = sr.perturb_eval(blue_10_500.placement, blue_rate, sigma=1e308, trials=100, seed=4)
+    far = sr.perturb_eval(blue_10_500.placement, blue_rate, sigma=1e300, trials=100, seed=4)
+    assert huge == dataclasses.replace(far, sigma=1e308)
+    assert 0.0 < huge.mean_q_sup < blue_10_500.q_sup
 
 
 def test_perturb_validation(blue_rate, blue_10_500):

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +38,27 @@ def test_empty_horizon_produces_nothing(blue_rate):
     assert stats.end_queue.sum() == 0.0
     assert stats.total_drift_slope == 0.0
     assert stats.queue_samples.shape == (2048, 1)
+
+
+def test_hop_without_rate_is_rejected(red_rate):
+    # red water attenuates a 5 km hop's rate to 0: no service time exists
+    assert red_rate.scalar(5000.0) == 0.0
+    with pytest.raises(ValueError, match="every hop needs a positive, finite rate"):
+        sr.simulate(cfg_for(single_hop(5000.0), 1e-3, horizon_packets=100), red_rate)
+
+
+def test_lsq_slope_on_equal_times_is_zero():
+    assert np.array_equal(_lsq_slope(np.full(4, 2.0), np.ones((4, 3))), np.zeros(3))
+
+
+def test_poisson_draw_goes_on_past_a_short_first_chunk(blue_rate):
+    # seed 318097's first 1024 gaps sum to 871.96 mean inter-arrival times,
+    # short of an 874.5 horizon, so a second chunk goes on from there
+    gaps = np.random.default_rng(318097).standard_exponential(2048)
+    assert gaps[:1024].sum() < 874.5
+    cfg = cfg_for(single_hop(), 1e3, horizon_packets=874.5, arrival=ARRIVAL_POISSON,
+                  seed=318097)
+    assert sr.simulate(cfg, blue_rate).generated == np.sum(np.cumsum(gaps) <= 874.5) > 1024
 
 
 def test_packet_conservation_under_overload(blue_rate):
@@ -513,58 +535,74 @@ def test_fixed_size_backlog_is_monotone_in_load(preset, n, length, arrival):
 
 
 @pytest.mark.parametrize("arrival,size_model", MODES)
-def test_memo_run_equals_a_cold_run(blue_rate, blue_10_500, arrival, size_model):
-    # a run on the memo's population equals the run on a cold memo bit for
-    # bit, after unrelated runs (another seed, run length or placement) and
-    # after itself; a run at another load reuses the population it drew
+def test_shared_population_run_equals_a_cold_run(blue_rate, blue_10_500, arrival, size_model):
+    # a run on a look's shared population equals a cold run of the same
+    # SimConfig in every field, at each of the look's loads and after them;
+    # the shared arrays are read-only, so no run can change them for the next
     q = blue_10_500.q_sup
     cfg = cfg_for(blue_10_500.placement, 0.9 * q, horizon_packets=4_000, arrival=arrival,
                   size_model=size_model, seed=8, record_trace=True)
-    cfgs = [cfg, dataclasses.replace(cfg, seed=9),
-            dataclasses.replace(cfg, horizon_packets=4_001),
-            dataclasses.replace(cfg, placement=sr.constant_placement(10, 500.0))]
-    cold = []
-    for c in cfgs:
-        sr.simqueue._memo.clear()
-        cold.append(sr.simulate(c, blue_rate))
-    for i in (0, 1, 0, 2, 0, 3, 0, 0):
-        got = sr.simulate(cfgs[i], blue_rate)
+    pop = sr.simqueue._population(cfg)
+    cfgs = [cfg, dataclasses.replace(cfg, q=1.2 * q)]
+    for c in (*cfgs, cfg):
+        shared = sr.simulate(sr.simqueue._LookRun(**vars(c), population=pop), blue_rate)
+        cold = sr.simulate(c, blue_rate)
         for f in dataclasses.fields(sr.QueueStats):
-            a, b = getattr(cold[i], f.name), getattr(got, f.name)
-            assert a == b if f.name == "trace" else np.array_equal(a, b), (i, f.name)
-    pop, = sr.simqueue._memo.values()
-    sr.simulate(dataclasses.replace(cfg, q=1.2 * q), blue_rate)
-    reused, = sr.simqueue._memo.values()
-    assert reused is pop
+            a, b = getattr(cold, f.name), getattr(shared, f.name)
+            assert a == b if f.name == "trace" else np.array_equal(a, b), (c.q, f.name)
     grouped, *arrays = pop
     assert not any(v.flags.writeable for v in (*grouped, *arrays))
 
 
-def test_probe_leaves_one_population_in_the_memo(blue_rate, blue_10_500, monkeypatch):
-    # once a probe returns, the memo holds the population of its last look,
-    # the cap's here, and no other: all four looks' would be 1.875 caps
-    placement, q = blue_10_500.placement, blue_10_500.q_sup
-    horizons, run = [], sr.simulate
-
-    def simulate(cfg, rate):
-        horizons.append(cfg.horizon_packets)
-        return run(cfg, rate)
-
-    monkeypatch.setattr(sr.simqueue, "simulate", simulate)
-    sr.simqueue._memo.clear()
+def test_one_off_run_holds_no_population(blue_rate):
+    # a plain run draws its own packets and frees them when it returns: after
+    # one 20k-packet run at N = 2000 a module-level cache held 16.6 MiB
+    placement = sr.constant_placement(2000, 5000.0)
+    q = 0.8 * sr.qsup_of_placement(placement, blue_rate).q_sup
+    cfg = cfg_for(placement, q, arrival=ARRIVAL_POISSON)
+    sr.simulate(cfg_for(single_hop(), 1e3, horizon_packets=10, arrival=ARRIVAL_POISSON),
+                blue_rate)   # numpy.random imports its pickling helpers on first use
     tracemalloc.start()
     try:
-        run(sr.SimConfig(placement, q, horizon_packets=CAP, seed=(1, 3)), blue_rate)
-        one = tracemalloc.get_traced_memory()[0]
-        sr.simqueue._memo.clear()
         base = tracemalloc.get_traced_memory()[0]
-        sr.stability_probe(placement, blue_rate, [0.8 * q, 1.01 * q, 1.2 * q], seed=1)
+        assert sr.simulate(cfg, blue_rate).generated > 19_000
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert horizons[-1] == CAP and len(set(horizons)) == 4   # every look ran
-    assert one > 400_000        # 50k arrival times at 8 bytes, at least
-    assert held <= 1.25 * one, (held, one)
+    assert held < 2 * 2**20, held
+
+
+def test_probe_owns_one_population_at_a_time(blue_rate, blue_10_500, monkeypatch):
+    # through a (cfg, rate) pass-through, as benchmarks observe a probe: every
+    # (load, look) run is observed, each look that runs draws once, just before
+    # its first run, and the last look's arrays are gone by then and at the end
+    placement, q = blue_10_500.placement, blue_10_500.q_sup
+    run, draw = sr.simqueue.simulate, sr.simqueue._population
+    runs, draws, refs = [], [], []
+
+    def simulate(cfg, rate):
+        stats = run(cfg, rate)
+        runs.append((cfg.q, cfg.horizon_packets, stats.total_drift_slope))
+        return stats
+
+    def population(cfg):
+        draws.append((cfg.horizon_packets, len(runs), [r() is None for r in refs]))
+        grouped, *arrays = pop = draw(cfg)
+        refs[:] = [weakref.ref(v) for v in (*grouped, *arrays)]
+        return pop
+
+    monkeypatch.setattr(sr.simqueue, "simulate", simulate)
+    monkeypatch.setattr(sr.simqueue, "_population", population)
+    for grid, looks in (([0.8 * q, 1.01 * q, 1.2 * q], 4), ([0.5 * q, 2.0 * q], 1)):
+        runs.clear(), draws.clear()
+        probe = sr.stability_probe(placement, blue_rate, grid, seed=1)
+        for point in probe.points:   # each point is its load's last observed run
+            assert point.total_drift_slope == [s for l, _, s in runs if l == point.q][-1]
+        horizons = [h for _, h, _ in runs]
+        assert [h for h, _, _ in draws] == sorted(set(horizons)) and len(draws) == looks
+        for h, before, dead in draws:
+            assert horizons[before] == h and h not in horizons[:before] and all(dead)
+        assert refs and all(r() is None for r in refs)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,16 @@ def test_critical_load_refuses_a_roundoff_plateau():
         assert sr.critical_length(sr.RateFunction(fn)) == 4.0
 
 
+def test_flat_rate_farthest_hop_takes_the_bracket_end():
+    # a rate that never falls (against the paper's assumptions) meets the
+    # load line only at the bracket's end 2 R(0)/q, unevaluated there; its f'
+    # is then -q/2, which is exact for a flat R: the coverage's derivative in
+    # log q is minus the coverage
+    sub = sr.solve_subproblem(sr.RateFunction(lambda d: 1e6 + 0.0 * np.asarray(d)), 1e3, 5)
+    assert sub.branch == CASE_I and sub.coverage == 2000.0
+    assert sub.dcoverage_dlogq == -sub.coverage
+
+
 def test_critical_load_dichotomy(blue_rate):
     q0 = sr.critical_load(blue_rate)
     hi, lo = 1.01 * q0, 0.99 * q0
@@ -370,6 +380,38 @@ def test_solve_rejects_underflowing_rate(red_rate):
     assert red_rate.scalar(1e4) == 0.0
     with pytest.raises(ValueError, match=r"R\(length/n\)"):
         sr.solve(red_rate, 1, 1e4)
+
+
+def test_solve_rejects_a_length_whose_load_overflows(blue_rate):
+    # R(L/n) * n / L passes the float range at a subnormal L
+    with pytest.raises(ValueError, match="length 1e-310 is so short"):
+        sr.solve(blue_rate, 3, 1e-310)
+
+
+def test_load_root_stops_at_its_recursion_cap(blue_rate, monkeypatch):
+    monkeypatch.setattr(solver1d, "_MAX_LOAD_ITERS", 1)
+    with pytest.raises(solver1d.MaxItersError, match="did not converge in 1 recursions"):
+        sr.solve(blue_rate, 3, 300.0)
+
+
+@pytest.mark.parametrize("name,value", [("_TINY_PRODUCT", 1.0), ("_MAX_SWEEPS", 1)])
+def test_failed_sweeps_give_the_same_qsup(blue_rate, monkeypatch, name, value):
+    # a back-substitution product at or under _TINY_PRODUCT (here every one),
+    # or sweeps that do not stop within _MAX_SWEEPS, leave the hops to the
+    # hop-by-hop recursion, which finds the same q_sup
+    ref = sr.solve(blue_rate, 300, 1000.0).q_sup
+    sweeps, failed = solver1d._newton_sweeps, []
+
+    def recording(*args):
+        sub = sweeps(*args)
+        failed.append(sub is None)
+        return sub
+
+    monkeypatch.setattr(solver1d, name, value)
+    monkeypatch.setattr(solver1d, "_newton_sweeps", recording)
+    q_sup = sr.solve(blue_rate, 300, 1000.0).q_sup
+    assert any(failed) and (all(failed) or name == "_MAX_SWEEPS"), failed
+    assert abs(q_sup - ref) <= 1e-12 * ref
 
 
 ROUNDTRIP_RATES = {
