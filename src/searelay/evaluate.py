@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RateFunction
+from .channel import RateFunction, _checked_positive
 from .solver1d import Placement, _checked_count
 
 __all__ = [
@@ -50,10 +50,11 @@ def hop_limits(rate: RateFunction, D: np.ndarray, length: float) -> np.ndarray:
 
 
 def qsup_of_placement(placement: Placement, rate: RateFunction) -> PlacementLimit:
-    """Supportable load of an arbitrary placement and its binding hop."""
+    """Supportable load of an arbitrary placement and its binding hop, > 0."""
     limits = hop_limits(rate, placement.distances[None], placement.length)[0]
     idx = int(np.argmin(limits))
-    return PlacementLimit(q_sup=float(limits[idx]), bottleneck=idx)
+    return PlacementLimit(q_sup=_checked_positive(limits[idx], f"the load limit of hop {idx + 1}, "
+                          f"{placement.distances[idx]:.9g} m long,"), bottleneck=idx)
 
 
 def constant_placement(n: int, length: float) -> Placement:
@@ -71,12 +72,13 @@ def vertical_qsup(rate: RateFunction, n_l: int, n_v: int, depth: float,
                   length: float) -> float:
     """Supportable load n_l * R(depth / n_v) / length of n_l risers, each a
     vertical chain of n_v equal hops up the water column, draining the
-    segment jointly."""
+    segment jointly, > 0."""
     _checked_count(n_l, "n_l")
     _checked_count(n_v, "n_v")
     if not (0 < depth < math.inf and 0 < length < math.inf):
         raise ValueError("depth and length must be finite and > 0")
-    return n_l * rate.scalar(depth / n_v) / length
+    return n_l * _checked_positive(rate.scalar(depth / n_v),
+                                   f"the rate of a riser hop, {depth / n_v:.9g} m long,") / length
 
 
 # --- localization uncertainty ----------------------------------------------

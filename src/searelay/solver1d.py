@@ -56,20 +56,17 @@ _MAX_HOP_ITERS = 200  # hop-root cap; bisection takes a 1e6 m bracket to 1e-9 m 
 _MAX_LOAD_ITERS = 100  # load-root cap; bisection takes the bracket to 2e-10 in ~40
 _MAX_WALK_STEPS = 60   # d_half's walk limit: 2**59 m
 _MAX_SWEEPS = 8        # sweeps before the hop-by-hop recursion takes over
-# only longer chains sweep: a sweep's ~30 numpy calls cost more than the
-# hop-by-hop recursion below 24-32 hops at dq/q = 1e-5 (1 sweep), 32-48 at
-# 1e-3, 48-64 at 1e-2 and 64-96 at 0.1
+# longer chains run Newton sweeps, warm or cold, shorter ones hop by hop:
+# cold 50-128 hop solves ran x0.91 swept, and at 128 sweep-n to 150 x1.5
 _SWEEP_HOPS = 48
-# and only longer chains start them cold, from a continuum map beyond their
-# farthest 16 hops.  The hop-by-hop recursion's time over theirs, at q_sup,
-# 0.5-10 m a hop, by hop count: 64: 0.65-0.83, 96: 0.89-1.18, 128:
-# 1.11-1.45, 192: 1.52-1.99, 256: 1.92-2.47
-_COLD_HOPS = 128
+# sweeps up to this many hops move R' by R'' (`_moved`): long-chain x1.05 beyond
+_CURVED_HOPS = 128
 _TINY_PRODUCT = 1e-250  # smallest back-substitution product an array sweep takes
-# a recursion within _WARM_REL of the one before, in log q, starts each hop
-# from that one's, and keeps its f' within _NEAR_REL, where R' moves < 1e-5
+# a recursion within _WARM_REL of the one before, in log q, solves its hops
+# tightly (at 0.01 or 1, design ran x1.02-1.03), and keeps f' within _NEAR_REL,
+# where R' moves < 1e-5 (without it, design x1.02-1.03)
 _WARM_REL, _NEAR_REL = 0.1, 1e-5
-_TIGHT, _LOOSE_FIRST, _LOOSE_FAR = 0.01, 2e5, 4e4  # hop tolerance multiples: `_hop_tol`
+_TIGHT, _LOOSE = 0.01, 4e4  # hop tolerance multiples (`_hop_tol`); all tight: design x1.04-1.05
 
 
 class NumericalError(RuntimeError):
@@ -334,32 +331,32 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
     `warm` is a recursion already run for n hops.  More than 48 of its hops
     above the hop tolerance start Newton sweeps over those (`_newton_sweeps`)
     from a chain-branch warm, at any load.  Otherwise the farthest hop is
-    solved alone (as `surplus_inverse` is), and more than 128 hops start the sweeps from
-    their farthest 16, solved one by one, and a continuum map beyond, down
-    to the hop tolerance (`_continuum`).  Shorter chains and failed sweeps
-    run hop by hop, from warm's hops if within 0.1 in log q.  `length`, a
-    load search's target coverage, lets sweeps, or hops (`_hop_tol`), far
+    solved alone (as `surplus_inverse` is), and more than 48 hops start the
+    sweeps from their farthest 16, solved one by one, and a continuum map
+    beyond, down to the hop tolerance (`_continuum`).  Shorter chains and
+    failed sweeps run hop by hop, from a chain-branch warm's hops.  `length`,
+    a load search's target coverage, lets sweeps, or hops (`_hop_tol`), far
     from it be solved loosely, as far as the search's next step allows.
     """
     q, n = _checked_positive(q, "load q"), _checked_count(n)
-    lq = math.inf if warm is None else abs(math.log(q / warm.q))
     chain = warm is not None and warm.branch == CASE_II and warm.distances.size == n
+    near = chain and abs(math.log(q / warm.q)) < _NEAR_REL
     # warm's hops above the hop tolerance, from the farthest: a recursion on
     # its own, which `_extend` finishes
     p = n - int(np.searchsorted(warm.distances, _X_TOL)) if chain and n > _SWEEP_HOPS else 0
-    if p > _SWEEP_HOPS:
+    if p > _SWEEP_HOPS:  # without warm sweeps long-chain ran x1.97
         z, g = _moved(warm, math.log(q / warm.q))
         sub = _newton_sweeps(rate, q, z[:-p - 1:-1].copy(), g[:-p - 1:-1].copy(), length)
         if sub is not None:
             return sub if p == n else _extend(rate, sub, n)
     tol = _TIGHT if length is None else _hop_tol(q, n, warm)
     z, g = [1.0 if length is None else length / n], [None]
-    if chain and lq < _WARM_REL:  # each hop starts from warm's, with f' there
+    if chain:  # each hop starts from warm's, with f' there (without: design x1.26)
         z, g = _moved(warm, math.log(q / warm.q))
         z, g = z.tolist(), (g - 0.5 * q).tolist()
     hi = min(2.0 * rate.r0 / q, sys.float_info.max)
     d_far, r_hi, s_hi = _hop_root(rate.scalar, rate.r0, q, 0.0, hi, rate.scalar(hi),
-                                  z[-1], g[-1], tol, chain and lq < _NEAR_REL)
+                                  z[-1], g[-1], tol, near)
     if s_hi is None:
         s_hi = -0.5 * q
     dt = 0.5 * d_far * (q / s_hi)
@@ -369,10 +366,10 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
         d[0] = d_far
         return SubproblemResult(distances=d, coverage=d_far, branch=CASE_I,
                                 q=q, dcoverage_dlogq=dt)
-    m = 16 if n > _COLD_HOPS else n
+    m = 16 if n > _SWEEP_HOPS else n
     d, dd, fs = [0.0] * m, [0.0] * m, [0.0] * m
     d[-1], dd[-1], fs[-1] = d_far, dt, s_hi
-    start = (z[-m:], g[-m:], lq < _NEAR_REL) if g[-1] is not None else None
+    start = (z[-m:], g[-m:], near) if chain else None
     i, total, dt = _inward(rate, q, d, dd, fs, m - 1, r_hi, d_far, dt, tol, start)
     sub = SubproblemResult(distances=np.array(d[i:]), coverage=total, branch=CASE_II, q=q,
                            dcoverage_dlogq=dt, ddistances_dlogq=np.array(dd[i:]),
@@ -386,21 +383,21 @@ def solve_subproblem(rate: RateFunction, q: float, n: int, *,
 
 def _hop_tol(q: float, n: int, warm: SubproblemResult | None) -> float:
     """The hop tolerance's multiple for a load search's recursion of n hops
-    at q after `warm`: 1/100, or 1e-4 of a hop (first) or 2e-5 for a short
-    chain's one a step over 0.1 away, whose next Newton step errs by about
-    that step squared.  Coverage errs by at most it times n 1e-9 m + 5e-10 C."""
-    if n > _SWEEP_HOPS or warm is not None and abs(math.log(q / warm.q)) < _WARM_REL:
-        return _TIGHT
-    return _LOOSE_FIRST if warm is None else _LOOSE_FAR
+    at q after `warm`: 1/100, or 2e-5 of a hop for up to 48 hops with no
+    warm within 0.1 in log q, whose next Newton step errs by about that step
+    squared.  Coverage errs by at most it times n 1e-9 m + 5e-10 C."""
+    tight = n > _SWEEP_HOPS or warm is not None and abs(math.log(q / warm.q)) < _WARM_REL
+    return _TIGHT if tight else _LOOSE
 
 
 def _moved(warm: SubproblemResult, lq: float) -> tuple[np.ndarray, np.ndarray]:
     """warm's hops moved by lq in log q along their q dd/dq, and R' there,
-    by R'' from each hop to the next, for up to 128 hops (below 1e-6, R'
-    moves less than its error; beyond _WARM_REL, R'' does not carry)."""
+    by R'' from each hop to the next in a chain of 49 to 128 hops, whose
+    sweeps keep R' where hops do not move (below 1e-6, R' moves less than
+    its error; beyond _WARM_REL, R'' does not carry)."""
     d, dz = warm.distances, warm.ddistances_dlogq * lq
     g = warm.hop_slopes + 0.5 * warm.q
-    if 1 < d.size <= _COLD_HOPS and 1e-6 < abs(lq) < _WARM_REL:
+    if _SWEEP_HOPS < d.size <= _CURVED_HOPS and 1e-6 < abs(lq) < _WARM_REL:
         step = d[1:] - d[:-1]
         curv = (g[1:] - g[:-1]) / np.where(step > 0.0, step, np.inf)
         g += np.append(curv, curv[-1]) * dz
@@ -575,9 +572,9 @@ def _inward(rate: RateFunction, q: float, d: list, dd: list, fs: list, k: int,
         if start is not None:
             x, s0 = start[0][i], start[1][i]
         elif far > 0.0:
-            # spacings shrink about geometrically toward the sink, at a
-            # ratio that itself drifts: extrapolate both, d_{i+1}^3 d_{i+3}
-            # / d_{i+2}^3 (d_{i+1}^2 / d_{i+2} while d_{i+3} is unknown)
+            # spacings shrink about geometrically toward the sink, at a ratio
+            # that drifts: extrapolate both, d_{i+1}^3 d_{i+3} / d_{i+2}^3, or
+            # d_{i+1}^2 / d_{i+2} while d_{i+3} is unknown (alone: design's scalar R calls +1.7%)
             x = hi * hi / far
             if far2 > 0.0:
                 x *= hi * far2 / (far * far)

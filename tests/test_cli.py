@@ -137,14 +137,20 @@ def test_bad_value_exits_2(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ("--preset", "blue", "--n", "3", "--l", "nan"),
-    ("--preset", "blue", "--n", "3", "--l", "inf"),
-    ("--preset", "blue", "--n", "3", "--l", "100", "--tol-q", "nan"),
-    ("--preset", "red", "--n", "1", "--l", "1e4"),  # R(L/n) underflows to 0
-    ("--preset", "blue", "--n", "3", "--l", "1e-310"),  # R(L/n) n / L overflows
+    ("solve", "--preset", "blue", "--n", "3", "--l", "nan"),
+    ("solve", "--preset", "blue", "--n", "3", "--l", "inf"),
+    ("solve", "--preset", "blue", "--n", "3", "--l", "100", "--tol-q", "nan"),
+    ("solve", "--preset", "red", "--n", "1", "--l", "1e4"),  # R(L/n) underflows to 0
+    ("solve", "--preset", "blue", "--n", "3", "--l", "1e-310"),  # R(L/n) n / L overflows
+    # R of a 3000 m riser hop, and of a stored placement's 2900 m hop, underflows to 0
+    ("compare", "--preset", "red", "--n", "10", "--l", "500", "--vertical-depth", "3000",
+     "--vertical-nl", "1", "--vertical-nv", "1"),
+    ("eval", "--preset", "red", "--placement", "hop_2900m.json"),
 ])
-def test_non_finite_or_underflowing_input_exits_2(capsys, flags):
-    code, out, err = run(capsys, "solve", *flags)
+def test_non_finite_or_underflowing_input_exits_2(capsys, tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    Path("hop_2900m.json").write_text('{"distances": [100.0, 2900.0]}')
+    code, out, err = run(capsys, *flags)
     assert code == 2
     assert not out
     assert "invalid configuration" in err

@@ -154,6 +154,14 @@ def test_tradeoff_has_interior_peak(blue_rate):
     assert deltas[k] > deltas[-1]
 
 
+def test_underflowing_hop_rate_is_a_value_error(red_rate):
+    # a 2900 m hop's rate underflows to 0 in red water: no load is
+    # supportable, and the error names the hop and its length
+    placement = sr.Placement(distances=np.array([100.0, 2900.0]), length=3000.0)
+    with pytest.raises(ValueError, match="hop 2, 2900 m long"):
+        sr.qsup_of_placement(placement, red_rate)
+
+
 # ---------------------------------------------------------------------------
 # vertical chains
 # ---------------------------------------------------------------------------
@@ -185,6 +193,14 @@ def test_vertical_qsup_validation(blue_rate):
         sr.vertical_qsup(blue_rate, 0, 3, 100.0, 50.0)
     with pytest.raises(ValueError):
         sr.vertical_qsup(blue_rate, 2, 3, -1.0, 50.0)
+
+
+def test_vertical_qsup_underflowing_riser_hop_is_a_value_error(red_rate):
+    # one 3000 m riser hop's rate underflows to 0 in red water; three of
+    # 1000 m do not
+    with pytest.raises(ValueError, match="riser hop, 3000 m long"):
+        sr.vertical_qsup(red_rate, 1, 1, 3000.0, 500.0)
+    assert sr.vertical_qsup(red_rate, 1, 3, 3000.0, 500.0) > 0.0
 
 
 # ---------------------------------------------------------------------------

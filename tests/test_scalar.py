@@ -107,3 +107,13 @@ def test_recovers_root_decreasing(gain, k, eps, alpha):
     x = d_half(fn)
     # R(0)/q0 may round an ulp or two past the root found
     assert -4e-16 * hi <= hi - x <= 1e-9 + 5e-10 * x, (x, hi)
+
+
+def test_flat_secant_bisects():
+    # R is flat on [1, 3) m, so two secant points there have equal f: the
+    # secant's slope is 0 and the root-find bisects instead of dividing by
+    # it.  R falls to R(0)/2 = 1 only at its step at 3 m, so q0 = 2/3
+    def step(d):
+        return 2.0 if d < 1.0 else 1.5 if d < 3.0 else 0.75 * 2.0 ** (3.0 - d)
+
+    assert abs(sr.critical_load(sr.RateFunction(step)) - 2.0 / 3.0) <= 1e-9 * 2.0 / 3.0

@@ -731,7 +731,7 @@ def test_warm_recursion_at_the_critical_load_agrees_with_a_cold_one(name, n):
         assert rel(sub.coverage, cold.coverage) <= 1e-9, (f, sub.coverage, cold.coverage)
 
 
-COLD_HOPS = solver1d._COLD_HOPS
+COLD_HOPS = solver1d._SWEEP_HOPS
 
 
 def check_cold_recursion(rate, q, n):
@@ -747,7 +747,7 @@ def check_cold_recursion(rate, q, n):
     assert rel(sub.dcoverage_dlogq, hop_by_hop(rate, q, n).dcoverage_dlogq) < 1e-4
 
 
-# cold recursions longer than _COLD_HOPS start their sweeps from a continuum
+# cold recursions longer than _SWEEP_HOPS start their sweeps from a continuum
 # map: at about 2 m a hop, and near the capacity ceiling, where the sweeps
 # cover the hops above the hop tolerance and the closed-form tail the rest
 # (FALLBACK_CASES, where the hop-by-hop fallback is also tested)
@@ -776,22 +776,23 @@ def test_cold_recursion_invariants_property(name, n, length):
 
 
 def test_cold_recursion_runs_on_the_array_path(blue_rate):
-    # machine-independent: a cold recursion of 1000 hops makes one array R
-    # call for its continuum start and at most _MAX_SWEEPS for its sweeps,
-    # and its only scalar ones are those of its farthest 16 hops, which a
-    # 16-hop recursion makes; a hop-by-hop recursion would make ~3000
-    n = 1000
-    q = sr.solve(blue_rate, n, 2000.0).q_sup
-    rate = counting_rate(blue_rate)
-    rate.evals[:] = [0, 0]
-    sr.solve_subproblem(rate, q, 16)
-    anchors = list(rate.evals)
-    assert anchors[1] == 0
-    rate.evals[:] = [0, 0]
-    sub = sr.solve_subproblem(rate, q, n)
-    assert sub.branch == CASE_II
-    assert 2 <= rate.evals[1] <= 1 + solver1d._MAX_SWEEPS
-    assert rate.evals[0] == anchors[0]
+    # machine-independent: a cold recursion of 1000 hops, or of 49, one more
+    # than _SWEEP_HOPS, makes one array R call for its continuum start and
+    # at most _MAX_SWEEPS for its sweeps, and its only scalar ones are those
+    # of its farthest 16 hops, which a 16-hop recursion makes; a hop-by-hop
+    # recursion of 1000 would make ~3000
+    for n, length in ((49, 98.0), (1000, 2000.0)):
+        q = sr.solve(blue_rate, n, length).q_sup
+        rate = counting_rate(blue_rate)
+        rate.evals[:] = [0, 0]
+        sr.solve_subproblem(rate, q, 16)
+        anchors = list(rate.evals)
+        assert anchors[1] == 0
+        rate.evals[:] = [0, 0]
+        sub = sr.solve_subproblem(rate, q, n)
+        assert sub.branch == CASE_II
+        assert 2 <= rate.evals[1] <= 1 + solver1d._MAX_SWEEPS, n
+        assert rate.evals[0] == anchors[0], n
 
 
 @pytest.mark.parametrize("name,n,length", FALLBACK_CASES)
@@ -1059,8 +1060,14 @@ def test_extend_is_the_next_recursion():
         q0 = sr.critical_load(rate)
         for qf in (1e-6, 0.01, 0.5, 0.99, 1.5):
             for n in (1, 2, 3, 10, 50):
-                ext = solver1d._extend(rate, sr.solve_subproblem(rate, qf * q0, n))
-                ref = sr.solve_subproblem(rate, qf * q0, n + 1)
+                # beyond _SWEEP_HOPS hops a cold recursion sweeps: there both
+                # sides run hop by hop, and the swept one agrees in coverage
+                solved = sr.solve_subproblem if n < solver1d._SWEEP_HOPS else hop_by_hop
+                ext = solver1d._extend(rate, solved(rate, qf * q0, n))
+                ref = solved(rate, qf * q0, n + 1)
+                if solved is hop_by_hop:
+                    swept = sr.solve_subproblem(rate, qf * q0, n + 1)
+                    assert rel(swept.coverage, ref.coverage) <= 1e-9
                 assert ext.branch == ref.branch
                 assert ext.q == ref.q and ext.coverage == ref.coverage
                 assert ext.dcoverage_dlogq == ref.dcoverage_dlogq
